@@ -9,6 +9,7 @@
 //	exaload replay -addr http://127.0.0.1:8080 -trace trace.jsonl [-speed 2] [-record out.jsonl]
 //	exaload sweep  -inproc [-csv report.csv]
 //	exaload sweep  -addr http://127.0.0.1:8080 -rates 1,2,4,8 -step-dur 10 [-csv report.csv]
+//	exaload scenario [-exaserve ./exaserve] serve|chaos|mesh|load|autoscale|all
 //
 // gen writes a seed-deterministic arrival stream as a JSONL trace without
 // touching any server. run generates and serves a stream open-loop
@@ -19,13 +20,17 @@
 // emits a capacity-planning report (CSV plus text summary); with -inproc
 // the sweep runs against a deterministic in-process exaserve and is
 // byte-identical under a seed — the configuration exacheck's golden mode
-// pins. Exit status 2 marks usage errors, 1 operational failures.
+// pins. scenario runs the live end-to-end suite against an exaserve
+// binary (scenario.go). Exit status 2 marks usage errors, 1 operational
+// failures.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -45,28 +50,26 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var err error
-	switch os.Args[1] {
-	case "gen":
-		err = runGen(os.Args[2:])
-	case "run":
-		err = runRun(ctx, os.Args[2:])
-	case "replay":
-		err = runReplay(ctx, os.Args[2:])
-	case "sweep":
-		err = runSweep(ctx, os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-		return
-	default:
+	mode, ok := map[string]func(context.Context, []string, io.Writer) error{
+		"gen":      runGen,
+		"run":      runRun,
+		"replay":   runReplay,
+		"sweep":    runSweep,
+		"scenario": runScenario,
+	}[os.Args[1]]
+	if !ok {
+		switch os.Args[1] {
+		case "-h", "-help", "--help", "help":
+			usage()
+			return
+		}
 		fmt.Fprintf(os.Stderr, "exaload: unknown mode %q\n\n", os.Args[1])
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err := mode(ctx, os.Args[2:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "exaload:", err)
-		var ue usageError
-		if ok := errorAs(err, &ue); ok {
+		if errors.As(err, new(usageError)) {
 			os.Exit(2)
 		}
 		os.Exit(1)
@@ -82,30 +85,16 @@ func usagef(format string, args ...any) error {
 	return usageError{fmt.Sprintf(format, args...)}
 }
 
-// errorAs is errors.As without importing errors twice in main's scope.
-func errorAs(err error, target *usageError) bool {
-	for err != nil {
-		if ue, ok := err.(usageError); ok {
-			*target = ue
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 func usage() {
 	fmt.Fprint(os.Stderr, `exaload — workload generator, trace replayer, and saturation analyzer
 
 modes:
-  gen     generate a seed-deterministic arrival trace (no server needed)
-  run     drive a live exaserve/mesh from a rate profile, open-loop
-  replay  re-issue a recorded trace against a live server
-  sweep   find the knee: sweep arrival rate, report latency/429s/cache
+  gen       generate a seed-deterministic arrival trace (no server needed)
+  run       drive a live exaserve/mesh from a rate profile, open-loop
+  replay    re-issue a recorded trace against a live server
+  sweep     find the knee: sweep arrival rate, report latency/429s/cache
+  scenario  boot exaserve and run a live end-to-end scenario
+            (serve, chaos, mesh, load, autoscale, or all)
 
 run 'exaload <mode> -h' for each mode's flags.
 `)
@@ -154,7 +143,7 @@ func (g genFlags) genSpec() (load.GenSpec, error) {
 }
 
 // runGen generates a stream and writes it as a trace.
-func runGen(argv []string) error {
+func runGen(_ context.Context, argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("exaload gen", flag.ExitOnError)
 	g := addGenFlags(fs)
 	out := fs.String("out", "", "trace output path (default stdout)")
@@ -173,7 +162,7 @@ func runGen(argv []string) error {
 		return err
 	}
 	trace := load.GeneratedTrace(arrivals, gs.Seed, "profile="+*g.profile)
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -215,7 +204,7 @@ func (h httpFlags) target(reg *obs.Registry) *load.HTTPTarget {
 
 // serveStream plays arrivals at a live target and reports the outcome
 // tallies plus client-histogram percentiles.
-func serveStream(ctx context.Context, target *load.HTTPTarget, arrivals []load.Arrival,
+func serveStream(ctx context.Context, stdout io.Writer, target *load.HTTPTarget, arrivals []load.Arrival,
 	seed uint64, note, record string) error {
 	start := time.Now()
 	samples, err := target.RunSchedule(ctx, arrivals)
@@ -235,14 +224,14 @@ func serveStream(ctx context.Context, target *load.HTTPTarget, arrivals []load.A
 		}
 	}
 	h := target.Latency
-	fmt.Printf("exaload: %d arrivals in %s: %d ok, %d rejected, %d errors\n",
+	fmt.Fprintf(stdout, "exaload: %d arrivals in %s: %d ok, %d rejected, %d errors\n",
 		len(samples), elapsed.Round(time.Millisecond), ok, rejected, errs)
 	if h.Count() > 0 {
-		fmt.Printf("exaload: client-side latency (histogram estimate): p50 %.3fs  p95 %.3fs  p99 %.3fs\n",
+		fmt.Fprintf(stdout, "exaload: client-side latency (histogram estimate): p50 %.3fs  p95 %.3fs  p99 %.3fs\n",
 			load.HistQuantile(h, 0.50), load.HistQuantile(h, 0.95), load.HistQuantile(h, 0.99))
 	}
 	if c, err := target.Counters(); err == nil {
-		fmt.Printf("exaload: server cache counters: %d hits, %d joined, %d misses; %d rejects\n",
+		fmt.Fprintf(stdout, "exaload: server cache counters: %d hits, %d joined, %d misses; %d rejects\n",
 			c.CacheHits, c.CacheJoined, c.CacheMisses, c.Rejected)
 	}
 	if record != "" {
@@ -267,7 +256,7 @@ func serveStream(ctx context.Context, target *load.HTTPTarget, arrivals []load.A
 }
 
 // runRun generates a stream and serves it live.
-func runRun(ctx context.Context, argv []string) error {
+func runRun(ctx context.Context, argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("exaload run", flag.ExitOnError)
 	g := addGenFlags(fs)
 	h := addHTTPFlags(fs)
@@ -288,11 +277,11 @@ func runRun(ctx context.Context, argv []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "exaload: serving %d arrivals over %ss against %s\n",
 		len(arrivals), strconv.FormatFloat(gs.Profile.Duration(), 'g', -1, 64), *h.addr)
-	return serveStream(ctx, h.target(obs.NewRegistry()), arrivals, gs.Seed, "profile="+*g.profile, *record)
+	return serveStream(ctx, stdout, h.target(obs.NewRegistry()), arrivals, gs.Seed, "profile="+*g.profile, *record)
 }
 
 // runReplay re-issues a trace.
-func runReplay(ctx context.Context, argv []string) error {
+func runReplay(ctx context.Context, argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("exaload replay", flag.ExitOnError)
 	h := addHTTPFlags(fs)
 	tracePath := fs.String("trace", "", "trace file to replay (required)")
@@ -317,12 +306,12 @@ func runReplay(ctx context.Context, argv []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "exaload: replaying %d events (seed %d, %q) at %gx against %s\n",
 		len(trace.Events), trace.Seed, trace.Note, *h.speed, *h.addr)
-	return serveStream(ctx, h.target(obs.NewRegistry()), trace.Arrivals(), trace.Seed,
+	return serveStream(ctx, stdout, h.target(obs.NewRegistry()), trace.Arrivals(), trace.Seed,
 		"replay of "+*tracePath, *record)
 }
 
 // runSweep is the saturation analyzer.
-func runSweep(ctx context.Context, argv []string) error {
+func runSweep(ctx context.Context, argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("exaload sweep", flag.ExitOnError)
 	inproc := fs.Bool("inproc", false, "sweep a deterministic in-process exaserve instead of a live endpoint")
 	addr := fs.String("addr", "http://127.0.0.1:8080", "exaserve base URL (live sweeps)")
@@ -392,9 +381,9 @@ func runSweep(ctx context.Context, argv []string) error {
 		return err
 	}
 	t := rep.Table()
-	t.Render(os.Stdout)
-	fmt.Println()
-	fmt.Print(rep.Summary())
+	t.Render(stdout)
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, rep.Summary())
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {

@@ -17,14 +17,14 @@
 // shrinks toward -min-workers when it stays below -autoscale-down, never
 // killing in-flight jobs (retiring workers drain first). Decisions and
 // signals are exported as exaresil_serve_autoscale_* metrics; see
-// scripts/autoscale_soak.sh for the elasticity proof.
+// `exaload scenario autoscale` for the elasticity proof.
 //
 // The -chaos flag arms the internal/chaos fault injector: seeded random
 // latency, synthetic 500s, connection resets, and mid-job worker crashes,
 // tuned by the -chaos-* flags and counted in
 // exaresil_chaos_injected_total{fault=...}. Crashed jobs fail but leave a
 // checkpoint snapshot behind; resubmitting the same spec resumes from it
-// (see DESIGN.md §10 and scripts/chaos_soak.sh).
+// (see DESIGN.md §10 and `exaload scenario chaos`).
 //
 // With -replicas N (N > 1) the same API is served by an internal/mesh
 // coordinator instead of a single server: submissions pass an admission
@@ -33,7 +33,7 @@
 // replicas. Replica death is survivable — heartbeat monitoring re-routes a
 // dead replica's jobs to survivors with their checkpoint snapshots carried
 // along (DESIGN.md §12). -mesh-kill-interval arms a kill/revive chaos loop
-// that exercises exactly that path (see scripts/mesh_soak.sh).
+// that exercises exactly that path (see `exaload scenario mesh`).
 package main
 
 import (

@@ -25,5 +25,5 @@
 //
 // Every injected fault increments exaresil_chaos_injected_total{fault=...},
 // wired into cmd/exaserve behind the -chaos flag and hammered end to end
-// by scripts/chaos_soak.sh.
+// by `exaload scenario chaos`.
 package chaos

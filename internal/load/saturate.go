@@ -204,8 +204,8 @@ func measureStep(rate, stepDur float64, samples []Sample, before, after Counters
 	return st
 }
 
-// pctl is the q-th percentile of sorted values (nearest-rank, matching
-// exasoak's estimator); empty input reports zero.
+// pctl is the q-th percentile of sorted values (nearest-rank); empty
+// input reports zero.
 func pctl(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0

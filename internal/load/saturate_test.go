@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -163,5 +164,19 @@ func TestHistQuantile(t *testing.T) {
 	}
 	if got := HistQuantile(h, 0.99); got != 5 {
 		t.Errorf("p99 with mass at +Inf = %v, want the top bound 5", got)
+	}
+}
+
+// TestReadMetrics: a series sums across its labels under its bare name
+// and per label under name{key="value"}; comments are skipped.
+func TestReadMetrics(t *testing.T) {
+	m, err := ReadMetrics(strings.NewReader(`# TYPE c counter
+c{outcome="hit",replica="0"} 3
+c{outcome="hit",replica="1"} 4
+c{outcome="miss",replica="1"} 2
+`))
+	want := map[string]uint64{"c": 9, `c{outcome="hit"}`: 7, `c{outcome="miss"}`: 2, `c{replica="0"}`: 3, `c{replica="1"}`: 6}
+	if err != nil || !maps.Equal(m, want) {
+		t.Errorf("ReadMetrics = %v, %v; want %v", m, err, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -122,43 +123,17 @@ func (t *HTTPTarget) Drain(context.Context) error { return nil }
 // Counters scrapes GET /metrics and sums the cache and rejection counters
 // across replica labels.
 func (t *HTTPTarget) Counters() (Counters, error) {
-	hc := t.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Get(strings.TrimRight(t.Base, "/") + "/metrics")
+	m, err := Scrape(t.HTTP, t.Base)
 	if err != nil {
-		return Counters{}, fmt.Errorf("scrape metrics: %w", err)
+		return Counters{}, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Counters{}, fmt.Errorf("scrape metrics: HTTP %d", resp.StatusCode)
-	}
-	var c Counters
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "exaresil_serve_cache_requests_total"):
-			v, outcome := parseSeries(line)
-			switch outcome["outcome"] {
-			case "hit":
-				c.CacheHits += v
-			case "joined":
-				c.CacheJoined += v
-			case "miss":
-				c.CacheMisses += v
-			}
-		case strings.HasPrefix(line, "exaresil_serve_queue_rejections_total"):
-			v, _ := parseSeries(line)
-			c.Rejected += v
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return Counters{}, fmt.Errorf("scrape metrics: %w", err)
-	}
-	return c, nil
+	const cache = "exaresil_serve_cache_requests_total"
+	return Counters{
+		CacheHits:   m[cache+`{outcome="hit"}`],
+		CacheJoined: m[cache+`{outcome="joined"}`],
+		CacheMisses: m[cache+`{outcome="miss"}`],
+		Rejected:    m["exaresil_serve_queue_rejections_total"],
+	}, nil
 }
 
 // HistQuantile estimates the q-th quantile from a histogram's cumulative
@@ -202,16 +177,56 @@ func HistQuantile(h *obs.Histogram, q float64) float64 {
 	return bounds[len(bounds)-1]
 }
 
-// parseSeries splits one Prometheus text-format sample line into its
-// value and label map. Unparsable lines count zero.
-func parseSeries(line string) (uint64, map[string]string) {
-	labels := map[string]string{}
-	rest := line
+// Scrape fetches base's GET /metrics with hc (nil means
+// http.DefaultClient) and sums it with ReadMetrics.
+func Scrape(hc *http.Client, base string) (map[string]uint64, error) {
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Get(strings.TrimRight(base, "/") + "/metrics")
+	if err != nil {
+		return nil, fmt.Errorf("scrape metrics: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("scrape metrics: HTTP %d", resp.StatusCode)
+	}
+	m, err := ReadMetrics(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("scrape metrics: %w", err)
+	}
+	return m, nil
+}
+
+// ReadMetrics sums a Prometheus text-format exposition (a GET /metrics
+// body): each series name maps to the sum of its samples, and each
+// name{key="value"} to the sum of the samples carrying that label.
+// Comments are skipped; unparsable or negative samples count zero.
+func ReadMetrics(r io.Reader) (map[string]uint64, error) {
+	m := map[string]uint64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		if line := sc.Text(); line != "" && line[0] != '#' {
+			name, labels, v := parseSeries(line)
+			m[name] += v
+			for k, lv := range labels {
+				m[fmt.Sprintf("%s{%s=%q}", name, k, lv)] += v
+			}
+		}
+	}
+	return m, sc.Err()
+}
+
+// parseSeries splits one sample line into its name, labels and value.
+func parseSeries(line string) (string, map[string]string, uint64) {
+	name, labels, rest := "", map[string]string{}, line
 	if i := strings.IndexByte(line, '{'); i >= 0 {
 		j := strings.IndexByte(line, '}')
 		if j < i {
-			return 0, labels
+			return "", labels, 0
 		}
+		name = line[:i]
 		for _, kv := range strings.Split(line[i+1:j], ",") {
 			k, v, ok := strings.Cut(kv, "=")
 			if ok {
@@ -220,11 +235,11 @@ func parseSeries(line string) (uint64, map[string]string) {
 		}
 		rest = line[j+1:]
 	} else if i := strings.IndexByte(line, ' '); i >= 0 {
-		rest = line[i:]
+		name, rest = line[:i], line[i:]
 	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 	if err != nil || f < 0 {
-		return 0, labels
+		return name, labels, 0
 	}
-	return uint64(f), labels
+	return name, labels, uint64(f)
 }

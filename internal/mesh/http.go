@@ -11,8 +11,9 @@ import (
 )
 
 // The mesh speaks the same /v1 surface as a single exaserve process, so
-// serveclient/exasoak work against either unchanged; /healthz and the
-// extra GET /v1/mesh expose fleet state instead of single-node state.
+// serveclient and the exaload scenarios work against either unchanged;
+// /healthz and the extra GET /v1/mesh expose fleet state instead of
+// single-node state.
 
 // routes mounts the API.
 func (c *Coordinator) routes() {

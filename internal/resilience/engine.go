@@ -158,16 +158,6 @@ func (e *engine) emit(kind TraceKind, mutate func(*TraceEvent)) {
 	e.observer(ev)
 }
 
-// runEngine executes one simulation run of strat against a failure model
-// on a freshly allocated engine. The executors instead keep a persistent
-// engine and call its run method directly, reusing the bound callbacks and
-// the failure-process storage across sequential runs; both paths produce
-// identical results.
-func runEngine(strat strategy, model *failures.Model, start, horizon units.Duration, src *rng.Source, ckptRate float64, obs Observer, sim *des.Simulator, tm *techMetrics) Result {
-	var e engine
-	return e.run(strat, model, start, horizon, src, ckptRate, obs, sim, tm)
-}
-
 // bind creates the engine's shared event callbacks. Each captures the
 // engine pointer once; run reuses them for every subsequent execution, so
 // a steady-state run schedules events with zero closure allocations.

@@ -235,7 +235,7 @@ func TestSnapshotExportImportHandoff(t *testing.T) {
 		t.Fatalf("srv2 restored %d cells, want %d", restored, len(handoff))
 	}
 
-	direct, err := runSpec(srv2.cfg.Experiments, spec)
+	direct, err := RunSpec(srv2.cfg.Experiments, spec)
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}

@@ -106,7 +106,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = func(_ context.Context, ecfg experiments.Config, s Spec) (*Result, error) {
-			return runSpec(ecfg, s)
+			return RunSpec(ecfg, s)
 		}
 	}
 	if cfg.Autoscale != nil {

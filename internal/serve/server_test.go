@@ -198,7 +198,7 @@ func TestServeMatchesDirectRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := runSpec(cfg, spec)
+		want, err := RunSpec(cfg, spec)
 		if err != nil {
 			t.Fatalf("direct run of %s: %v", raw, err)
 		}

@@ -154,7 +154,7 @@ func TestCrashedJobResumesFromSnapshot(t *testing.T) {
 	if want := goldenDigest(t, "fig4"); done.Digest != want {
 		t.Fatalf("resumed digest %s != golden manifest pin %s", done.Digest, want)
 	}
-	direct, err := runSpec(experiments.Default(), Spec{Exhibit: "fig4", Patterns: 6})
+	direct, err := RunSpec(experiments.Default(), Spec{Exhibit: "fig4", Patterns: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

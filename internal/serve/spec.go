@@ -33,6 +33,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -64,15 +65,18 @@ type Spec struct {
 // for, bounding the work one job can queue.
 const maxScale = 100000
 
-// ParseSpec decodes and validates one JSON spec. Unknown fields are
-// rejected: a misspelled parameter must not silently run the default
-// experiment.
+// ParseSpec decodes and validates one JSON spec. Unknown fields and
+// trailing data are rejected: a misspelled parameter must not silently
+// run the default experiment, nor a second concatenated spec be dropped.
 func ParseSpec(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("decode spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, errors.New("decode spec: trailing data after the JSON value")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
@@ -138,9 +142,10 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// runSpec executes a validated spec against the experiments registry. It
-// is the server's default Runner.
-func runSpec(cfg experiments.Config, s Spec) (*Result, error) {
+// RunSpec executes a validated spec against the experiments registry. It
+// is the server's default Runner, and the reference a served result must
+// match.
+func RunSpec(cfg experiments.Config, s Spec) (*Result, error) {
 	ex, ok := experiments.Lookup(s.Exhibit)
 	if !ok {
 		return nil, fmt.Errorf("unknown exhibit %q", s.Exhibit)

@@ -122,6 +122,8 @@ func TestParseSpecRejections(t *testing.T) {
 		{"over scale cap", fmt.Sprintf(`{"exhibit":"fig1","trials":%d}`, maxScale+1), "exceeds"},
 		{"not json", `exhibit=fig1`, "decode spec"},
 		{"wrong type", `{"exhibit":"fig1","trials":"many"}`, "decode spec"},
+		{"second value", `{"exhibit":"fig1"}{"exhibit":"fig4"}`, "trailing data"},
+		{"trailing garbage", `{"exhibit":"fig1"} trailing garbage`, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +140,8 @@ func TestParseSpecRejections(t *testing.T) {
 
 // TestSpecRoundTrip: the API's own JSON rendering of a spec parses back to
 // an identical key (poll responses echo specs; a client resubmitting one
-// must hit the cache).
+// must hit the cache). Trailing whitespace, such as the newline a
+// json.Encoder body ends with, is not trailing data.
 func TestSpecRoundTrip(t *testing.T) {
 	for _, s := range []Spec{
 		{Exhibit: "fig1"},
@@ -148,7 +151,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := ParseSpec(strings.NewReader(string(raw)))
+		back, err := ParseSpec(strings.NewReader(string(raw) + " \r\n\t"))
 		if err != nil {
 			t.Fatalf("round-trip of %s: %v", raw, err)
 		}

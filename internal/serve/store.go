@@ -211,12 +211,13 @@ func (st *Store) newJob(spec Spec, cache string, fl *flight, now time.Time) *Job
 	return j
 }
 
-// evictLocked drops the oldest terminal jobs while over capacity.
+// evictLocked drops the oldest terminal jobs while over capacity,
+// compacting order in place so a full store allocates nothing.
 func (st *Store) evictLocked() {
 	if len(st.jobs) <= st.cap {
 		return
 	}
-	kept := make([]string, 0, len(st.order))
+	kept := st.order[:0]
 	for i, id := range st.order {
 		if len(st.jobs) <= st.cap {
 			kept = append(kept, st.order[i:]...)
@@ -236,6 +237,7 @@ func (st *Store) evictLocked() {
 			kept = append(kept, id)
 		}
 	}
+	clear(st.order[len(kept):])
 	st.order = kept
 }
 

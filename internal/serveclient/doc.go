@@ -15,7 +15,7 @@
 //
 // Run also verifies every result end to end: the fetched CSV's SHA-256
 // must equal the digest the job view advertises, so an injected fault can
-// delay an answer but never corrupt one unnoticed. scripts/chaos_soak.sh
-// drives this client against a chaos-injected server (internal/chaos) and
-// asserts exactly that.
+// delay an answer but never corrupt one unnoticed. `exaload scenario
+// chaos` drives this client against a chaos-injected server
+// (internal/chaos) and asserts exactly that.
 package serveclient

@@ -22,15 +22,13 @@
 #      plain Monte-Carlo and variance-reduced (-vr, antithetic paired) —
 #      exits non-zero on any violation
 #   5. the golden-exhibit digest comparison against results/golden/
-#   6. three live end-to-end passes (set SOAK_REQUESTS=0 to skip all):
-#      exaserve -chaos vs the retrying exasoak client
-#      (scripts/chaos_soak.sh), a 3-replica mesh with kill/revive chaos,
-#      asserting at least one real failover happened
-#      (scripts/mesh_soak.sh), and the exaload workload smoke — trace
-#      gen/replay, open-loop run, and a small live saturation sweep
-#      (scripts/load_smoke.sh), and the autoscaler elasticity soak — a
-#      diurnal exaload day against an elastic pool that must grow, shrink
-#      back, and lose no jobs (scripts/autoscale_soak.sh)
+#   6. the five live scenarios of `exaload scenario all` (set
+#      SOAK_REQUESTS=0 to skip them), each on a fresh exaserve that must
+#      drain on SIGTERM: serve (golden fig4 bytes, then a cache hit),
+#      chaos (zero wrong or failed results under fault injection), mesh
+#      (the same after a real replica failover), load (exaload gen,
+#      replay, run and sweep), and autoscale (the pool grows, shrinks
+#      back to the floor, and loses no jobs)
 #   7. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
 #      the exhibit benchmarks and fail on any >10% time or allocation
 #      regression against that report (cmd/exabench -baseline)
@@ -83,15 +81,12 @@ go run ./cmd/exacheck "$@" -vr sweep
 echo "== golden exhibits"
 go run ./cmd/exacheck golden
 
-if [ "${SOAK_REQUESTS:-8}" != "0" ]; then
-  echo "== chaos soak"
-  SOAK_CLIENTS="${SOAK_CLIENTS:-3}" SOAK_REQUESTS="${SOAK_REQUESTS:-8}" scripts/chaos_soak.sh
-  echo "== mesh soak"
-  SOAK_CLIENTS="${SOAK_CLIENTS:-3}" SOAK_REQUESTS="${SOAK_REQUESTS:-8}" scripts/mesh_soak.sh
-  echo "== load smoke"
-  scripts/load_smoke.sh
-  echo "== autoscale soak"
-  scripts/autoscale_soak.sh
+if [ "${SOAK_REQUESTS:-}" != "0" ]; then
+  echo "== live scenarios"
+  BIN=$(mktemp -d)
+  trap 'rm -rf "$BIN"' EXIT
+  go build -o "$BIN/exaserve" ./cmd/exaserve
+  go run ./cmd/exaload scenario -exaserve "$BIN/exaserve" all
 fi
 
 if [ -n "${BENCH_BASELINE:-}" ]; then
