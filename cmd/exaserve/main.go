@@ -157,9 +157,11 @@ func run(argv []string) error {
 	}
 
 	// One server or a mesh of them behind the same API; drain is the only
-	// lifecycle difference the shutdown path sees.
+	// lifecycle difference the shutdown path sees. health is what the
+	// library resolved for each pool, read back for the startup log.
 	var handler http.Handler
 	var drain func(context.Context) error
+	var health []serve.HealthView
 	if *replicas > 1 {
 		adm, err := mesh.ParseAdmission(*admission, *admitRate, *admitBurst)
 		if err != nil {
@@ -183,13 +185,13 @@ func run(argv []string) error {
 		}
 		handler = coord.Handler()
 		drain = coord.Drain
+		for _, rv := range coord.MeshView().Replicas {
+			health = append(health, rv.Health)
+		}
 		log.Printf("exaserve: mesh of %d replicas (%s routing, %s admission)", *replicas, rtr.Name(), adm.Name())
 		if *meshKill > 0 {
-			timeout := *hbTimeout
-			if timeout <= 0 {
-				timeout = 5 * *hbInterval
-			}
-			go meshKillLoop(coord, *meshKill, timeout+2**hbInterval)
+			interval, timeout := coord.Heartbeat()
+			go meshKillLoop(coord, *meshKill, timeout+2*interval)
 		}
 	} else {
 		if *meshKill > 0 {
@@ -201,6 +203,7 @@ func run(argv []string) error {
 		}
 		handler = srv.Handler()
 		drain = srv.Drain
+		health = []serve.HealthView{srv.Health()}
 	}
 	if inj != nil {
 		handler = inj.Middleware(handler)
@@ -214,15 +217,15 @@ func run(argv []string) error {
 		return err
 	}
 	hs := &http.Server{Handler: handler}
-	log.Printf("exaserve: listening on http://%s (%d workers, %d queue slots)",
-		ln.Addr(), *workers, max(*queue, 2**workers))
-	if *autoscale {
-		maxW := *maxWorkers
-		if maxW <= 0 {
-			maxW = 4 * max(*minWorkers, 1)
-		}
+	workerTotal, slotTotal := 0, 0
+	for _, h := range health {
+		workerTotal += h.Workers
+		slotTotal += h.QueueCapacity
+	}
+	log.Printf("exaserve: listening on http://%s (%d workers, %d queue slots)", ln.Addr(), workerTotal, slotTotal)
+	if h := health[0]; h.Autoscale {
 		log.Printf("exaserve: autoscaler armed (%d-%d workers, every %s, up>%.2f down<%.2f)",
-			*minWorkers, maxW, *autoInterval, *autoUp, *autoDown)
+			h.MinWorkers, h.MaxWorkers, *autoInterval, *autoUp, *autoDown)
 	}
 
 	serveErr := make(chan error, 1)
@@ -253,8 +256,9 @@ func run(argv []string) error {
 }
 
 // meshKillLoop is the mesh-level fault injector: every interval it kills
-// one live replica (round-robin), waits out the failure-detection window,
-// and revives it. The last live replica is never killed — the loop
+// one live replica (round-robin), waits out the failure-detection window
+// (the coordinator's heartbeat timeout plus two monitor periods), and
+// revives it. The last live replica is never killed — the loop
 // exercises failover, not total outage.
 func meshKillLoop(coord *mesh.Coordinator, every, detect time.Duration) {
 	next := 0

@@ -14,8 +14,8 @@ import (
 type AdmissionPolicy interface {
 	// Admit reports whether a submission arriving at now proceeds; when
 	// it must not, retryAfter suggests the client's backoff (the HTTP
-	// layer floors it at one second — "retry now" storms are the exact
-	// failure mode admission exists to prevent).
+	// layer rounds it up to whole seconds, at least one — "retry now"
+	// storms are the exact failure mode admission exists to prevent).
 	Admit(now time.Time) (ok bool, retryAfter time.Duration)
 	// Name labels the policy in metrics and health output.
 	Name() string

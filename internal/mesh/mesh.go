@@ -14,7 +14,6 @@ package mesh
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -50,18 +49,6 @@ type Config struct {
 	// each replica also gets a private registry and GET /metrics merges
 	// all of them with replica labels. Nil disables metrics everywhere.
 	Obs *obs.Registry
-}
-
-// ErrNoLiveReplicas: every replica is dead or the fleet is empty.
-var ErrNoLiveReplicas = errors.New("mesh: no live replicas")
-
-// AdmissionRejectedError: the admission stage refused the submission.
-type AdmissionRejectedError struct {
-	RetryAfter time.Duration
-}
-
-func (e *AdmissionRejectedError) Error() string {
-	return fmt.Sprintf("mesh: admission rejected; retry after %s", e.RetryAfter)
 }
 
 // replica is one fleet slot. The slot is permanent; the server inside it
@@ -185,6 +172,12 @@ func (c *Coordinator) buildServer(idx, gen int, reg *obs.Registry) (*serve.Serve
 
 // Replicas reports the fleet width.
 func (c *Coordinator) Replicas() int { return len(c.replicas) }
+
+// Heartbeat reports the resolved heartbeat period and the staleness
+// threshold after which the monitor declares a replica dead.
+func (c *Coordinator) Heartbeat() (interval, timeout time.Duration) {
+	return c.cfg.HeartbeatInterval, c.cfg.HeartbeatTimeout
+}
 
 // Alive reports whether replica idx is currently live.
 func (c *Coordinator) Alive(idx int) bool {
@@ -356,13 +349,16 @@ func (c *Coordinator) Revive(idx int) error {
 }
 
 // Submit runs the full pipeline: admission, then routing with spill.
+// Errors: serve.ErrDraining; a *serve.RejectedError from the admission
+// stage; serve.ErrUnavailable when no replica is live; otherwise the last
+// replica's refusal (serve.ErrSaturated when every live replica is full).
 func (c *Coordinator) Submit(spec serve.Spec) (serve.JobView, error) {
 	if c.draining.Load() {
 		return serve.JobView{}, serve.ErrDraining
 	}
 	if ok, retry := c.cfg.Admission.Admit(time.Now()); !ok {
 		c.m.Rejected.Inc()
-		return serve.JobView{}, &AdmissionRejectedError{RetryAfter: retry}
+		return serve.JobView{}, &serve.RejectedError{Policy: c.cfg.Admission.Name(), Wait: retry}
 	}
 	c.m.Admitted.Inc()
 	return c.routeSubmit(spec, nil)
@@ -375,10 +371,10 @@ func (c *Coordinator) routeSubmit(spec serve.Spec, handoff map[int][]float64) (s
 	cands := c.liveCandidates()
 	if len(cands) == 0 {
 		c.m.Exhausted.Inc()
-		return serve.JobView{}, ErrNoLiveReplicas
+		return serve.JobView{}, serve.ErrUnavailable
 	}
 	order := c.cfg.Router.Order(spec.Key(), cands)
-	lastErr := error(ErrNoLiveReplicas)
+	lastErr := serve.ErrUnavailable
 	for pos, idx := range order {
 		c.mu.RLock()
 		rep := c.replicas[idx]

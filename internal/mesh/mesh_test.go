@@ -238,23 +238,45 @@ func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
 	}
 }
 
-// TestMeshAdmissionHTTP: the admission stage surfaces as 429 with a
-// Retry-After floor of 1s on the HTTP edge.
+// TestMeshAdmissionHTTP: an admission rejection surfaces as 429 with the
+// policy's wait rounded up to whole seconds, so a client that obeys
+// Retry-After is not refused again. A 0.4/s bucket with a burst of one
+// makes the second submission wait 2.5 s: Retry-After 3, not 2.
 func TestMeshAdmissionHTTP(t *testing.T) {
-	c := newTestMesh(t, Config{Replicas: 2, Serve: serve.Config{Workers: 1}, Admission: RejectAll()})
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name       string
+		policy     AdmissionPolicy
+		admitted   int // submissions admitted before the refusal
+		retryAfter string
+	}{
+		{"reject-all", RejectAll(), 0, "1"},
+		{"token-bucket", TokenBucket(0.4, 1), 1, "3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestMesh(t, Config{Replicas: 2, Serve: serve.Config{Workers: 1}, Admission: tc.policy})
+			ts := httptest.NewServer(c.Handler())
+			defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"exhibit":"fig1","trials":2}`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Fatalf("Retry-After = %q, want >= 1", ra)
+			for i := 0; i <= tc.admitted; i++ {
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"exhibit":"fig1","trials":2}`))
+				if err != nil {
+					t.Fatalf("POST: %v", err)
+				}
+				resp.Body.Close()
+				if i < tc.admitted {
+					if resp.StatusCode != http.StatusAccepted {
+						t.Fatalf("submission %d: status = %d, want 202", i, resp.StatusCode)
+					}
+					continue
+				}
+				if resp.StatusCode != http.StatusTooManyRequests {
+					t.Fatalf("status = %d, want 429", resp.StatusCode)
+				}
+				if ra := resp.Header.Get("Retry-After"); ra != tc.retryAfter {
+					t.Fatalf("Retry-After = %q, want %q", ra, tc.retryAfter)
+				}
+			}
+		})
 	}
 }
 
@@ -287,9 +309,11 @@ func TestMeshViewHTTP(t *testing.T) {
 	}
 }
 
-// TestMeshMetricsMerged: GET /metrics interleaves the coordinator's
+// TestMeshMetricsMerged: GET /metrics merges the coordinator's
 // exaresil_mesh_* families with every replica's exaresil_serve_*
-// families, each replica series tagged replica="<idx>".
+// families, each replica series tagged replica="<idx>", into one valid
+// exposition: one # TYPE line per family, and every sample inside its own
+// family's contiguous group.
 func TestMeshMetricsMerged(t *testing.T) {
 	c := newTestMesh(t, Config{Replicas: 2, Serve: serve.Config{Workers: 1}, Obs: obs.NewRegistry()})
 	ts := httptest.NewServer(c.Handler())
@@ -319,6 +343,26 @@ func TestMeshMetricsMerged(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("merged /metrics missing %q; got:\n%s", want, body)
+		}
+	}
+
+	typed := map[string]bool{}
+	family := ""
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family = strings.Fields(rest)[0]
+			if typed[family] {
+				t.Errorf("family %s has a second # TYPE line", family)
+			}
+			typed[family] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if name != family && name != family+"_bucket" && name != family+"_sum" && name != family+"_count" {
+			t.Errorf("sample %q outside its family's group (inside %s)", line, family)
 		}
 	}
 }

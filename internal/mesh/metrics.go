@@ -1,9 +1,6 @@
 package mesh
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"strconv"
 
 	"exaresil/internal/obs"
@@ -11,8 +8,8 @@ import (
 
 // Metrics is the coordinator's obs surface (exaresil_mesh_*). Replica
 // internals keep their exaresil_serve_* families on per-replica
-// registries; GET /metrics merges both views, tagging replica series
-// with a replica label (see writeReplicaProm).
+// registries; GET /metrics merges both views into one exposition, tagging
+// replica series with a replica label (see handleMetrics).
 type Metrics struct {
 	reg *obs.Registry
 
@@ -51,62 +48,4 @@ func (m *Metrics) Routed(idx int) *obs.Counter {
 func (m *Metrics) ReplicaUp(idx int) *obs.Gauge {
 	return m.reg.Gauge("exaresil_mesh_replica_up", "replica liveness as seen by the heartbeat monitor",
 		obs.L("replica", strconv.Itoa(idx)))
-}
-
-// writeReplicaProm renders one replica registry's snapshot in the
-// Prometheus text format with a replica="<idx>" label injected into
-// every series, so the merged /metrics keeps per-replica attribution
-// without the replicas sharing a registry (shared gauges would clobber
-// each other).
-func writeReplicaProm(w io.Writer, idx int, snap []obs.MetricSnapshot) error {
-	replica := strconv.Itoa(idx)
-	prevName := ""
-	for _, s := range snap {
-		if s.Name != prevName {
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.Name, s.Kind); err != nil {
-				return err
-			}
-			prevName = s.Name
-		}
-		switch s.Kind {
-		case "histogram":
-			for _, b := range s.Buckets {
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", s.Name,
-					promLabels(s.Labels, replica, "le", b.UpperBound), b.Count); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", s.Name,
-				promLabels(s.Labels, replica), strconv.FormatFloat(s.Sum, 'g', -1, 64)); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", s.Name, promLabels(s.Labels, replica), s.Count); err != nil {
-				return err
-			}
-		default:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", s.Name,
-				promLabels(s.Labels, replica), strconv.FormatFloat(s.Value, 'g', -1, 64)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// promLabels renders {replica="N",sorted labels...}, with extra
-// name/value pairs appended last (the histogram le label).
-func promLabels(labels map[string]string, replica string, extra ...string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := `{replica="` + replica + `"`
-	for _, k := range keys {
-		out += `,` + k + `="` + labels[k] + `"`
-	}
-	for i := 0; i+1 < len(extra); i += 2 {
-		out += `,` + extra[i] + `="` + extra[i+1] + `"`
-	}
-	return out + "}"
 }

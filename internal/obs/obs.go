@@ -20,10 +20,11 @@
 //
 // Metrics are identified by name plus an ordered set of constant labels,
 // following the Prometheus data model; WriteProm renders the text
-// exposition format and Snapshot/WriteJSON a structured snapshot, so a run
-// can be scraped, diffed, or cross-checked (cmd/exacheck uses the
-// resilience time-split metrics as a correctness oracle against the
-// execution traces).
+// exposition format (WriteMerged renders several registries as one, as the
+// replica mesh's /metrics does) and Snapshot/WriteJSON a structured
+// snapshot, so a run can be scraped, diffed, or cross-checked
+// (cmd/exacheck uses the resilience time-split metrics as a correctness
+// oracle against the execution traces).
 package obs
 
 import (

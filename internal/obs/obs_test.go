@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -255,6 +257,125 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `c{v="a\"b\\c\nd"} 1`) {
 		t.Errorf("escaping wrong: %s", buf.String())
+	}
+}
+
+// mergeFixture registers one series of each kind, the histogram carrying a
+// label value that needs every escape.
+func mergeFixture(events uint64) *Registry {
+	r := NewRegistry()
+	r.Counter("exa_events_total", "events fired", L("layer", "des")).Add(3)
+	r.Counter("exa_events_total", "events fired", L("layer", "cluster")).Add(events)
+	r.FloatCounter("exa_time_minutes_total", "time split", L("phase", "checkpoint")).Add(2.5)
+	r.Gauge("exa_depth_peak", "").Set(17)
+	h := r.Histogram("exa_util", "utilization", []float64{0.5, 1}, L("q", "a\"b\\c\nd"))
+	h.Observe(0.25)
+	h.Observe(0.75)
+	return r
+}
+
+// TestWriteMerged: one source renders exactly the bytes WriteProm rendered
+// before the merged writer existed; several sources render each family
+// once, with its samples contiguous and each source's labels first.
+func TestWriteMerged(t *testing.T) {
+	const single = `# TYPE exa_depth_peak gauge
+exa_depth_peak 17
+# HELP exa_events_total events fired
+# TYPE exa_events_total counter
+exa_events_total{layer="cluster"} 1234567
+exa_events_total{layer="des"} 3
+# HELP exa_time_minutes_total time split
+# TYPE exa_time_minutes_total counter
+exa_time_minutes_total{phase="checkpoint"} 2.5
+# HELP exa_util utilization
+# TYPE exa_util histogram
+exa_util_bucket{q="a\"b\\c\nd",le="0.5"} 1
+exa_util_bucket{q="a\"b\\c\nd",le="1"} 2
+exa_util_bucket{q="a\"b\\c\nd",le="+Inf"} 2
+exa_util_sum{q="a\"b\\c\nd"} 1
+exa_util_count{q="a\"b\\c\nd"} 2
+`
+	var buf bytes.Buffer
+	if err := mergeFixture(1234567).WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != single {
+		t.Errorf("one-source exposition changed:\n%s\nwant:\n%s", buf.String(), single)
+	}
+
+	top := NewRegistry()
+	top.Counter("exa_events_total", "events fired", L("layer", "mesh")).Inc()
+	buf.Reset()
+	err := WriteMerged(&buf,
+		Source{Reg: top},
+		Source{Reg: mergeFixture(1), Labels: []Label{L("replica", "0")}},
+		Source{Reg: nil, Labels: []Label{L("replica", "1")}},
+		Source{Reg: mergeFixture(2), Labels: []Label{L("replica", `2"\`)}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `# TYPE exa_depth_peak gauge
+exa_depth_peak{replica="0"} 17
+exa_depth_peak{replica="2\"\\"} 17
+# HELP exa_events_total events fired
+# TYPE exa_events_total counter
+exa_events_total{layer="mesh"} 1
+exa_events_total{replica="0",layer="cluster"} 1
+exa_events_total{replica="0",layer="des"} 3
+exa_events_total{replica="2\"\\",layer="cluster"} 2
+exa_events_total{replica="2\"\\",layer="des"} 3
+# HELP exa_time_minutes_total time split
+# TYPE exa_time_minutes_total counter
+exa_time_minutes_total{replica="0",phase="checkpoint"} 2.5
+exa_time_minutes_total{replica="2\"\\",phase="checkpoint"} 2.5
+# HELP exa_util utilization
+# TYPE exa_util histogram
+exa_util_bucket{replica="0",q="a\"b\\c\nd",le="0.5"} 1
+exa_util_bucket{replica="0",q="a\"b\\c\nd",le="1"} 2
+exa_util_bucket{replica="0",q="a\"b\\c\nd",le="+Inf"} 2
+exa_util_sum{replica="0",q="a\"b\\c\nd"} 1
+exa_util_count{replica="0",q="a\"b\\c\nd"} 2
+exa_util_bucket{replica="2\"\\",q="a\"b\\c\nd",le="0.5"} 1
+exa_util_bucket{replica="2\"\\",q="a\"b\\c\nd",le="1"} 2
+exa_util_bucket{replica="2\"\\",q="a\"b\\c\nd",le="+Inf"} 2
+exa_util_sum{replica="2\"\\",q="a\"b\\c\nd"} 1
+exa_util_count{replica="2\"\\",q="a\"b\\c\nd"} 2
+`
+	if buf.String() != want {
+		t.Errorf("merged exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+
+	clash := NewRegistry()
+	clash.Gauge("exa_events_total", "").Set(1)
+	buf.Reset()
+	if err := WriteMerged(&buf, Source{Reg: mergeFixture(1)}, Source{Reg: clash}); err == nil || buf.Len() != 0 {
+		t.Errorf("kind clash: err %v after %d bytes, want an error before any output", err, buf.Len())
+	}
+}
+
+// TestWritePromConcurrentRegistration: a scrape may race the first use of
+// a new label set (serve registers one series per route and status code
+// lazily); under -race this pins that the scrape copies each family's
+// series under the registry lock.
+func TestWritePromConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			r.Counter("exa_requests_total", "", L("code", strconv.Itoa(i))).Inc()
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			if err := r.WriteProm(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -10,18 +10,27 @@ import (
 	"strings"
 )
 
-// sortedFamilies snapshots the family table in name order; series within a
-// family are ordered by label signature so the exposition is deterministic
-// regardless of registration or goroutine order.
-func (r *Registry) sortedFamilies() []*family {
+// famView is one family frozen for rendering: its (immutable) metadata
+// and its series ordered by label signature.
+type famView struct {
+	*family
+	series []metric
+}
+
+// sortedFamilies freezes the family table in name order, with each
+// family's series ordered by label signature, so the exposition is
+// deterministic regardless of registration or goroutine order. The series
+// lists are copied under the registry lock: a registration racing a scrape
+// must not touch a map the scrape is iterating.
+func (r *Registry) sortedFamilies() []famView {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]famView, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		fams = append(fams, famView{f, f.sortedSeries()})
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	return fams
@@ -49,16 +58,17 @@ func escapeLabel(v string) string {
 	return v
 }
 
-// promLabels renders a label set as {a="x",b="y"}, with extra appended last
-// (the histogram le label); empty sets render as nothing.
-func promLabels(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
-	if len(all) == 0 {
-		return ""
+// promLabels renders label sets as {a="x",b="y"}, in argument order (the
+// histogram le label goes last); empty sets render as nothing.
+func promLabels(sets ...[]Label) string {
+	var parts []string
+	for _, set := range sets {
+		for _, l := range set {
+			parts = append(parts, l.Name+`="`+escapeLabel(l.Value)+`"`)
+		}
 	}
-	parts := make([]string, len(all))
-	for i, l := range all {
-		parts[i] = l.Name + `="` + escapeLabel(l.Value) + `"`
+	if len(parts) == 0 {
+		return ""
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }
@@ -78,36 +88,79 @@ func promFloat(v float64) string {
 // WriteProm renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4). A nil registry writes nothing.
 func (r *Registry) WriteProm(w io.Writer) error {
-	for _, f := range r.sortedFamilies() {
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
+	return WriteMerged(w, Source{Reg: r})
+}
+
+// Source is one registry in a merged exposition, with Labels prepended to
+// every one of its series (replica="<idx>", say).
+type Source struct {
+	Reg    *Registry
+	Labels []Label
+}
+
+// WriteMerged renders several registries as one exposition (version
+// 0.0.4). Each family appears once, in name order, under the HELP and TYPE
+// of the first source that registers it; its samples follow contiguously,
+// source by source. A family registered as different kinds by two sources
+// is an error, reported before anything is written. Nil registries
+// contribute nothing.
+func WriteMerged(w io.Writer, srcs ...Source) error {
+	type part struct {
+		src []Label
+		fam famView
+	}
+	byName := map[string][]part{}
+	var names []string
+	for _, s := range srcs {
+		for _, f := range s.Reg.sortedFamilies() {
+			prev := byName[f.name]
+			if len(prev) == 0 {
+				names = append(names, f.name)
+			} else if prev[0].fam.kind != f.kind {
+				return fmt.Errorf("obs: family %q is a %v in one source and a %v in another", f.name, prev[0].fam.kind, f.kind)
 			}
+			byName[f.name] = append(prev, part{s.Labels, f})
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
+	}
+	sort.Strings(names)
+	pw := &promWriter{w: w}
+	for _, name := range names {
+		parts := byName[name]
+		if help := parts[0].fam.help; help != "" {
+			pw.printf("# HELP %s %s\n", name, help)
 		}
-		for _, m := range f.sortedSeries() {
-			if err := writePromSeries(w, f, m); err != nil {
-				return err
+		pw.printf("# TYPE %s %s\n", name, parts[0].fam.kind)
+		for _, p := range parts {
+			for _, m := range p.fam.series {
+				pw.series(name, p.src, m)
 			}
 		}
 	}
-	return nil
+	return pw.err
 }
 
-// writePromSeries renders one series of a family.
-func writePromSeries(w io.Writer, f *family, m metric) error {
+// promWriter renders sample lines, keeping the first write error and
+// skipping every write after it.
+type promWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (p *promWriter) printf(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
+	}
+}
+
+// series renders one series of family name with the source labels first.
+func (p *promWriter) series(name string, src []Label, m metric) {
 	switch v := m.(type) {
 	case *Counter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(v.lbls), v.Value())
-		return err
+		p.printf("%s%s %d\n", name, promLabels(src, v.lbls), v.Value())
 	case *FloatCounter:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, promLabels(v.lbls), promFloat(v.Value()))
-		return err
+		p.printf("%s%s %s\n", name, promLabels(src, v.lbls), promFloat(v.Value()))
 	case *Gauge:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, promLabels(v.lbls), v.Value())
-		return err
+		p.printf("%s%s %d\n", name, promLabels(src, v.lbls), v.Value())
 	case *Histogram:
 		bounds, cum := v.Buckets()
 		for i, c := range cum {
@@ -115,18 +168,14 @@ func writePromSeries(w io.Writer, f *family, m metric) error {
 			if i < len(bounds) {
 				le = promFloat(bounds[i])
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				f.name, promLabels(v.lbls, L("le", le)), c); err != nil {
-				return err
-			}
+			p.printf("%s_bucket%s %d\n", name, promLabels(src, v.lbls, []Label{L("le", le)}), c)
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, promLabels(v.lbls), promFloat(v.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, promLabels(v.lbls), v.Count())
-		return err
+		p.printf("%s_sum%s %s\n", name, promLabels(src, v.lbls), promFloat(v.Sum()))
+		p.printf("%s_count%s %d\n", name, promLabels(src, v.lbls), v.Count())
 	default:
-		return fmt.Errorf("obs: unknown metric type %T", m)
+		if p.err == nil {
+			p.err = fmt.Errorf("obs: unknown metric type %T", m)
+		}
 	}
 }
 
@@ -154,7 +203,7 @@ type MetricSnapshot struct {
 func (r *Registry) Snapshot() []MetricSnapshot {
 	var out []MetricSnapshot
 	for _, f := range r.sortedFamilies() {
-		for _, m := range f.sortedSeries() {
+		for _, m := range f.series {
 			s := MetricSnapshot{Name: f.name, Kind: f.kind.String()}
 			if lbls := m.labelSet(); len(lbls) > 0 {
 				s.Labels = make(map[string]string, len(lbls))

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -344,175 +343,6 @@ func (s *Server) Kill() {
 	}()
 }
 
-// routes mounts the API.
-func (s *Server) routes() {
-	s.mux = http.NewServeMux()
-	s.mux.Handle("POST /v1/jobs", s.instrument("submit", s.handleSubmit))
-	s.mux.Handle("GET /v1/jobs/{id}", s.instrument("job", s.handleJob))
-	s.mux.Handle("DELETE /v1/jobs/{id}", s.instrument("cancel", s.handleCancel))
-	s.mux.Handle("GET /v1/jobs/{id}/result", s.instrument("result", s.handleResult))
-	s.mux.Handle("GET /v1/jobs/{id}/table", s.instrument("table", s.handleTable))
-	s.mux.Handle("GET /v1/exhibits", s.instrument("exhibits", s.handleExhibits))
-	s.mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealth))
-}
-
-// statusRecorder captures the response code for the request metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with the request counter and latency
-// histogram for one route label.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		s.m.Request(route, rec.code, time.Since(start).Seconds())
-	})
-}
-
-// writeJSON renders one response body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// apiError is the uniform error body.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// handleSubmit admits one spec: cache hit, join of an identical in-flight
-// spec, or a freshly queued flight — or 429/503 under pressure.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := ParseSpec(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	view, err := s.Submit(spec)
-	switch {
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.RetryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, "queue full (%d slots); retry later", s.pool.queueCapacity())
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+view.ID)
-	code := http.StatusAccepted
-	if view.Cache == CacheHit {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, view)
-}
-
-// handleJob is the poll endpoint.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleCancel terminates one job.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	view, err := s.CancelJob(r.PathValue("id"))
-	var conflict *StateConflictError
-	switch {
-	case errors.Is(err, ErrNoSuchJob):
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	case errors.As(err, &conflict):
-		writeError(w, http.StatusConflict, "job is already %s", conflict.State)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleResult serves the finished job's CSV bytes — byte-identical to
-// `exasim -csv` output for the same spec.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, view, err := s.JobResult(r.PathValue("id"))
-	var conflict *StateConflictError
-	switch {
-	case errors.Is(err, ErrNoSuchJob):
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	case errors.As(err, &conflict):
-		writeError(w, http.StatusConflict, "job is %s, not done", view.State)
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	w.Header().Set("X-Exaresil-Digest", res.Digest)
-	_, _ = w.Write(res.CSV)
-}
-
-// handleTable serves the finished job's rendered ASCII table.
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	res, view, err := s.JobResult(r.PathValue("id"))
-	var conflict *StateConflictError
-	switch {
-	case errors.Is(err, ErrNoSuchJob):
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	case errors.As(err, &conflict):
-		writeError(w, http.StatusConflict, "job is %s, not done", view.State)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = fmt.Fprint(w, res.Text)
-}
-
-// exhibitInfo is one row of GET /v1/exhibits.
-type exhibitInfo struct {
-	Name  string `json:"name"`
-	Group string `json:"group"`
-}
-
-// handleExhibits lists the runnable exhibit names from the shared
-// registry.
-func (s *Server) handleExhibits(w http.ResponseWriter, r *http.Request) {
-	var out []exhibitInfo
-	for _, e := range experiments.Exhibits() {
-		out = append(out, exhibitInfo{Name: e.Name, Group: e.Group})
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Exhibits []exhibitInfo `json:"exhibits"`
-	}{out})
-}
-
-// handleMetrics exposes the obs registry in the Prometheus text format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Obs == nil {
-		writeError(w, http.StatusNotFound, "metrics are disabled (no registry configured)")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.cfg.Obs.WriteProm(w)
-}
-
 // HealthView is the GET /healthz body and the per-replica health report
 // the mesh coordinator aggregates.
 type HealthView struct {
@@ -552,11 +382,6 @@ func (s *Server) Health() HealthView {
 		h.MaxWorkers = s.cfg.Autoscale.Max
 	}
 	return h
-}
-
-// handleHealth renders Health.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Health())
 }
 
 // errCrash is the cancel cause of an injected worker crash (CrashHook).

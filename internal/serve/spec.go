@@ -24,9 +24,11 @@
 //     the snapshot store playing the fast L1/L2 tiers to the result
 //     cache's parallel-file-system role.
 //
-// Server wires the pieces to HTTP routes and the obs metrics registry;
-// Config.CrashHook lets internal/chaos inject deterministic mid-job
-// worker crashes to prove the resume path.
+// Server wires the pieces to the obs metrics registry and to the HTTP
+// codec (http.go), whose /v1 job routes run over any Backend — the mesh
+// coordinator mounts the same handlers. Config.CrashHook lets
+// internal/chaos inject deterministic mid-job worker crashes to prove the
+// resume path.
 package serve
 
 import (
@@ -65,14 +67,49 @@ type Spec struct {
 // for, bounding the work one job can queue.
 const maxScale = 100000
 
-// ParseSpec decodes and validates one JSON spec. Unknown fields and
-// trailing data are rejected: a misspelled parameter must not silently
-// run the default experiment, nor a second concatenated spec be dropped.
+// ParseSpec decodes and validates one JSON spec: exactly one object whose
+// keys are spelled exactly as Spec's JSON tags, none of them twice, and
+// nothing but whitespace after it. encoding/json alone would match keys
+// case-insensitively and let the last duplicate win, so a misspelled or
+// repeated parameter could silently run a different experiment; a second
+// concatenated spec must not be dropped either.
 func ParseSpec(r io.Reader) (Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	fields := map[string]any{
+		"exhibit": &s.Exhibit, "trials": &s.Trials, "patterns": &s.Patterns,
+		"arrivals": &s.Arrivals, "seed": &s.Seed,
+	}
+	dec := json.NewDecoder(r)
+	if tok, err := dec.Token(); err != nil {
+		return Spec{}, fmt.Errorf("decode spec: %w", err)
+	} else if tok != json.Delim('{') {
+		return Spec{}, errors.New("decode spec: want a JSON object")
+	}
+	seen := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return Spec{}, fmt.Errorf("decode spec: %w", err)
+		}
+		key := tok.(string) // the decoder only yields strings in key position
+		dst, ok := fields[key]
+		switch {
+		case !ok:
+			for name := range fields {
+				if strings.EqualFold(key, name) {
+					return Spec{}, fmt.Errorf("decode spec: field %q must be spelled %q", key, name)
+				}
+			}
+			return Spec{}, fmt.Errorf("decode spec: unknown field %q", key)
+		case seen[key]:
+			return Spec{}, fmt.Errorf("decode spec: duplicate field %q", key)
+		}
+		seen[key] = true
+		if err := dec.Decode(dst); err != nil {
+			return Spec{}, fmt.Errorf("decode spec: field %q: %w", key, err)
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the closing brace
 		return Spec{}, fmt.Errorf("decode spec: %w", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {

@@ -112,7 +112,11 @@ func TestParseSpecRejections(t *testing.T) {
 		raw  string
 		want string
 	}{
-		{"unknown field", `{"exhibit":"fig1","trails":5}`, "trails"},
+		{"unknown field", `{"exhibit":"fig1","trails":5}`, `unknown field "trails"`},
+		{"wrong-case key", `{"EXHIBIT":"fig4"}`, `field "EXHIBIT" must be spelled "exhibit"`},
+		{"case-folded repeat", `{"exhibit":"fig1","Exhibit":"fig4"}`, `field "Exhibit" must be spelled "exhibit"`},
+		{"repeated key", `{"exhibit":"fig1","exhibit":"fig4"}`, `duplicate field "exhibit"`},
+		{"not an object", `["fig1"]`, "want a JSON object"},
 		{"unknown exhibit", `{"exhibit":"fig9"}`, "unknown exhibit"},
 		{"group alias all", `{"exhibit":"all"}`, "group alias"},
 		{"group alias ext-all", `{"exhibit":"ext-all"}`, "group alias"},

@@ -15,8 +15,8 @@
 #      single-flight/backpressure, checkpoint/resume, substream, and
 #      disabled-hooks-allocation-free tests under -race)
 #   3. a fuzz smoke (10s per target) on the DES scheduler, the multilevel
-#      schedule search, the ReStore replica-loss bookkeeping, and the
-#      workload pattern reader
+#      schedule search, the ReStore replica-loss bookkeeping, the
+#      workload pattern reader, and the job-spec decoder (ParseSpec)
 #   4. the full conformance sweep (sim vs analytic, runtime invariants,
 #      metamorphic properties) over the seven-technique menu, run twice:
 #      plain Monte-Carlo and variance-reduced (-vr, antithetic paired) —
@@ -71,6 +71,7 @@ go test ./internal/des/ -run='^$' -fuzz='^FuzzSimulatorPooledEquivalence$' -fuzz
 go test ./internal/resilience/ -run='^$' -fuzz='^FuzzOptimizeMultilevel$' -fuzztime="$FUZZTIME"
 go test ./internal/resilience/ -run='^$' -fuzz='^FuzzReStoreReplicaLoss$' -fuzztime="$FUZZTIME"
 go test ./internal/workload/ -run='^$' -fuzz='^FuzzReadPattern$' -fuzztime="$FUZZTIME"
+go test ./internal/serve/ -run='^$' -fuzz='^FuzzParseSpec$' -fuzztime="$FUZZTIME"
 
 echo "== conformance sweep (plain)"
 go run ./cmd/exacheck "$@" sweep
