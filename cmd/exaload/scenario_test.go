@@ -29,7 +29,7 @@ const passingMetrics = `# TYPE exaresil_serve_jobs_total counter
 exaresil_serve_jobs_total{state="done"} 24
 exaresil_serve_jobs_total{state="failed"} 0
 exaresil_serve_cache_requests_total{outcome="hit"} 12
-exaresil_serve_queue_depth{shard="0"} 0
+exaresil_serve_queue_depth 0
 exaresil_serve_job_seconds_bucket{le="+Inf"} 12
 exaresil_serve_http_requests_total{route="submit",code="202"} 24
 exaresil_chaos_injected_total{fault="latency"} 3

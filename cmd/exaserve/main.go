@@ -15,9 +15,9 @@
 // With -autoscale the worker pool is elastic: it grows toward -max-workers
 // when the smoothed queue-pressure signal stays above -autoscale-up and
 // shrinks toward -min-workers when it stays below -autoscale-down, never
-// killing in-flight jobs (retiring workers drain first). Decisions and
-// signals are exported as exaresil_serve_autoscale_* metrics; see
-// `exaload scenario autoscale` for the elasticity proof.
+// killing in-flight jobs (a retiring worker finishes its job first).
+// Decisions and signals are exported as exaresil_serve_autoscale_*
+// metrics; see `exaload scenario autoscale` for the elasticity proof.
 //
 // The -chaos flag arms the internal/chaos fault injector: seeded random
 // latency, synthetic 500s, connection resets, and mid-job worker crashes,
@@ -144,14 +144,17 @@ func run(argv []string) error {
 		scfg.CrashHook = inj.Crash
 	}
 	if *autoscale {
-		scfg.Autoscale = &serve.AutoscaleConfig{
+		// Resolved here once, so the startup log prints what runs; New
+		// resolving it again changes nothing.
+		ac := serve.AutoscaleConfig{
 			Min:           *minWorkers,
 			Max:           *maxWorkers,
 			Interval:      *autoInterval,
 			UpThreshold:   *autoUp,
 			DownThreshold: *autoDown,
 			Cooldown:      *autoCooldown,
-		}
+		}.WithDefaults()
+		scfg.Autoscale = &ac
 	} else if *minWorkers != 1 || *maxWorkers != 0 {
 		return fmt.Errorf("-min-workers/-max-workers need -autoscale")
 	}
@@ -223,9 +226,9 @@ func run(argv []string) error {
 		slotTotal += h.QueueCapacity
 	}
 	log.Printf("exaserve: listening on http://%s (%d workers, %d queue slots)", ln.Addr(), workerTotal, slotTotal)
-	if h := health[0]; h.Autoscale {
+	if ac := scfg.Autoscale; ac != nil {
 		log.Printf("exaserve: autoscaler armed (%d-%d workers, every %s, up>%.2f down<%.2f)",
-			h.MinWorkers, h.MaxWorkers, *autoInterval, *autoUp, *autoDown)
+			ac.Min, ac.Max, ac.Interval, ac.UpThreshold, ac.DownThreshold)
 	}
 
 	serveErr := make(chan error, 1)

@@ -29,7 +29,7 @@ type InprocConfig struct {
 	Service func(serve.Spec) float64
 }
 
-// Inproc embeds a real serve.Server — admission, sharded queue,
+// Inproc embeds a real serve.Server — admission, its one FIFO queue,
 // single-flight result cache, job store, the exact code paths production
 // traffic takes — behind a gated stub runner and a virtual clock. Real
 // time never enters the measurement: each execution costs Service(spec)
@@ -39,9 +39,9 @@ type InprocConfig struct {
 // reported latency is therefore a pure function of the arrival schedule —
 // byte-identical across runs, machines, and GOMAXPROCS settings.
 //
-// The single-worker restriction is what keeps the mirror exact: with one
-// shard the pool is strictly FIFO, so the target's queue model and the
-// server's agree at every arrival.
+// The single-worker restriction is what keeps the mirror exact: the
+// target's queue model is one server, so with one worker the model and
+// the pool agree at every arrival.
 type Inproc struct {
 	srv     *serve.Server
 	reg     *obs.Registry
@@ -258,17 +258,14 @@ func (t *Inproc) Drain(ctx context.Context) error {
 }
 
 // Counters reads the embedded server's obs registry — the same families
-// GET /metrics would expose.
+// GET /metrics would expose — through serve's own metric handles.
 func (t *Inproc) Counters() (Counters, error) {
-	hits := t.reg.Counter("exaresil_serve_cache_requests_total", "result cache outcomes at submit", obs.L("outcome", "hit"))
-	joined := t.reg.Counter("exaresil_serve_cache_requests_total", "result cache outcomes at submit", obs.L("outcome", "joined"))
-	misses := t.reg.Counter("exaresil_serve_cache_requests_total", "result cache outcomes at submit", obs.L("outcome", "miss"))
-	rej := t.reg.Counter("exaresil_serve_queue_rejections_total", "submissions rejected with 429 because the target shard queue was full")
+	m := serve.NewMetrics(t.reg)
 	return Counters{
-		CacheHits:   hits.Value(),
-		CacheJoined: joined.Value(),
-		CacheMisses: misses.Value(),
-		Rejected:    rej.Value(),
+		CacheHits:   m.CacheHits.Value(),
+		CacheJoined: m.CacheJoined.Value(),
+		CacheMisses: m.CacheMisses.Value(),
+		Rejected:    m.QueueRejected.Value(),
 	}, nil
 }
 

@@ -9,8 +9,8 @@ import (
 
 // AdmissionPolicy is the mesh's first pipeline stage: it decides whether
 // a submission enters routing at all, before any replica is consulted.
-// This is fleet-level backpressure, distinct from the per-replica shard
-// queues — a rejected submission costs the mesh nothing downstream.
+// This is fleet-level backpressure, distinct from the per-replica queue
+// — a rejected submission costs the mesh nothing downstream.
 type AdmissionPolicy interface {
 	// Admit reports whether a submission arriving at now proceeds; when
 	// it must not, retryAfter suggests the client's backoff (the HTTP

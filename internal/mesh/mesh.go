@@ -165,7 +165,7 @@ func New(cfg Config) (*Coordinator, error) {
 // buildServer instantiates one replica server from the template.
 func (c *Coordinator) buildServer(idx, gen int, reg *obs.Registry) (*serve.Server, error) {
 	scfg := c.cfg.Serve
-	scfg.JobIDPrefix = fmt.Sprintf("r%d.%d-", idx, gen)
+	scfg.JobIDPrefix = replicaPrefix(idx, gen)
 	scfg.Obs = reg
 	return serve.New(scfg)
 }
@@ -398,8 +398,8 @@ func (c *Coordinator) routeSubmit(spec serve.Spec, handoff map[int][]float64) (s
 			c.m.Spills.Inc()
 		}
 		c.m.Routed(idx).Inc()
-		if vidx, vgen, ok := parseJobID(view.ID); ok {
-			c.track(view.ID, spec, vidx, vgen)
+		if id, ok := parseJobID(view.ID); ok {
+			c.track(view.ID, spec, id.idx, id.gen)
 		}
 		return view, nil
 	}
@@ -448,24 +448,39 @@ func (c *Coordinator) forward(oldID, newID string) {
 	}
 }
 
-// parseJobID extracts the replica index and generation from a mesh job
-// id ("r<idx>.<gen>-j<seq>").
-func parseJobID(id string) (idx, gen int, ok bool) {
-	if len(id) < 2 || id[0] != 'r' {
-		return 0, 0, false
+// jobID is a mesh job id's parts: the replica index and generation the
+// mesh mints as the replica's id prefix, and the sequence number the
+// replica appends to it.
+type jobID struct {
+	idx, gen int
+	seq      uint64
+}
+
+// replicaPrefix is the job id prefix of replica idx in generation gen.
+func replicaPrefix(idx, gen int) string { return fmt.Sprintf("r%d.%d-", idx, gen) }
+
+// String spells the id ("r<idx>.<gen>-j<seq>") exactly as the replica
+// mints it.
+func (id jobID) String() string { return serve.FormatJobID(replicaPrefix(id.idx, id.gen), id.seq) }
+
+// parseJobID splits a mesh job id into its parts. It accepts only the
+// strings jobID.String produces: plain decimals with no sign or leading
+// zero, then serve's zero-padded sequence.
+func parseJobID(s string) (jobID, bool) {
+	rest, ok1 := strings.CutPrefix(s, "r")
+	idx, rest, ok2 := strings.Cut(rest, ".")
+	gen, seq, ok3 := strings.Cut(rest, "-j")
+	if !ok1 || !ok2 || !ok3 {
+		return jobID{}, false
 	}
-	rest := id[1:]
-	dot := strings.IndexByte(rest, '.')
-	dash := strings.IndexByte(rest, '-')
-	if dot <= 0 || dash <= dot+1 {
-		return 0, 0, false
+	i, err1 := strconv.Atoi(idx)
+	g, err2 := strconv.Atoi(gen)
+	n, err3 := strconv.ParseUint(seq, 10, 64)
+	id := jobID{idx: i, gen: g, seq: n}
+	if err1 != nil || err2 != nil || err3 != nil || i < 0 || g < 0 || id.String() != s {
+		return jobID{}, false
 	}
-	idx, err1 := strconv.Atoi(rest[:dot])
-	gen, err2 := strconv.Atoi(rest[dot+1 : dash])
-	if err1 != nil || err2 != nil || idx < 0 || gen < 0 {
-		return 0, 0, false
-	}
-	return idx, gen, true
+	return id, true
 }
 
 // resolve follows the forwarding chain for id and returns the final id
@@ -483,14 +498,14 @@ func (c *Coordinator) resolve(id string) (string, *serve.Server, bool) {
 		}
 		cur = next
 	}
-	idx, gen, ok := parseJobID(cur)
-	if !ok || idx >= len(c.replicas) {
+	owner, ok := parseJobID(cur)
+	if !ok || owner.idx >= len(c.replicas) {
 		return cur, nil, false
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	rep := c.replicas[idx]
-	if !rep.alive.Load() || rep.gen != gen {
+	rep := c.replicas[owner.idx]
+	if !rep.alive.Load() || rep.gen != owner.gen {
 		return cur, nil, false
 	}
 	return cur, rep.srv, true

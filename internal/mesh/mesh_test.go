@@ -153,10 +153,11 @@ func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	idx, gen, ok := parseJobID(view.ID)
-	if !ok || gen != 0 {
+	owner, ok := parseJobID(view.ID)
+	if !ok || owner.gen != 0 {
 		t.Fatalf("unparseable mesh job id %q", view.ID)
 	}
+	idx := owner.idx
 
 	// Wait for the serving replica to checkpoint at least one grid cell,
 	// then kill it mid-job. The poll is deliberately slack (10ms): under
@@ -180,8 +181,7 @@ func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
 	if want := goldenDigest(t, "fig5"); final.Digest != want {
 		t.Fatalf("post-failover digest %s != golden %s", final.Digest, want)
 	}
-	newIdx, _, ok := parseJobID(final.ID)
-	if !ok || newIdx == idx {
+	if moved, ok := parseJobID(final.ID); !ok || moved.idx == idx {
 		t.Fatalf("job finished on %q; expected a surviving replica, not %d", final.ID, idx)
 	}
 

@@ -10,7 +10,7 @@ import (
 // Candidate is one live replica's load signal at routing time.
 type Candidate struct {
 	Idx      int // replica index
-	Queued   int // flights waiting in its shard queues
+	Queued   int // flights waiting in its queue
 	Inflight int // flights executing on its workers
 }
 
@@ -27,7 +27,7 @@ type Router interface {
 	Name() string
 }
 
-// fnv64 is FNV-1a, the same key hash the serve pool shards with.
+// fnv64 is 64-bit FNV-1a, the ring hash for spec keys and vnode names.
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

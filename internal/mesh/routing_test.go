@@ -123,25 +123,40 @@ func TestParseRouter(t *testing.T) {
 	}
 }
 
-// TestParseJobID: the replica-identity codec on job ids.
+// TestParseJobID: the replica-identity codec on job ids accepts exactly
+// the ids a replica mints.
 func TestParseJobID(t *testing.T) {
 	cases := []struct {
-		id       string
-		idx, gen int
-		ok       bool
+		id   string
+		want jobID
+		ok   bool
 	}{
-		{"r0.0-j00000001", 0, 0, true},
-		{"r2.13-j00000042", 2, 13, true},
-		{"j00000001", 0, 0, false},
-		{"r-j00000001", 0, 0, false},
-		{"r1.j1", 0, 0, false},
-		{"rx.y-j1", 0, 0, false},
-		{"", 0, 0, false},
+		{"r0.0-j00000001", jobID{0, 0, 1}, true},
+		{"r2.13-j00000042", jobID{2, 13, 42}, true},
+		{"r1.0-j123456789", jobID{1, 0, 123456789}, true},
+		{"j00000001", jobID{}, false},
+		{"r-j00000001", jobID{}, false},
+		{"r1.j1", jobID{}, false},
+		{"rx.y-j1", jobID{}, false},
+		{"", jobID{}, false},
+		{"r+0.1-j00000001", jobID{}, false}, // sign
+		{"r00.1-j00000001", jobID{}, false}, // leading zero
+		{"r0.+1-j00000001", jobID{}, false},
+		{"r-1.0-j00000001", jobID{}, false},
+		{"r0.1-x", jobID{}, false},  // no sequence
+		{"r1.0-j", jobID{}, false},  // empty sequence
+		{"r1.0-j1", jobID{}, false}, // unpadded sequence
+		{"r1.0-j000000001", jobID{}, false},
+		{"r1.0-j00000001x", jobID{}, false},
+		{"r1.0.2-j00000001", jobID{}, false},
 	}
 	for _, tc := range cases {
-		idx, gen, ok := parseJobID(tc.id)
-		if ok != tc.ok || idx != tc.idx || gen != tc.gen {
-			t.Fatalf("parseJobID(%q) = (%d,%d,%v), want (%d,%d,%v)", tc.id, idx, gen, ok, tc.idx, tc.gen, tc.ok)
+		got, ok := parseJobID(tc.id)
+		if ok != tc.ok || got != tc.want {
+			t.Fatalf("parseJobID(%q) = (%+v, %v), want (%+v, %v)", tc.id, got, ok, tc.want, tc.ok)
+		}
+		if ok && got.String() != tc.id {
+			t.Fatalf("parseJobID(%q) formats back as %q", tc.id, got.String())
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // AutoscaleConfig tunes the elastic worker pool (DESIGN.md §15). The
-// autoscaler moves the pool's active width between Min and Max, one shard
-// per decision, from two pressure signals sampled every Interval:
+// autoscaler moves the pool's width between Min and Max, one worker per
+// decision, from two pressure signals sampled every Interval:
 //
 //   - queue signal: an EWMA of queued flights per active worker;
 //   - wait signal: the server's EWMA of how long admitted flights sat
@@ -17,9 +17,9 @@ import (
 // Scale-up and scale-down have independent hysteresis windows (UpWindow
 // and DownWindow consecutive pressured/idle samples), and every width
 // change starts a shared Cooldown during which further changes are
-// suppressed — so a bursty queue cannot flap the pool. Shrink is
-// drain-before-shrink: the dropped shard finishes its backlog before its
-// worker parks, and no further shrink fires while one is still draining.
+// suppressed — so a bursty queue cannot flap the pool. Shrink never
+// kills work: the worker it retires finishes its flight first, and the
+// queue stays with the workers that remain.
 type AutoscaleConfig struct {
 	// Min is the smallest pool width (default 1).
 	Min int
@@ -48,8 +48,10 @@ type AutoscaleConfig struct {
 	Cooldown time.Duration
 }
 
-// withDefaults fills zero fields with the documented defaults.
-func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
+// WithDefaults fills zero fields with the documented defaults. It is
+// idempotent, so a caller can resolve a config once, report it, and hand
+// it to New, which resolves it again to the same values.
+func (c AutoscaleConfig) WithDefaults() AutoscaleConfig {
 	if c.Min <= 0 {
 		c.Min = 1
 	}
@@ -175,8 +177,8 @@ func (a *autoscaler) halt() {
 // evaluate takes one autoscaling step at the given instant: fold the
 // signals, classify the sample (pressured / idle / in-band), advance the
 // hysteresis streaks, and move the pool width when a streak crosses its
-// window — unless the cooldown, the bounds, or a still-draining shard
-// blocks it (each suppressed decision is counted by reason).
+// window — unless the bounds or the cooldown block it (each suppressed
+// decision is counted by reason).
 func (a *autoscaler) evaluate(now time.Time) {
 	width := a.s.pool.workers()
 	queued := a.s.pool.queued()
@@ -234,10 +236,6 @@ func (a *autoscaler) evaluate(now time.Time) {
 			m.AutoscaleBlockedBound.Inc()
 		case !cooled:
 			m.AutoscaleBlockedCooldown.Inc()
-		case a.s.pool.retiring() > 0:
-			// Drain-before-shrink: the previous shrink's shard is still
-			// working off its backlog; one retire at a time.
-			m.AutoscaleBlockedDraining.Inc()
 		case a.s.pool.shrink():
 			m.AutoscaleDown.Inc()
 			m.AutoscaleWorkers.Set(int64(a.s.pool.workers()))

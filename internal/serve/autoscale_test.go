@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"fmt"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -16,21 +16,6 @@ import (
 func hourly(ac AutoscaleConfig) *AutoscaleConfig {
 	ac.Interval = time.Hour
 	return &ac
-}
-
-// specForShard brute-forces a spec whose cache key routes to the given
-// shard at the given pool width (seed offset keeps specs distinct across
-// call sites).
-func specForShard(t *testing.T, shard, width int, offset uint64) Spec {
-	t.Helper()
-	for i := offset; i < offset+100000; i++ {
-		s := Spec{Exhibit: "fig1", Seed: i}
-		if shardOf(s.Key(), width) == shard {
-			return s
-		}
-	}
-	t.Fatalf("no spec found for shard %d of %d", shard, width)
-	return Spec{}
 }
 
 // pollUntil spins until cond holds or the deadline passes.
@@ -141,7 +126,6 @@ func TestAutoscaleGrowShrinkCycle(t *testing.T) {
 		}
 	}
 	for i := 0; i < 60 && srv.pool.workers() > 1; i++ {
-		pollUntil(t, "retiring shards drained", func() bool { return srv.pool.retiring() == 0 })
 		srv.scaler.evaluate(at(10*time.Minute + time.Duration(i)*time.Minute))
 	}
 	if got := srv.pool.workers(); got != 1 {
@@ -158,9 +142,11 @@ func TestAutoscaleGrowShrinkCycle(t *testing.T) {
 	}
 }
 
-// TestAutoscaleShrinkBlockedByInflight: a shrink marks its shard retiring
-// but the next shrink is suppressed (blocked{draining}) until the
-// retiring worker finishes its in-flight job — which must complete done.
+// TestAutoscaleShrinkBlockedByInflight: shrinking a 3-worker pool with
+// one job running retires the two idle workers first. The running job
+// keeps its worker and finishes done, and a job submitted after the
+// shrinks queues behind that worker instead of starting on a retiring
+// one.
 func TestAutoscaleShrinkBlockedByInflight(t *testing.T) {
 	r := newBlockingRunner(false)
 	srv, _ := newTestServer(t, Config{
@@ -176,42 +162,39 @@ func TestAutoscaleShrinkBlockedByInflight(t *testing.T) {
 	})
 	defer r.unblock()
 
-	// One long job pinned to the shard the first shrink will retire
-	// (index 2), keeping its worker busy through the shrink.
-	spec := specForShard(t, 2, 3, 1)
-	v, err := srv.Submit(spec)
+	va, err := srv.Submit(Spec{Exhibit: "fig1", Seed: 1})
 	if err != nil {
-		t.Fatalf("submit: %v", err)
+		t.Fatalf("submit A: %v", err)
 	}
 	r.waitStart(t)
 
 	t0 := time.Now()
-	srv.scaler.evaluate(t0) // idle: shrink 3 -> 2; shard 2 now retiring mid-job
-	if got := srv.pool.workers(); got != 2 {
-		t.Fatalf("width after first shrink = %d, want 2", got)
-	}
-	if got := srv.pool.retiring(); got != 1 {
-		t.Fatalf("retiring shards = %d, want 1 (worker still on its job)", got)
-	}
-
-	srv.scaler.evaluate(t0.Add(time.Minute)) // wants 2 -> 1; must be blocked
-	if got := srv.pool.workers(); got != 2 {
-		t.Fatalf("width while retiring shard drains = %d, want 2", got)
-	}
-	if got := srv.m.AutoscaleBlockedDraining.Value(); got != 1 {
-		t.Fatalf("blocked{draining} = %d, want 1", got)
-	}
-
-	// The job finishes done — drain-before-shrink never killed it — and
-	// with the shard fully parked the second shrink proceeds.
-	r.unblock()
-	if got := settleLocal(t, srv, v.ID); got.State != "done" {
-		t.Fatalf("job on retiring shard = %s, want done", got.State)
-	}
-	pollUntil(t, "retiring shard parked", func() bool { return srv.pool.retiring() == 0 })
-	srv.scaler.evaluate(t0.Add(2 * time.Minute))
+	srv.scaler.evaluate(t0)                  // idle: shrink 3 -> 2
+	srv.scaler.evaluate(t0.Add(time.Minute)) // still idle: shrink 2 -> 1
 	if got := srv.pool.workers(); got != 1 {
-		t.Fatalf("width after drain completes = %d, want 1", got)
+		t.Fatalf("width after two shrinks = %d, want 1", got)
+	}
+	if got := srv.m.AutoscaleDown.Value(); got != 2 {
+		t.Fatalf("down decisions = %d, want 2", got)
+	}
+
+	// The worker left is the busy one: the next job waits for it.
+	vb, err := srv.Submit(Spec{Exhibit: "fig1", Seed: 2})
+	if err != nil {
+		t.Fatalf("submit B: %v", err)
+	}
+	if got := srv.Queued(); got != 1 {
+		t.Fatalf("queued = %d, want 1 (a retiring worker took the job)", got)
+	}
+	if v, _ := srv.Job(va.ID); v.State != "running" {
+		t.Fatalf("job A = %s after the shrinks, want running", v.State)
+	}
+
+	r.unblock()
+	for _, id := range []string{va.ID, vb.ID} {
+		if got := settleLocal(t, srv, id); got.State != "done" {
+			t.Fatalf("job %s = %s, want done (shrink must not kill work)", id, got.State)
+		}
 	}
 }
 
@@ -261,11 +244,32 @@ func TestAutoscaleValidate(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "inverted") {
 		t.Fatalf("inverted-bounds error %q does not name the problem", err)
 	}
-	if err := (AutoscaleConfig{UpThreshold: 0.2, DownThreshold: 0.5}).withDefaults().Validate(); err == nil {
+	if err := (AutoscaleConfig{UpThreshold: 0.2, DownThreshold: 0.5}).WithDefaults().Validate(); err == nil {
 		t.Fatal("Validate accepted down threshold above up threshold")
 	}
-	if err := (AutoscaleConfig{}).withDefaults().Validate(); err != nil {
+	if err := (AutoscaleConfig{}).WithDefaults().Validate(); err != nil {
 		t.Fatalf("zero config (defaults) must validate, got %v", err)
+	}
+}
+
+// TestAutoscaleWithDefaults: resolving a config twice changes nothing, so
+// exaserve can resolve it once, log it, and hand it to New; Health then
+// reports the resolved bounds.
+func TestAutoscaleWithDefaults(t *testing.T) {
+	for _, ac := range []AutoscaleConfig{
+		{},
+		{Min: 2},
+		{Min: 3, Max: 5, Interval: 2 * time.Second, DownThreshold: 0.1},
+	} {
+		once := ac.WithDefaults()
+		if twice := once.WithDefaults(); twice != once {
+			t.Fatalf("WithDefaults not idempotent for %+v: %+v then %+v", ac, once, twice)
+		}
+	}
+	srv, _ := newTestServer(t, Config{Autoscale: hourly(AutoscaleConfig{Min: 2})})
+	h := srv.Health()
+	if !h.Autoscale || h.MinWorkers != 2 || h.MaxWorkers != 8 || h.Workers != 2 {
+		t.Fatalf("health = %+v, want autoscale 2-8 workers at width 2", h)
 	}
 }
 
@@ -292,16 +296,14 @@ func TestRetryAfterTracksActiveWidth(t *testing.T) {
 		t.Fatalf("RetryAfter at width 2 = %d, want 5", got)
 	}
 	srv.pool.shrink()
-	pollUntil(t, "retired shard parked", func() bool { return srv.pool.retiring() == 0 })
 	if got := srv.RetryAfterSeconds(); got != 10 {
 		t.Fatalf("RetryAfter back at width 1 = %d, want 10", got)
 	}
 }
 
-// TestCancelQueuedOnRetiringShard: DELETE of a job queued on a shard that
-// is mid-retire still frees the slot immediately (the PR-7 cancel path
-// composed with PR-10 shrink), and the retiring worker parks instead of
-// waiting on the discarded flight.
+// TestCancelQueuedOnRetiringShard: DELETE of a job queued while a
+// shrink retires one of two busy workers still frees its slot at once,
+// and no worker ever runs it.
 func TestCancelQueuedOnRetiringShard(t *testing.T) {
 	r := newBlockingRunner(false)
 	srv, _ := newTestServer(t, Config{
@@ -311,18 +313,17 @@ func TestCancelQueuedOnRetiringShard(t *testing.T) {
 	})
 	defer r.unblock()
 
-	// Two specs pinned to shard 1: the first occupies its worker, the
-	// second queues behind it.
-	specA := specForShard(t, 1, 2, 1)
-	specB := specForShard(t, 1, 2, specA.Seed+1)
-	va, err := srv.Submit(specA)
-	if err != nil {
-		t.Fatalf("submit A: %v", err)
-	}
-	r.waitStart(t)
-	vb, err := srv.Submit(specB)
-	if err != nil {
-		t.Fatalf("submit B: %v", err)
+	// A and B occupy both workers; C queues behind them.
+	var ids []string
+	for seed := uint64(1); seed <= 3; seed++ {
+		v, err := srv.Submit(Spec{Exhibit: "fig1", Seed: seed})
+		if err != nil {
+			t.Fatalf("submit seed %d: %v", seed, err)
+		}
+		ids = append(ids, v.ID)
+		if seed <= 2 {
+			r.waitStart(t)
+		}
 	}
 	if got := srv.Queued(); got != 1 {
 		t.Fatalf("queued = %d, want 1", got)
@@ -331,9 +332,9 @@ func TestCancelQueuedOnRetiringShard(t *testing.T) {
 	if !srv.pool.shrink() {
 		t.Fatal("shrink refused")
 	}
-	view, err := srv.CancelJob(vb.ID)
+	view, err := srv.CancelJob(ids[2])
 	if err != nil {
-		t.Fatalf("cancel queued job on retiring shard: %v", err)
+		t.Fatalf("cancel queued job during a shrink: %v", err)
 	}
 	if view.State != "canceled" {
 		t.Fatalf("canceled job state = %s, want canceled", view.State)
@@ -343,88 +344,92 @@ func TestCancelQueuedOnRetiringShard(t *testing.T) {
 	}
 
 	r.unblock()
-	if got := settleLocal(t, srv, va.ID); got.State != "done" {
-		t.Fatalf("running job = %s, want done", got.State)
+	for _, id := range ids[:2] {
+		if got := settleLocal(t, srv, id); got.State != "done" {
+			t.Fatalf("running job %s = %s, want done", id, got.State)
+		}
 	}
-	pollUntil(t, "retiring shard parked", func() bool { return srv.pool.retiring() == 0 })
+	if got := srv.m.Executions.Value(); got != 2 {
+		t.Fatalf("executions = %d, want 2 (the canceled job never runs)", got)
+	}
 }
 
-// TestPoolShrinkDrainsBacklog: a retired shard's queued flights all run
-// to completion before the worker parks, and a later grow revives the
-// parked slot with a fresh worker.
+// TestPoolShrinkDrainsBacklog: a shrink while both workers are busy
+// retires one of them after its flight, the backlog runs to completion
+// on the worker that stays, and a later grow starts a fresh worker.
 func TestPoolShrinkDrainsBacklog(t *testing.T) {
-	started := make(chan string, 8)
+	started := make(chan string, 7) // one per flight submitted
 	release := make(chan struct{})
-	done := make(chan string, 8)
 	p := newPool(2, 8, func(fl *flight) {
 		started <- fl.key
 		<-release
-		done <- fl.key
 	}, NewMetrics(nil))
 	p.start()
+	defer p.drain(context.Background())
+	defer close(release)
 
-	keyFor := func(shard, width int, n int) string {
-		for i := 0; i < 100000; i++ {
-			k := fmt.Sprintf("k%d-%d", n, i)
-			if shardOf(k, width) == shard {
-				return k
-			}
-		}
-		t.Fatalf("no key for shard %d of %d", shard, width)
-		return ""
-	}
-
-	// Three flights on shard 1: one executing, two queued.
-	for n := 0; n < 3; n++ {
-		if err := p.submit(&flight{key: keyFor(1, 2, n)}); err != nil {
-			t.Fatalf("submit %d: %v", n, err)
+	// releaseOne lets one executing flight finish.
+	releaseOne := func(what string) {
+		t.Helper()
+		select {
+		case release <- struct{}{}:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no flight left to release for %s; backlog dropped", what)
 		}
 	}
+
+	// Two flights executing, two queued.
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if err := p.submit(&flight{key: k}); err != nil {
+			t.Fatalf("submit %s: %v", k, err)
+		}
+	}
+	<-started
 	<-started
 
 	if !p.shrink() {
 		t.Fatal("shrink refused")
 	}
 	if got := p.workers(); got != 1 {
-		t.Fatalf("active width = %d, want 1", got)
+		t.Fatalf("width = %d, want 1", got)
 	}
-	if got := p.retiring(); got != 1 {
-		t.Fatalf("retiring = %d, want 1", got)
-	}
-	// New work routes only to the surviving width.
-	if err := p.submit(&flight{key: keyFor(0, 1, 99)}); err != nil {
+	// The queue stays open at the new width: 4 slots, 2 taken.
+	if err := p.submit(&flight{key: "e"}); err != nil {
 		t.Fatalf("submit after shrink: %v", err)
 	}
-	<-started
 
-	close(release)
-	seen := map[string]bool{}
-	for i := 0; i < 4; i++ {
+	// a and b finish: the first worker done retires, the other pops the
+	// backlog alone, oldest first.
+	releaseOne("a")
+	releaseOne("b")
+	for _, want := range []string{"c", "d", "e"} {
 		select {
-		case k := <-done:
-			seen[k] = true
+		case k := <-started:
+			if k != want {
+				t.Fatalf("backlog started %s, want %s", k, want)
+			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("flight %d never finished; backlog dropped by shrink", i)
+			t.Fatalf("backlog flight %s never started; dropped by shrink", want)
 		}
+		releaseOne(want)
 	}
-	if len(seen) != 4 {
-		t.Fatalf("finished %d distinct flights, want 4", len(seen))
-	}
-	pollUntil(t, "retired worker parked", func() bool { return p.retiring() == 0 })
 
-	// Grow revives the parked slot.
+	// Grow starts a fresh worker: two flights run at once again.
 	if !p.grow() {
 		t.Fatal("grow refused")
 	}
-	if got := p.workers(); got != 2 {
-		t.Fatalf("width after grow = %d, want 2", got)
+	for _, k := range []string{"f", "g"} {
+		if err := p.submit(&flight{key: k}); err != nil {
+			t.Fatalf("submit %s: %v", k, err)
+		}
 	}
-	if err := p.submit(&flight{key: keyFor(1, 2, 100)}); err != nil {
-		t.Fatalf("submit to revived shard: %v", err)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 2 flights started after grow; want both at once", i)
+		}
 	}
-	select {
-	case <-started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("revived shard's worker never picked up work")
-	}
+	releaseOne("f")
+	releaseOne("g")
 }

@@ -279,8 +279,8 @@ func TestPoolCancelDrainStress(t *testing.T) {
 	}
 
 	// Drain races the storm: submissions behind the drain get
-	// ErrDraining, cancels keep walking the shard deques while drain
-	// closes them.
+	// ErrDraining, cancels keep walking the queue while drain closes
+	// it.
 	time.Sleep(time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

@@ -13,7 +13,6 @@ import (
 type flight struct {
 	key     string
 	spec    Spec
-	shard   int       // queue index stamped by Pool.submit
 	created time.Time // admission instant, for the autoscaler's wait signal
 
 	mu       sync.Mutex
@@ -208,8 +207,7 @@ func newCache(cap int, m *Metrics) *Cache {
 // or a freshly created flight this caller leads. Creation and admission
 // are atomic: admit runs under the cache lock (it must not block — the
 // pool's submit rejects rather than waits) and a rejected flight is
-// never inserted, so no other submitter can have joined it. The admit
-// callback routes the flight to a shard of the pool's current width.
+// never inserted, so no other submitter can have joined it.
 func (c *Cache) acquire(spec Spec, admit func(*flight) error) (res *Result, fl *flight, created bool, err error) {
 	key := spec.Key()
 	c.mu.Lock()
@@ -313,19 +311,4 @@ func (c *Cache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// shardOf maps a cache key onto a worker shard (FNV-1a over the key), so
-// identical specs always land on the same shard and the per-shard queues
-// stay independent.
-func shardOf(key string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(shards))
 }

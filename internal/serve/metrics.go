@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
 
 	"exaresil/internal/obs"
 )
@@ -31,6 +30,7 @@ type Metrics struct {
 	StoreEvicted  *obs.Counter
 
 	// Queue and backpressure.
+	QueueDepth    *obs.Gauge // flights waiting in the queue
 	QueueRejected *obs.Counter
 
 	// Autoscaler (elastic pool; see autoscale.go). The blocked counters
@@ -42,7 +42,6 @@ type Metrics struct {
 	AutoscaleDown            *obs.Counter // shrink decisions applied
 	AutoscaleBlockedBound    *obs.Counter // held at min/max width
 	AutoscaleBlockedCooldown *obs.Counter // held by the post-scale cooldown
-	AutoscaleBlockedDraining *obs.Counter // held while a retired shard drains
 	AutoscaleQueueSignal     *obs.Gauge   // EWMA queued-per-worker × 1000
 	AutoscaleWaitSignal      *obs.Gauge   // EWMA queue wait in milliseconds
 
@@ -76,14 +75,14 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		JobsAbandoned: r.Counter("exaresil_serve_jobs_abandoned_total", "executions detached by timeout or cancel while still running"),
 		StoreEvicted:  r.Counter("exaresil_serve_store_evicted_total", "terminal jobs aged out of the bounded job store"),
 
-		QueueRejected: r.Counter("exaresil_serve_queue_rejections_total", "submissions rejected with 429 because the target shard queue was full"),
+		QueueDepth:    r.Gauge("exaresil_serve_queue_depth", "flights waiting in the queue"),
+		QueueRejected: r.Counter("exaresil_serve_queue_rejections_total", "submissions rejected with 429 because the queue was full"),
 
 		AutoscaleWorkers:         r.Gauge("exaresil_serve_autoscale_workers", "active worker-pool width chosen by the autoscaler"),
 		AutoscaleUp:              r.Counter("exaresil_serve_autoscale_decisions_total", "autoscale width changes applied", obs.L("direction", "up")),
 		AutoscaleDown:            r.Counter("exaresil_serve_autoscale_decisions_total", "autoscale width changes applied", obs.L("direction", "down")),
 		AutoscaleBlockedBound:    r.Counter("exaresil_serve_autoscale_blocked_total", "autoscale decisions suppressed by guard rails", obs.L("reason", "bound")),
 		AutoscaleBlockedCooldown: r.Counter("exaresil_serve_autoscale_blocked_total", "autoscale decisions suppressed by guard rails", obs.L("reason", "cooldown")),
-		AutoscaleBlockedDraining: r.Counter("exaresil_serve_autoscale_blocked_total", "autoscale decisions suppressed by guard rails", obs.L("reason", "draining")),
 		AutoscaleQueueSignal:     r.Gauge("exaresil_serve_autoscale_queue_signal_milli", "EWMA of queued flights per active worker, milli-scaled"),
 		AutoscaleWaitSignal:      r.Gauge("exaresil_serve_autoscale_wait_signal_milli", "EWMA of queue wait before execution, milliseconds"),
 
@@ -100,12 +99,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		SnapshotsEvicted:      r.Counter("exaresil_serve_snapshots_evicted_total", "snapshots evicted from the bounded checkpoint store"),
 		CrashesInjected:       r.Counter("exaresil_serve_crashes_injected_total", "worker crashes injected by the configured CrashHook"),
 	}
-}
-
-// QueueDepth is the per-shard queue depth gauge.
-func (m *Metrics) QueueDepth(shard int) *obs.Gauge {
-	return m.reg.Gauge("exaresil_serve_queue_depth", "flights waiting in each shard's queue",
-		obs.L("shard", strconv.Itoa(shard)))
 }
 
 // Request counts one HTTP response and observes its latency.

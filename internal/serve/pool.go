@@ -4,60 +4,49 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
 // The admission errors the pool can return.
 var (
-	// ErrSaturated: the target shard's queue is full. The HTTP layer maps
-	// this to 429 with a Retry-After estimate.
+	// ErrSaturated: the queue is full. The HTTP layer maps this to 429
+	// with a Retry-After estimate.
 	ErrSaturated = errors.New("serve: queue saturated")
 	// ErrDraining: the pool stopped accepting work for shutdown. Mapped
 	// to 503.
 	ErrDraining = errors.New("serve: draining")
 )
 
-// Pool is the bounded, sharded worker pool. Each worker owns one shard —
-// a mutex-and-condvar guarded queue of flights — and flights are routed
-// to shards by cache-key hash, so a given spec always queues behind the
-// same worker and the shards need no cross-worker stealing. Admission
-// never blocks: a full shard rejects immediately (backpressure) instead
-// of queueing without bound. Unlike a channel, the queue supports
-// discard: a flight whose every subscriber canceled while it waited is
-// removed on the spot, releasing its admission slot immediately instead
-// of holding backpressure capacity until a worker reaches and skips it.
+// Pool is the bounded worker pool: one FIFO of flights that every worker
+// pops, so a queued flight waits only for the first free worker. It
+// needs no routing: the result cache's single-flight already keeps one
+// spec from running twice at once. Admission never blocks: a full queue
+// rejects immediately (backpressure) instead of growing without bound.
+// Unlike a channel, the queue supports discard: a flight whose every
+// subscriber canceled while it waited is removed on the spot, releasing
+// its slot at cancel time instead of when a worker reaches and skips it.
 //
-// The pool is elastic: grow and shrink move the active width — the prefix
-// of shards that accept new work — one shard at a time, for the
-// autoscaler (see autoscale.go). The shards slice only ever grows, so a
-// flight's shard index stays valid for discard no matter how the width
-// moves around it. Shrink never kills work: the dropped shard is marked
-// retiring, its worker finishes everything already queued there, and only
-// then parks. A later grow reuses the parked slot.
+// The pool is elastic: grow and shrink move the width — the number of
+// workers it keeps — by one, for the autoscaler (see autoscale.go).
+// Shrink never kills work: a worker above the width exits only between
+// flights, and the backlog stays in the queue the remaining workers pop.
 type Pool struct {
-	mu     sync.RWMutex // guards shards/active/closed; shard queues have their own locks
-	shards []*shardq    // grows only; indices are stable
-	active int          // shards[:active] accept new work
-	closed bool         // pool-wide drain: admission refused everywhere
+	mu      sync.Mutex
+	cond    *sync.Cond // broadcast on shrink and drain, signaled per flight
+	items   []*flight  // queued flights, oldest first
+	width   int        // workers wanted; grow and shrink move it
+	running int        // worker goroutines alive; above width while one retires
+	closed  bool       // drain: admission refused, workers exit once the queue empties
 
-	depth int // per-shard queue capacity
+	depth int // queue slots per worker of width
 	exec  func(*flight)
 	wg    sync.WaitGroup
 	m     *Metrics
 }
 
-// shardq is one worker's queue.
-type shardq struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	items    []*flight
-	closed   bool // pool drain: worker exits once empty
-	retiring bool // autoscale shrink: no new work; worker parks once empty
-	live     bool // a worker goroutine currently owns this shard
-}
-
-// newPool builds a pool of `workers` shards with `queueDepth` total queue
-// slots spread across them (at least one per shard).
+// newPool builds a pool of `workers` workers whose queue holds
+// max(queueDepth/workers, 1) slots per worker of width.
 func newPool(workers, queueDepth int, exec func(*flight), m *Metrics) *Pool {
 	if workers <= 0 {
 		workers = 1
@@ -65,240 +54,148 @@ func newPool(workers, queueDepth int, exec func(*flight), m *Metrics) *Pool {
 	if queueDepth <= 0 {
 		queueDepth = 2 * workers
 	}
-	depth := queueDepth / workers
-	if depth < 1 {
-		depth = 1
-	}
-	p := &Pool{
-		shards: make([]*shardq, workers),
-		active: workers,
-		depth:  depth,
-		exec:   exec,
-		m:      m,
-	}
-	for i := range p.shards {
-		q := &shardq{}
-		q.cond = sync.NewCond(&q.mu)
-		p.shards[i] = q
-	}
+	p := &Pool{width: workers, depth: max(queueDepth/workers, 1), exec: exec, m: m}
+	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// start launches one worker goroutine per active shard.
+// start launches one worker per unit of width.
 func (p *Pool) start() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := 0; i < p.active; i++ {
-		q := p.shards[i]
-		q.mu.Lock()
-		q.live = true
-		q.mu.Unlock()
-		p.wg.Add(1)
-		go p.work(i, q)
+	for p.running < p.width {
+		p.spawnLocked()
 	}
 }
 
-// work is one shard's worker loop: pop the oldest flight, execute it,
-// repeat. It exits once the shard is closed (drain) or retiring (shrink)
-// and its queue is empty — queued work always finishes first, so neither
-// path ever drops a flight.
-func (p *Pool) work(idx int, q *shardq) {
+// spawnLocked starts one worker goroutine; p.mu must be held.
+func (p *Pool) spawnLocked() {
+	p.running++
+	p.wg.Add(1)
+	go p.work()
+}
+
+// work is one worker's loop: pop the oldest flight, execute it, repeat.
+// It exits when the pool holds more workers than its width (a shrink,
+// seen only between flights) or when the pool drains and the queue is
+// empty — queued work always finishes first, so neither path drops a
+// flight.
+func (p *Pool) work() {
 	defer p.wg.Done()
+	p.mu.Lock()
 	for {
-		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed && !q.retiring {
-			q.cond.Wait()
+		for len(p.items) == 0 && !p.closed && p.running <= p.width {
+			p.cond.Wait()
 		}
-		if len(q.items) == 0 {
-			q.live = false
-			q.mu.Unlock()
+		if p.running > p.width || len(p.items) == 0 {
+			p.running--
+			p.mu.Unlock()
 			return
 		}
-		fl := q.items[0]
-		copy(q.items, q.items[1:])
-		q.items[len(q.items)-1] = nil
-		q.items = q.items[:len(q.items)-1]
-		q.mu.Unlock()
-		p.m.QueueDepth(idx).Add(-1)
+		fl := p.items[0]
+		p.items = slices.Delete(p.items, 0, 1)
+		p.m.QueueDepth.Add(-1)
+		p.mu.Unlock()
 		p.exec(fl)
+		p.mu.Lock()
 	}
 }
 
-// submit routes a flight to a shard in the active width, stamping
-// fl.shard with the index it queued on. It never blocks. A shrink that
-// lands between reading the width and locking the shard is detected (the
-// shard is retiring) and the flight re-routes against the new width;
-// active shards are never retiring, so the loop terminates.
+// submit queues a flight. It never blocks: a full queue answers
+// ErrSaturated and a draining pool ErrDraining.
 func (p *Pool) submit(fl *flight) error {
-	for {
-		p.mu.RLock()
-		if p.closed {
-			p.mu.RUnlock()
-			return ErrDraining
-		}
-		idx := shardOf(fl.key, p.active)
-		q := p.shards[idx]
-		p.mu.RUnlock()
-
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return ErrDraining
-		}
-		if q.retiring {
-			q.mu.Unlock()
-			continue // width shrank under us; re-route
-		}
-		if len(q.items) >= p.depth {
-			q.mu.Unlock()
-			p.m.QueueRejected.Inc()
-			return ErrSaturated
-		}
-		fl.shard = idx
-		q.items = append(q.items, fl)
-		p.m.QueueDepth(idx).Add(1)
-		q.cond.Signal()
-		q.mu.Unlock()
-		return nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return ErrDraining
 	}
+	if len(p.items) >= p.depth*p.width {
+		p.m.QueueRejected.Inc()
+		return ErrSaturated
+	}
+	p.items = append(p.items, fl)
+	p.m.QueueDepth.Add(1)
+	p.cond.Signal()
+	return nil
 }
 
-// discard removes a still-queued flight from its shard, releasing the
-// admission slot immediately (the DELETE-a-queued-job path). It reports
-// whether the flight was found; false means a worker already popped it,
-// in which case the worker's begin() check skips the aborted flight.
+// discard removes a still-queued flight, releasing its slot immediately
+// (the DELETE-a-queued-job path). It reports whether the flight was
+// found; false means a worker already popped it, in which case the
+// worker's begin() check skips the aborted flight.
 func (p *Pool) discard(fl *flight) bool {
-	p.mu.RLock()
-	q := p.shards[fl.shard]
-	p.mu.RUnlock()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i, f := range q.items {
-		if f == fl {
-			q.items = append(q.items[:i], q.items[i+1:]...)
-			p.m.QueueDepth(fl.shard).Add(-1)
-			return true
-		}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i := slices.Index(p.items, fl)
+	if i < 0 {
+		return false
 	}
-	return false
+	p.items = slices.Delete(p.items, i, i+1)
+	p.m.QueueDepth.Add(-1)
+	return true
 }
 
-// grow widens the pool by one shard: either un-retire the parked slot
-// just past the active width (restarting its worker if it already
-// exited), or append a brand-new shard. It reports whether the pool grew
-// (false only while draining).
+// grow widens the pool by one worker: a worker still retiring from an
+// earlier shrink stays, otherwise a new one starts. It reports whether
+// the pool grew (false only while draining).
 func (p *Pool) grow() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return false
 	}
-	if p.active < len(p.shards) {
-		q := p.shards[p.active]
-		q.mu.Lock()
-		q.retiring = false
-		if !q.live {
-			q.live = true
-			p.wg.Add(1)
-			go p.work(p.active, q)
-		}
-		q.mu.Unlock()
-	} else {
-		q := &shardq{live: true}
-		q.cond = sync.NewCond(&q.mu)
-		p.shards = append(p.shards, q)
-		p.m.QueueDepth(len(p.shards) - 1).Set(0)
-		p.wg.Add(1)
-		go p.work(len(p.shards)-1, q)
+	p.width++
+	if p.running < p.width {
+		p.spawnLocked()
 	}
-	p.active++
 	return true
 }
 
-// shrink narrows the pool by one shard. The dropped shard is marked
-// retiring: it accepts no new flights, but its worker drains everything
-// already queued before parking — shrink never kills in-flight work. It
-// reports whether the width moved (false at width 1 or while draining).
+// shrink narrows the pool by one worker: an idle worker exits at once, a
+// busy one after its flight. It reports whether the width moved (false
+// at width 1 or while draining).
 func (p *Pool) shrink() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.active <= 1 {
+	if p.closed || p.width <= 1 {
 		return false
 	}
-	p.active--
-	q := p.shards[p.active]
-	q.mu.Lock()
-	q.retiring = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
+	p.width--
+	p.cond.Broadcast()
 	return true
 }
 
-// retiring counts shards beyond the active width still winding down —
-// queued flights not yet drained, or a worker still executing its last
-// pop. The autoscaler refuses further shrinks while this is non-zero, so
-// at most one shard retires at a time.
-func (p *Pool) retiring() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	n := 0
-	for i := p.active; i < len(p.shards); i++ {
-		q := p.shards[i]
-		q.mu.Lock()
-		if q.live || len(q.items) > 0 {
-			n++
-		}
-		q.mu.Unlock()
-	}
-	return n
-}
-
-// workers reports the active pool width — the shards currently accepting
-// work. Retry-After pacing and the health view use this, so a mid-shrink
-// pool is not credited with capacity it no longer admits to.
+// workers reports the pool's width. Retry-After pacing and the health
+// view use it, so a mid-shrink pool is not credited with a worker that
+// is on its way out.
 func (p *Pool) workers() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.active
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.width
 }
 
-// queueCapacity reports the queue slots across the active shards.
+// queueCapacity reports the queue slots at the current width.
 func (p *Pool) queueCapacity() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.depth * p.active
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.depth * p.width
 }
 
-// queued reports the flights currently waiting across all shards,
-// retiring ones included — their backlog is still real work ahead of any
-// new submission.
+// queued reports the flights currently waiting.
 func (p *Pool) queued() int {
-	p.mu.RLock()
-	shards := p.shards
-	p.mu.RUnlock()
-	n := 0
-	for _, q := range shards {
-		q.mu.Lock()
-		n += len(q.items)
-		q.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.items)
 }
 
-// drain stops admission, closes the shards, and waits for every queued and
-// running flight to finish — no in-flight job is dropped. It fails only if
-// ctx expires first.
+// drain stops admission and waits for every queued and running flight to
+// finish — no in-flight job is dropped. It fails only if ctx expires
+// first.
 func (p *Pool) drain(ctx context.Context) error {
 	p.mu.Lock()
 	p.closed = true
-	shards := p.shards
+	p.cond.Broadcast()
 	p.mu.Unlock()
-	for _, q := range shards {
-		q.mu.Lock()
-		q.closed = true
-		q.cond.Broadcast()
-		q.mu.Unlock()
-	}
 	done := make(chan struct{})
 	go func() {
 		p.wg.Wait()

@@ -3,9 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"exaresil/internal/obs"
 )
 
 // TestPoolBackpressure: with one worker and one queue slot, the third
@@ -100,19 +104,158 @@ func TestPoolDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestShardOfStable: a key always routes to the same shard, and the shard
-// index stays in range for any pool width.
-func TestShardOfStable(t *testing.T) {
-	keys := []string{"", "a", "fig4", Spec{Exhibit: "fig1"}.Key()}
-	for _, k := range keys {
-		for _, shards := range []int{1, 2, 3, 7, 16} {
-			first := shardOf(k, shards)
-			if first < 0 || first >= shards {
-				t.Fatalf("shardOf(%q, %d) = %d out of range", k, shards, first)
-			}
-			if again := shardOf(k, shards); again != first {
-				t.Fatalf("shardOf(%q, %d) unstable: %d then %d", k, shards, first, again)
+// TestPoolAdmitsWholeQueue: a 4-worker, 8-slot pool runs four flights
+// and queues eight more before its first ErrSaturated, whatever their
+// keys — no submission is refused while a slot is free.
+func TestPoolAdmitsWholeQueue(t *testing.T) {
+	started := make(chan string, 12) // one per flight the pool can hold
+	release := make(chan struct{})
+	p := newPool(4, 8, func(fl *flight) {
+		started <- fl.key
+		<-release
+	}, NewMetrics(nil))
+	p.start()
+	defer close(release)
+
+	admitted := 0
+	for n := uint64(1); n <= 32; n++ {
+		err := p.submit(&flight{key: Spec{Exhibit: "fig1", Seed: n}.Key()})
+		if errors.Is(err, ErrSaturated) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("submit seed %d: %v", n, err)
+		}
+		admitted++
+		if admitted <= 4 {
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("flight %d admitted while a worker was free, but never started", admitted)
 			}
 		}
+	}
+	if admitted != 12 {
+		t.Fatalf("admitted %d flights before the first ErrSaturated, want 12 (4 running + 8 queued)", admitted)
+	}
+	if got := p.queued(); got != 8 {
+		t.Fatalf("queued = %d, want 8", got)
+	}
+}
+
+// TestPoolGrowStartsQueuedFlights: growing a busy 1-worker pool to 4
+// starts all three flights already queued behind the busy worker.
+func TestPoolGrowStartsQueuedFlights(t *testing.T) {
+	started := make(chan string, 4) // one per flight submitted
+	release := make(chan struct{})
+	p := newPool(1, 8, func(fl *flight) {
+		started <- fl.key
+		<-release
+	}, NewMetrics(nil))
+	p.start()
+	defer close(release)
+
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if err := p.submit(&flight{key: k}); err != nil {
+			t.Fatalf("submit %s: %v", k, err)
+		}
+	}
+	<-started // the only worker holds a; b, c, d wait
+	for i := 0; i < 3; i++ {
+		if !p.grow() {
+			t.Fatal("grow refused")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("started %d of the 3 queued flights after growing to 4 workers", i)
+		}
+	}
+	if got := p.queued(); got != 0 {
+		t.Fatalf("queued = %d after growing, want 0", got)
+	}
+}
+
+// TestPoolElasticStress: submits, discards, grows and shrinks race each
+// other, then a drain. Every admitted flight runs or is discarded exactly
+// once, the queue gauge ends at 0, and no worker is left. Run under -race
+// this is the pool's concurrency audit.
+func TestPoolElasticStress(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry())
+	var mu sync.Mutex
+	ran := map[*flight]int{}
+	p := newPool(2, 8, func(fl *flight) {
+		mu.Lock()
+		ran[fl]++
+		mu.Unlock()
+	}, m)
+	p.start()
+
+	const submitters, perG = 4, 300
+	admitted := make([][]*flight, submitters)
+	discarded := make([]map[*flight]bool, submitters)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		discarded[g] = map[*flight]bool{}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perG; i++ {
+				fl := &flight{key: fmt.Sprintf("g%d-%d", g, i)}
+				if p.submit(fl) != nil {
+					continue // ErrSaturated is expected under the storm
+				}
+				admitted[g] = append(admitted[g], fl)
+				if rnd.Intn(3) == 0 && p.discard(fl) {
+					discarded[g][fl] = true
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rnd := rand.New(rand.NewSource(99))
+		for i := 0; i < 400; i++ {
+			if rnd.Intn(2) == 0 && p.workers() < 8 {
+				p.grow()
+			} else {
+				p.shrink()
+			}
+		}
+	}()
+	wg.Wait()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := p.drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	total := 0
+	for g := range admitted {
+		for _, fl := range admitted[g] {
+			total++
+			want := 1
+			if discarded[g][fl] {
+				want = 0
+			}
+			if got := ran[fl]; got != want {
+				t.Fatalf("flight %s ran %d times, want %d (discarded %v)", fl.key, got, want, discarded[g][fl])
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("the storm admitted no flight")
+	}
+	if got := m.QueueDepth.Value(); got != 0 {
+		t.Fatalf("queue gauge = %d after drain, want 0", got)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.running != 0 || len(p.items) != 0 {
+		t.Fatalf("after drain: %d workers alive, %d flights queued; want none", p.running, len(p.items))
 	}
 }

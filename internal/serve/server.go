@@ -20,17 +20,17 @@ type Config struct {
 	// one worker per job: the pool's width, not intra-job fan-out, is the
 	// service's parallelism control.
 	Experiments experiments.Config
-	// Workers is the worker-pool width (default 1 — one shard per worker).
-	// With Autoscale set it is only the initial width, clamped into
-	// [Min, Max].
+	// Workers is the worker-pool width (default 1). With Autoscale set it
+	// is only the initial width, clamped into [Min, Max].
 	Workers int
 	// Autoscale, when non-nil, makes the pool elastic: a background
 	// evaluator grows and shrinks the width between Autoscale.Min and
 	// Autoscale.Max from queue-depth and admission-latency signals (see
 	// autoscale.go and DESIGN.md §15). Nil keeps today's fixed pool.
 	Autoscale *AutoscaleConfig
-	// QueueDepth is the total queued-flight bound across shards (default
-	// 2x workers). A full shard rejects with 429.
+	// QueueDepth is the queued-flight bound at the initial width (default
+	// 2x workers); the queue keeps max(QueueDepth/Workers, 1) slots per
+	// worker as the width moves. A full queue rejects with 429.
 	QueueDepth int
 	// CacheSize bounds the LRU result cache (default 128 results).
 	CacheSize int
@@ -109,14 +109,14 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.Autoscale != nil {
-		ac := cfg.Autoscale.withDefaults()
+		ac := cfg.Autoscale.WithDefaults()
 		if err := ac.Validate(); err != nil {
 			return nil, err
 		}
 		cfg.Autoscale = &ac
 		cfg.Workers = ac.clampWidth(cfg.Workers)
 		if cfg.QueueDepth <= 0 {
-			// Size the per-shard depth for the widest pool the autoscaler
+			// Size the per-worker depth for the widest pool the autoscaler
 			// may reach, so elasticity adds queue room, not just workers.
 			cfg.QueueDepth = 2 * ac.Max
 		}
@@ -126,9 +126,6 @@ func New(cfg Config) (*Server, error) {
 	s.cache = newCache(cfg.CacheSize, s.m)
 	s.snaps = newSnapStore(cfg.SnapshotSize, s.m)
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.execFlight, s.m)
-	for shard := 0; shard < s.pool.workers(); shard++ {
-		s.m.QueueDepth(shard).Set(0) // register the series before traffic
-	}
 	s.pool.start()
 	if cfg.Autoscale != nil {
 		s.m.AutoscaleWorkers.Set(int64(s.pool.workers()))
@@ -257,7 +254,7 @@ func (s *Server) CancelJob(id string) (JobView, error) {
 		switch j.flight.detach() {
 		case detachAborted:
 			s.cache.forget(j.flight)
-			// The flight never ran; pull it out of its shard queue so the
+			// The flight never ran; pull it out of the queue so the
 			// admission slot frees immediately instead of when a worker
 			// reaches and skips it.
 			s.pool.discard(j.flight)
@@ -283,7 +280,7 @@ func (s *Server) JobResult(id string) (*Result, JobView, error) {
 	return res, j.View(), nil
 }
 
-// Queued reports the flights waiting in shard queues.
+// Queued reports the flights waiting in the queue.
 func (s *Server) Queued() int { return s.pool.queued() }
 
 // Inflight reports the flights currently executing on workers. Queued +
@@ -552,8 +549,8 @@ func noteEwma(bits *atomic.Uint64, sample float64) {
 // samples (cold start — nothing has finished yet) the estimate is
 // explicitly floored at 1s: a 429 storm on a freshly booted server must
 // never tell every client "retry now". Under autoscaling the divisor is
-// the pool's *active* width — a mid-shrink pool no longer admits to the
-// retiring shard, so crediting it would underestimate the wait.
+// the pool's current width — a worker a shrink retired takes no more
+// flights, so crediting it would underestimate the wait.
 func (s *Server) RetryAfterSeconds() int {
 	bits := s.ewmaBits.Load()
 	if bits == 0 {

@@ -501,6 +501,20 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// One queue: a single unlabeled depth series, and no
+	// autoscale_blocked_total reason beyond bound and cooldown.
+	var depth []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "exaresil_serve_queue_depth") {
+			depth = append(depth, line)
+		}
+	}
+	if len(depth) != 1 || depth[0] != "exaresil_serve_queue_depth 0" {
+		t.Errorf("queue depth series = %q, want [\"exaresil_serve_queue_depth 0\"]", depth)
+	}
+	if strings.Contains(string(body), `reason="draining"`) {
+		t.Error(`/metrics still exposes an autoscale_blocked_total{reason="draining"} series`)
+	}
 }
 
 // TestExhibitsAndErrors: the discovery endpoint lists the registry, and the

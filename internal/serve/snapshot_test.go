@@ -167,7 +167,7 @@ func TestCrashedJobResumesFromSnapshot(t *testing.T) {
 }
 
 // TestCancelQueuedJobFreesAdmissionSlot is the regression test for the
-// queued-cancel leak: DELETE on a job that is still waiting in a shard
+// queued-cancel leak: DELETE on a job that is still waiting in the
 // queue must release its admission slot immediately — a follow-up
 // submission fits without waiting for a worker to reach and skip the
 // corpse.

@@ -1,7 +1,7 @@
 // Package serve is the simulation-as-a-service layer: an HTTP front end
 // (net/http only) that accepts experiment specs as JSON, canonicalizes and
-// hashes each spec into a cache key, and executes them on a bounded,
-// sharded worker pool over the shared experiments registry.
+// hashes each spec into a cache key, and executes them on a bounded
+// worker pool over the shared experiments registry.
 //
 // The layer is built from five pieces, each in its own file:
 //
@@ -14,8 +14,8 @@
 //   - Cache: an LRU of finished results with single-flight admission —
 //     identical concurrent specs run once and every submitter shares the
 //     result.
-//   - Pool: the sharded worker pool with bounded, discardable queues,
-//     per-job timeouts, and graceful drain.
+//   - Pool: the worker pool — one bounded, discardable FIFO that every
+//     worker pops, an elastic width, and graceful drain.
 //   - snapStore: the checkpoint tier (DESIGN.md §10, introduced in PR 5).
 //     Grid exhibits report per-cell completion through
 //     experiments.Progress; interrupted executions leave a snapshot, and

@@ -192,13 +192,20 @@ func newStore(cap int, prefix string, m *Metrics) *Store {
 	return &Store{cap: cap, prefix: prefix, jobs: make(map[string]*Job), m: m}
 }
 
+// FormatJobID spells a job id: the server's prefix (Config.JobIDPrefix)
+// followed by its sequence number as "j%08d". It is the only place the
+// format is written; the mesh parses ids back against it.
+func FormatJobID(prefix string, seq uint64) string {
+	return fmt.Sprintf("%sj%08d", prefix, seq)
+}
+
 // newJob mints, registers, and returns a job in the given initial state.
 func (st *Store) newJob(spec Spec, cache string, fl *flight, now time.Time) *Job {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.seq++
 	j := &Job{
-		id:        fmt.Sprintf("%sj%08d", st.prefix, st.seq),
+		id:        FormatJobID(st.prefix, st.seq),
 		spec:      spec,
 		cache:     cache,
 		flight:    fl,

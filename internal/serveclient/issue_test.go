@@ -225,7 +225,7 @@ func TestIssueRotatesOnTransportError(t *testing.T) {
 	}
 }
 
-// TestIssueNoRotationOn429: saturation is the shard's verdict, not the
+// TestIssueNoRotationOn429: saturation is the queue's verdict, not the
 // endpoint's — a 429 must NOT move the cursor, or a loaded mesh would
 // thrash its cache affinity.
 func TestIssueNoRotationOn429(t *testing.T) {

@@ -16,7 +16,8 @@
 #      disabled-hooks-allocation-free tests under -race)
 #   3. a fuzz smoke (10s per target) on the DES scheduler, the multilevel
 #      schedule search, the ReStore replica-loss bookkeeping, the
-#      workload pattern reader, and the job-spec decoder (ParseSpec)
+#      workload pattern reader, the job-spec decoder (ParseSpec), and
+#      the mesh job-id parser (parseJobID)
 #   4. the full conformance sweep (sim vs analytic, runtime invariants,
 #      metamorphic properties) over the seven-technique menu, run twice:
 #      plain Monte-Carlo and variance-reduced (-vr, antithetic paired) —
@@ -72,6 +73,7 @@ go test ./internal/resilience/ -run='^$' -fuzz='^FuzzOptimizeMultilevel$' -fuzzt
 go test ./internal/resilience/ -run='^$' -fuzz='^FuzzReStoreReplicaLoss$' -fuzztime="$FUZZTIME"
 go test ./internal/workload/ -run='^$' -fuzz='^FuzzReadPattern$' -fuzztime="$FUZZTIME"
 go test ./internal/serve/ -run='^$' -fuzz='^FuzzParseSpec$' -fuzztime="$FUZZTIME"
+go test ./internal/mesh/ -run='^$' -fuzz='^FuzzParseJobID$' -fuzztime="$FUZZTIME"
 
 echo "== conformance sweep (plain)"
 go run ./cmd/exacheck "$@" sweep
