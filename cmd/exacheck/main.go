@@ -138,19 +138,37 @@ func goldenExhibits(cfg experiments.Config) []struct {
 	name string
 	gen  func() (*report.Table, error)
 } {
+	// registered runs a registry exhibit at reduced Params, the path
+	// exasim and the HTTP service take.
+	registered := func(exhibit string, p experiments.Params) func() (*report.Table, error) {
+		return func() (*report.Table, error) {
+			ex, ok := experiments.Lookup(exhibit)
+			if !ok {
+				return nil, fmt.Errorf("no exhibit %q", exhibit)
+			}
+			t, _, err := ex.Run(cfg, p)
+			return t, err
+		}
+	}
+	trials20 := experiments.Params{Trials: 20}
 	return []struct {
 		name string
 		gen  func() (*report.Table, error)
 	}{
-		{"table1", func() (*report.Table, error) { return experiments.TableI(), nil }},
-		{"table2", func() (*report.Table, error) { return experiments.TableII(cfg) }},
-		{"fig1", func() (*report.Table, error) { t, _, err := experiments.Figure1(cfg, 20); return t, err }},
-		{"fig4", func() (*report.Table, error) { t, _, err := experiments.Figure4(cfg, 6); return t, err }},
-		{"fig5", func() (*report.Table, error) { t, _, err := experiments.Figure5(cfg, 6); return t, err }},
-		{"backfill", func() (*report.Table, error) {
-			t, _, err := experiments.BackfillSpec{Config: cfg, Patterns: 6}.Run()
-			return t, err
-		}},
+		{"table1", registered("table1", experiments.Params{})},
+		{"table2", registered("table2", experiments.Params{})},
+		{"fig1", registered("fig1", trials20)},
+		{"fig4", registered("fig4", experiments.Params{Patterns: 6})},
+		{"fig5", registered("fig5", experiments.Params{Patterns: 6})},
+		// The five extension sweeps, at fig1's 20 trials: each varies one
+		// parameter the paper holds fixed (MTBF, failure shape, Eq. 4
+		// period, blocking checkpoints, the machine).
+		{"ext-mtbf", registered("ext-mtbf", trials20)},
+		{"ext-weibull", registered("ext-weibull", trials20)},
+		{"ext-tau", registered("ext-tau", trials20)},
+		{"ext-semiblocking", registered("ext-semiblocking", trials20)},
+		{"ext-machines", registered("ext-machines", trials20)},
+		{"backfill", registered("ext-backfill", experiments.Params{Patterns: 6})},
 		// The serving layer's saturation sweep: a real exaserve behind a
 		// virtual clock, so the whole capacity curve is a pure function of
 		// the pinned seed (see internal/load).
@@ -158,10 +176,7 @@ func goldenExhibits(cfg experiments.Config) []struct {
 		// The heterogeneity study: homogeneous baseline vs. the mixed
 		// fleet under both placement policies, reduced to 3 patterns of
 		// 40 arrivals.
-		{"ext-hetero", func() (*report.Table, error) {
-			t, _, err := experiments.HeteroSpec{Config: cfg, Patterns: 3, Arrivals: 40}.Run()
-			return t, err
-		}},
+		{"ext-hetero", registered("ext-hetero", experiments.Params{Patterns: 3, Arrivals: 40})},
 		// The expanded-menu selection study, reduced to two MTBFs, three
 		// sizes, and three probe pairs per arm: enough cells to pin where
 		// the post-2017 techniques dethrone the 2017 winners.
@@ -200,7 +215,7 @@ func runGolden(dir string, seed uint64, workers int, update bool) error {
 		}
 		digests[ex.name] = fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
 		csvs[ex.name] = buf.Bytes()
-		fmt.Printf("golden %-8s %s  (%v)\n", ex.name, digests[ex.name][:16], time.Since(start).Round(time.Millisecond))
+		fmt.Printf("golden %-16s %s  (%v)\n", ex.name, digests[ex.name][:16], time.Since(start).Round(time.Millisecond))
 	}
 
 	manifestPath := filepath.Join(dir, "manifest.txt")

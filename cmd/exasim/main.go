@@ -6,16 +6,21 @@
 //
 //	exasim [flags] <exhibit>...
 //
-// where each exhibit is one of: table1, table2, fig1, fig2, fig3, fig4,
-// fig5, or all (every paper exhibit); or one of the extension studies:
-// ext-energy, ext-mtbf, ext-weibull, ext-backfill, ext-selectors, ext-tau, or
-// ext-all. With no exhibit arguments, "all" is assumed.
+// where each exhibit is a name from the experiments registry — the
+// paper's table1, table2 and fig1-fig5, the repository's extension
+// studies — or a group: all (the paper's exhibits) or ext-all (the
+// extensions). An unknown name is a usage error that lists every accepted
+// name. With no exhibit arguments, "all" is assumed.
 //
 // Flags:
 //
-//	-trials N     Monte-Carlo trials per bar in fig1-3 (default 200, as
-//	              in the paper)
-//	-patterns N   arrival patterns per cell in fig4-5 (default 50)
+//	-trials N     Monte-Carlo trials per cell of fig1-3, ext-energy,
+//	              ext-mtbf, ext-weibull, ext-tau, ext-semiblocking and
+//	              ext-machines; ext-menu2 runs N/2 antithetic pairs per arm
+//	              and policy N/4 probes per cell, each at least 1 (default
+//	              200, as in the paper)
+//	-patterns N   arrival patterns per cell of the cluster exhibits: fig4,
+//	              fig5, ext-backfill, ext-selectors, ext-hetero (default 50)
 //	-seed N       master random seed (default the paper-epoch constant)
 //	-csv DIR      additionally write each exhibit as DIR/<name>.csv
 //	-chart        additionally render figures as ASCII bar charts
@@ -90,8 +95,8 @@ func validMetricsPath(path string) bool {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("exasim", flag.ContinueOnError)
-	trials := fs.Int("trials", 200, "Monte-Carlo trials per bar (figures 1-3)")
-	patterns := fs.Int("patterns", 50, "arrival patterns per cell (figures 4-5)")
+	trials := fs.Int("trials", 200, "Monte-Carlo trials per cell of the trial-based exhibits (ext-menu2: N/2 pairs, policy: N/4 probes)")
+	patterns := fs.Int("patterns", 50, "arrival patterns per cell of the cluster exhibits")
 	seed := fs.Uint64("seed", 0, "master random seed (0 = default)")
 	csvDir := fs.String("csv", "", "directory to write CSV copies of each exhibit")
 	chart := fs.Bool("chart", false, "render figures as ASCII bar charts too")
@@ -212,53 +217,43 @@ func writeMetrics(r *obs.Registry, path string) error {
 	return nil
 }
 
-// scalingChart draws a Figure 1/2/3 data set as grouped bars.
-func scalingChart(res experiments.ScalingResult) *report.BarChart {
-	c := report.NewBarChart("", "efficiency")
-	c.Max = 1
-	seen := map[float64]bool{}
-	for _, p := range res.Points {
-		if seen[p.Fraction] {
-			continue
-		}
-		seen[p.Fraction] = true
-		var bars []report.Bar
-		for _, q := range res.Points {
-			if q.Fraction == p.Fraction {
-				bars = append(bars, report.Bar{
-					Label: q.Technique.String(),
-					Value: q.Efficiency.Mean,
-					Err:   q.Efficiency.StdDev,
-				})
-			}
-		}
-		c.AddGroup(fmt.Sprintf("%g%% of the machine", 100*p.Fraction), bars...)
-	}
-	return c
+// scalingChart draws a Figure 1/2/3 data set as grouped bars, one group
+// per machine fraction.
+func scalingChart(res experiments.SweepResult) *report.BarChart {
+	return groupedChart("efficiency", 1, res.Points,
+		func(p experiments.SweepPoint) string { return p.Row + " of the machine" },
+		func(p experiments.SweepPoint) report.Bar {
+			return report.Bar{Label: p.Technique.String(), Value: p.Efficiency.Mean, Err: p.Efficiency.StdDev}
+		})
 }
 
-// clusterChart draws a Figure 4-style data set as grouped bars.
+// clusterChart draws a Figure 4-style data set as grouped bars, one group
+// per scheduler.
 func clusterChart(res experiments.ClusterResult) *report.BarChart {
-	c := report.NewBarChart("", "% dropped")
-	c.Max = 100
-	seen := map[string]bool{}
-	for _, cell := range res.Cells {
-		key := cell.Scheduler.String()
-		if seen[key] {
-			continue
+	return groupedChart("% dropped", 100, res.Cells,
+		func(c experiments.ClusterCell) string { return c.Scheduler.String() },
+		func(c experiments.ClusterCell) report.Bar {
+			return report.Bar{Label: c.Technique.String(), Value: c.Dropped.Mean, Err: c.Dropped.StdDev}
+		})
+}
+
+// groupedChart draws one bar per point, grouped by key: groups in the
+// order their key first appears, bars in point order within a group.
+func groupedChart[P any](unit string, ceiling float64, points []P,
+	key func(P) string, bar func(P) report.Bar) *report.BarChart {
+	c := report.NewBarChart("", unit)
+	c.Max = ceiling
+	var keys []string
+	groups := map[string][]report.Bar{}
+	for _, p := range points {
+		k := key(p)
+		if _, seen := groups[k]; !seen {
+			keys = append(keys, k)
 		}
-		seen[key] = true
-		var bars []report.Bar
-		for _, q := range res.Cells {
-			if q.Scheduler == cell.Scheduler {
-				bars = append(bars, report.Bar{
-					Label: q.Technique.String(),
-					Value: q.Dropped.Mean,
-					Err:   q.Dropped.StdDev,
-				})
-			}
-		}
-		c.AddGroup(key, bars...)
+		groups[k] = append(groups[k], bar(p))
+	}
+	for _, k := range keys {
+		c.AddGroup(k, groups[k]...)
 	}
 	return c
 }
@@ -277,7 +272,7 @@ func exhibit(name string, cfg experiments.Config, trials, patterns int) (*report
 	}
 	switch ex.Chart {
 	case experiments.ChartScaling:
-		return t, scalingChart(res.(experiments.ScalingResult)), nil
+		return t, scalingChart(res.(experiments.SweepResult)), nil
 	case experiments.ChartCluster:
 		return t, clusterChart(res.(experiments.ClusterResult)), nil
 	default:

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"exaresil/internal/core"
 )
 
 func silently(t *testing.T, f func() error) error {
@@ -72,5 +74,21 @@ func TestRunRejectsNonViable(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "cannot run") {
 		t.Errorf("expected a cannot-run error, got %v", err)
+	}
+}
+
+// TestEveryListedTechniqueTraces pins the -tech help: it names every
+// technique of the core menu, and each name it lists traces.
+func TestEveryListedTechniqueTraces(t *testing.T) {
+	names := techNames()
+	if len(names) != len(core.Techniques()) {
+		t.Fatalf("-tech lists %v, want one name per core technique", names)
+	}
+	for _, name := range names {
+		if err := silently(t, func() error {
+			return run([]string{"-tech", name, "-steps", "120", "-fraction", "0.05"})
+		}); err != nil {
+			t.Errorf("-tech %s: %v", name, err)
+		}
 	}
 }

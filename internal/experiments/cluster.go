@@ -247,11 +247,8 @@ func (s ClusterSpec) Run() (*report.Table, ClusterResult, error) {
 	}
 
 	result := ClusterResult{Bias: s.Bias}
-	cols := []string{"scheduler"}
-	for _, tech := range s.Techniques {
-		cols = append(cols, tech.String())
-	}
-	t := report.New("Percentage of applications dropped per resilience x resource-management combination", cols...)
+	t := report.New("Percentage of applications dropped per resilience x resource-management combination",
+		techColumns(s.Techniques, "scheduler")...)
 	t.AddNote("mean ± stddev over %d arrival patterns of %d applications each (%s population)",
 		s.Patterns, s.Arrivals, s.Bias)
 	t.AddNote("machine %s; system starts full; Poisson arrivals every 2 h (mean)", s.Machine.Name)
@@ -276,10 +273,4 @@ func (s ClusterSpec) Run() (*report.Table, ClusterResult, error) {
 		return nil, ClusterResult{}, fmt.Errorf("experiments: combo bookkeeping mismatch")
 	}
 	return t, result, nil
-}
-
-// Figure4 runs the cluster study with paper defaults at the given pattern
-// count (0 means the paper's 50).
-func Figure4(cfg Config, patterns int) (*report.Table, ClusterResult, error) {
-	return ClusterSpec{Config: cfg, Patterns: patterns}.Run()
 }

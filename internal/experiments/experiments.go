@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"exaresil/internal/core"
 	"exaresil/internal/failures"
 	"exaresil/internal/machine"
 	"exaresil/internal/obs"
@@ -77,6 +78,15 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// techColumns is a per-technique table's header: the label columns, then
+// one column per technique.
+func techColumns(techniques []core.Technique, labels ...string) []string {
+	for _, tech := range techniques {
+		labels = append(labels, tech.String())
+	}
+	return labels
 }
 
 // fracLabel formats a machine fraction as the figures' x-axis labels do.

@@ -72,7 +72,7 @@ func TestScalingStudyShapes(t *testing.T) {
 	}
 
 	for _, frac := range DefaultScalingFractions() {
-		pr, ok := res.Point(core.ParallelRecovery, frac)
+		pr, ok := res.Point(core.ParallelRecovery, fracLabel(frac))
 		if !ok {
 			t.Fatalf("missing PR point at %v", frac)
 		}
@@ -80,7 +80,7 @@ func TestScalingStudyShapes(t *testing.T) {
 		// size for low-communication applications. The figure reproduces
 		// the paper's menu (PaperTechniques), not the full extended one.
 		for _, tech := range core.PaperTechniques() {
-			p, ok := res.Point(tech, frac)
+			p, ok := res.Point(tech, fracLabel(frac))
 			if !ok {
 				t.Fatalf("missing %v point at %v", tech, frac)
 			}
@@ -92,10 +92,10 @@ func TestScalingStudyShapes(t *testing.T) {
 	}
 
 	// Claim: traditional checkpointing decreases fastest with size.
-	crSmall, _ := res.Point(core.CheckpointRestart, 0.01)
-	crBig, _ := res.Point(core.CheckpointRestart, 1.00)
-	mlSmall, _ := res.Point(core.MultilevelCheckpoint, 0.01)
-	mlBig, _ := res.Point(core.MultilevelCheckpoint, 1.00)
+	crSmall, _ := res.Point(core.CheckpointRestart, "1%")
+	crBig, _ := res.Point(core.CheckpointRestart, "100%")
+	mlSmall, _ := res.Point(core.MultilevelCheckpoint, "1%")
+	mlBig, _ := res.Point(core.MultilevelCheckpoint, "100%")
 	crDrop := crSmall.Efficiency.Mean - crBig.Efficiency.Mean
 	mlDrop := mlSmall.Efficiency.Mean - mlBig.Efficiency.Mean
 	if crDrop <= mlDrop {
@@ -111,13 +111,13 @@ func TestScalingStudyShapes(t *testing.T) {
 		{core.FullRedundancy, 1.00},
 		{core.PartialRedundancy, 1.00},
 	} {
-		p, _ := res.Point(tc.tech, tc.frac)
+		p, _ := res.Point(tc.tech, fracLabel(tc.frac))
 		if p.Efficiency.Mean != 0 {
 			t.Errorf("%v at %.0f%%: efficiency %v, want 0 (unplaceable)",
 				tc.tech, 100*tc.frac, p.Efficiency.Mean)
 		}
 	}
-	full50, _ := res.Point(core.FullRedundancy, 0.50)
+	full50, _ := res.Point(core.FullRedundancy, "50%")
 	if full50.Efficiency.Mean == 0 {
 		t.Error("r=2.0 at 50% should exactly fit the machine and run")
 	}
@@ -131,14 +131,14 @@ func TestFigure2Crossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mlSmall, _ := res.Point(core.MultilevelCheckpoint, 0.01)
-	prSmall, _ := res.Point(core.ParallelRecovery, 0.01)
+	mlSmall, _ := res.Point(core.MultilevelCheckpoint, "1%")
+	prSmall, _ := res.Point(core.ParallelRecovery, "1%")
 	if mlSmall.Efficiency.Mean <= prSmall.Efficiency.Mean {
 		t.Errorf("at 1%%: multilevel (%.4f) should beat PR (%.4f) on D64",
 			mlSmall.Efficiency.Mean, prSmall.Efficiency.Mean)
 	}
-	mlBig, _ := res.Point(core.MultilevelCheckpoint, 0.50)
-	prBig, _ := res.Point(core.ParallelRecovery, 0.50)
+	mlBig, _ := res.Point(core.MultilevelCheckpoint, "50%")
+	prBig, _ := res.Point(core.ParallelRecovery, "50%")
 	if prBig.Efficiency.Mean <= mlBig.Efficiency.Mean {
 		t.Errorf("at 50%%: PR (%.4f) should beat multilevel (%.4f) on D64",
 			prBig.Efficiency.Mean, mlBig.Efficiency.Mean)
@@ -148,8 +148,8 @@ func TestFigure2Crossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	redD, _ := res.Point(core.FullRedundancy, 0.10)
-	redA, _ := resA.Point(core.FullRedundancy, 0.10)
+	redD, _ := res.Point(core.FullRedundancy, "10%")
+	redA, _ := resA.Point(core.FullRedundancy, "10%")
 	if redD.Efficiency.Mean >= redA.Efficiency.Mean {
 		t.Errorf("full redundancy on D64 (%.4f) should trail A32 (%.4f)",
 			redD.Efficiency.Mean, redA.Efficiency.Mean)
@@ -170,14 +170,14 @@ func TestFigure3LowMTBF(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tech := range []core.Technique{core.CheckpointRestart, core.MultilevelCheckpoint, core.ParallelRecovery} {
-		p10, _ := res10.Point(tech, 0.25)
-		p25, _ := res25.Point(tech, 0.25)
+		p10, _ := res10.Point(tech, "25%")
+		p25, _ := res25.Point(tech, "25%")
 		if p25.Efficiency.Mean > p10.Efficiency.Mean+1e-9 {
 			t.Errorf("%v at 25%%: 2.5y MTBF efficiency (%.4f) exceeds 10y (%.4f)",
 				tech, p25.Efficiency.Mean, p10.Efficiency.Mean)
 		}
 	}
-	cr, _ := res25.Point(core.CheckpointRestart, 1.00)
+	cr, _ := res25.Point(core.CheckpointRestart, "100%")
 	if cr.Efficiency.Mean > 0.02 {
 		t.Errorf("CR at exascale/2.5y MTBF: efficiency %.4f, want ~0 (cannot complete)",
 			cr.Efficiency.Mean)

@@ -105,6 +105,7 @@ func (s EnergySpec) Run() (*report.Table, EnergyResult, error) {
 	t.AddNote("node power: %.0fW compute / %.0fW I/O / %.0fW idle",
 		float64(s.Power.Compute), float64(s.Power.IO), float64(s.Power.Idle))
 
+	rm := resilience.NewMetrics(s.Obs)
 	var result EnergyResult
 	for _, class := range classes {
 		app := workload.App{Class: class, TimeSteps: s.TimeSteps, Nodes: s.Machine.NodesForFraction(s.Fraction)}
@@ -115,6 +116,7 @@ func (s EnergySpec) Run() (*report.Table, EnergyResult, error) {
 			if err != nil {
 				return nil, EnergyResult{}, err
 			}
+			resilience.Instrument(x, rm)
 			var total, overhead stats.Accumulator
 			for trial := 0; trial < s.Trials; trial++ {
 				res := x.Run(0, units.Duration(appsim.DefaultHorizonFactor*float64(app.Baseline())),
@@ -157,28 +159,8 @@ type MTBFSweepSpec struct {
 	Trials int
 }
 
-// MTBFPoint is one technique at one MTBF.
-type MTBFPoint struct {
-	Technique  core.Technique
-	MTBF       units.Duration
-	Efficiency stats.Summary
-}
-
-// MTBFResult is the sweep's data set.
-type MTBFResult struct{ Points []MTBFPoint }
-
-// Point finds one technique/MTBF pair.
-func (r MTBFResult) Point(t core.Technique, years float64) (MTBFPoint, bool) {
-	for _, p := range r.Points {
-		if p.Technique == t && p.MTBF == units.Duration(years)*units.Year {
-			return p, true
-		}
-	}
-	return MTBFPoint{}, false
-}
-
 // Run executes the sweep.
-func (s MTBFSweepSpec) Run() (*report.Table, MTBFResult, error) {
+func (s MTBFSweepSpec) Run() (*report.Table, SweepResult, error) {
 	if s.Class.Name == "" {
 		s.Class = workload.D64
 	}
@@ -192,49 +174,27 @@ func (s MTBFSweepSpec) Run() (*report.Table, MTBFResult, error) {
 		s.Trials = 50
 	}
 	if err := s.Validate(); err != nil {
-		return nil, MTBFResult{}, err
+		return nil, SweepResult{}, err
 	}
 
 	techniques := []core.Technique{core.CheckpointRestart, core.MultilevelCheckpoint, core.ParallelRecovery}
-	cols := []string{"MTBF (years)"}
-	for _, tech := range techniques {
-		cols = append(cols, tech.String())
-	}
 	t := report.New(
 		fmt.Sprintf("Efficiency vs. component MTBF (%s at %s of the machine)", s.Class.Name, fracLabel(s.Fraction)),
-		cols...)
+		techColumns(techniques, "MTBF (years)")...)
 	t.AddNote("mean ± stddev of %d trials; extends the Figure 2 vs. Figure 3 comparison to a curve", s.Trials)
 
-	var result MTBFResult
 	app := workload.App{Class: s.Class, TimeSteps: 1440, Nodes: s.Machine.NodesForFraction(s.Fraction)}
-	for _, years := range s.MTBFYears {
-		mtbf := units.Duration(years) * units.Year
-		model, err := s.model(mtbf)
+	rows := make([]sweepRow, len(s.MTBFYears))
+	for i, years := range s.MTBFYears {
+		model, err := s.model(units.Duration(years) * units.Year)
 		if err != nil {
-			return nil, MTBFResult{}, err
+			return nil, SweepResult{}, err
 		}
-		row := []string{report.F(years)}
-		for ti, tech := range techniques {
-			x, err := resilience.New(tech, app, s.Machine, model, s.Resilience)
-			if err != nil {
-				return nil, MTBFResult{}, err
-			}
-			st := appsim.Run(appsim.TrialSpec{
-				Executor: x,
-				Trials:   s.Trials,
-				Seed:     s.Seed ^ uint64(ti+101)*0x9e3779b97f4a7c15,
-				Workers:  s.workers(),
-			})
-			result.Points = append(result.Points, MTBFPoint{
-				Technique:  tech,
-				MTBF:       mtbf,
-				Efficiency: st.Efficiency,
-			})
-			row = append(row, report.Eff(st.Efficiency.Mean, st.Efficiency.StdDev))
-		}
-		t.AddRow(row...)
+		rows[i] = sweepRow{labels: []string{report.F(years)}, app: app, machine: s.Machine, model: model, rc: s.Resilience}
 	}
-	return t, result, nil
+	return s.sweep(t, rows, techniques, s.Trials, func(ti int) uint64 {
+		return s.Seed ^ uint64(ti+101)*0x9e3779b97f4a7c15
+	})
 }
 
 // WeibullSpec configures the failure-distribution sensitivity study: does
@@ -252,28 +212,8 @@ type WeibullSpec struct {
 	Trials int
 }
 
-// WeibullPoint is one technique at one shape.
-type WeibullPoint struct {
-	Technique  core.Technique
-	Shape      float64
-	Efficiency stats.Summary
-}
-
-// WeibullResult is the study's data set.
-type WeibullResult struct{ Points []WeibullPoint }
-
-// Point finds one technique/shape pair.
-func (r WeibullResult) Point(t core.Technique, shape float64) (WeibullPoint, bool) {
-	for _, p := range r.Points {
-		if p.Technique == t && p.Shape == shape {
-			return p, true
-		}
-	}
-	return WeibullPoint{}, false
-}
-
 // Run executes the study.
-func (s WeibullSpec) Run() (*report.Table, WeibullResult, error) {
+func (s WeibullSpec) Run() (*report.Table, SweepResult, error) {
 	if s.Class.Name == "" {
 		s.Class = workload.C64
 	}
@@ -287,50 +227,29 @@ func (s WeibullSpec) Run() (*report.Table, WeibullResult, error) {
 		s.Trials = 50
 	}
 	if err := s.Validate(); err != nil {
-		return nil, WeibullResult{}, err
+		return nil, SweepResult{}, err
 	}
 
 	techniques := []core.Technique{core.CheckpointRestart, core.MultilevelCheckpoint, core.ParallelRecovery}
-	cols := []string{"Weibull shape"}
-	for _, tech := range techniques {
-		cols = append(cols, tech.String())
-	}
 	t := report.New(
 		fmt.Sprintf("Efficiency vs. failure inter-arrival shape (%s at %s, MTBF held at %s)",
 			s.Class.Name, fracLabel(s.Fraction), mtbfLabel(s.Machine.MTBF)),
-		cols...)
+		techColumns(techniques, "Weibull shape")...)
 	t.AddNote("shape 1.0 is the paper's Poisson assumption; lower shapes are burstier at equal mean")
 	t.AddNote("mean ± stddev of %d trials", s.Trials)
 
-	var result WeibullResult
 	app := workload.App{Class: s.Class, TimeSteps: 1440, Nodes: s.Machine.NodesForFraction(s.Fraction)}
-	for _, shape := range s.Shapes {
+	rows := make([]sweepRow, len(s.Shapes))
+	for i, shape := range s.Shapes {
 		model, err := failures.NewWeibullModel(s.Machine.MTBF, s.SeverityPMF, shape)
 		if err != nil {
-			return nil, WeibullResult{}, err
+			return nil, SweepResult{}, err
 		}
-		row := []string{report.F(shape)}
-		for ti, tech := range techniques {
-			x, err := resilience.New(tech, app, s.Machine, model, s.Resilience)
-			if err != nil {
-				return nil, WeibullResult{}, err
-			}
-			st := appsim.Run(appsim.TrialSpec{
-				Executor: x,
-				Trials:   s.Trials,
-				Seed:     s.Seed ^ uint64(ti+201)*0x9e3779b97f4a7c15,
-				Workers:  s.workers(),
-			})
-			result.Points = append(result.Points, WeibullPoint{
-				Technique:  tech,
-				Shape:      shape,
-				Efficiency: st.Efficiency,
-			})
-			row = append(row, report.Eff(st.Efficiency.Mean, st.Efficiency.StdDev))
-		}
-		t.AddRow(row...)
+		rows[i] = sweepRow{labels: []string{report.F(shape)}, app: app, machine: s.Machine, model: model, rc: s.Resilience}
 	}
-	return t, result, nil
+	return s.sweep(t, rows, techniques, s.Trials, func(ti int) uint64 {
+		return s.Seed ^ uint64(ti+201)*0x9e3779b97f4a7c15
+	})
 }
 
 // BackfillSpec configures the scheduler-extension study: Figure 4 rerun
@@ -409,6 +328,9 @@ func (s SelectorAgreementSpec) Run() (*report.Table, SelectorAgreementResult, er
 	if probe.Seed == 0 {
 		probe.Seed = s.Seed ^ 0xe7037ed1a0b428db
 	}
+	if probe.Obs == nil {
+		probe.Obs = s.Obs
+	}
 	mc, err := selection.NewSelector(s.Machine, model, s.Resilience, probe)
 	if err != nil {
 		return nil, SelectorAgreementResult{}, err
@@ -452,6 +374,7 @@ func (s SelectorAgreementSpec) Run() (*report.Table, SelectorAgreementResult, er
 				Resilience: s.Resilience,
 				Pattern:    pattern,
 				Seed:       s.Seed ^ uint64(p+1)*0xd1342543de82ef95,
+				Obs:        s.Obs,
 			})
 			if err != nil {
 				return nil, SelectorAgreementResult{}, err

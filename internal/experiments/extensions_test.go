@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"exaresil/internal/core"
+	"exaresil/internal/report"
 	"exaresil/internal/selection"
 	"exaresil/internal/workload"
 )
@@ -51,8 +52,8 @@ func TestMTBFSweep(t *testing.T) {
 		t.Errorf("sweep table has %d rows, want 2", tb.Rows())
 	}
 	for _, tech := range []core.Technique{core.CheckpointRestart, core.MultilevelCheckpoint, core.ParallelRecovery} {
-		hi, ok1 := res.Point(tech, 10)
-		lo, ok2 := res.Point(tech, 2.5)
+		hi, ok1 := res.Point(tech, "10")
+		lo, ok2 := res.Point(tech, "2.5")
 		if !ok1 || !ok2 {
 			t.Fatalf("%v: missing sweep points", tech)
 		}
@@ -79,7 +80,7 @@ func TestWeibullStudy(t *testing.T) {
 	// direction of the effect is the study's finding, not an invariant.
 	for _, p := range res.Points {
 		if p.Efficiency.Mean <= 0 || p.Efficiency.Mean > 1 {
-			t.Errorf("%v at shape %v: efficiency %v", p.Technique, p.Shape, p.Efficiency.Mean)
+			t.Errorf("%v at shape %s: efficiency %v", p.Technique, p.Row, p.Efficiency.Mean)
 		}
 	}
 }
@@ -152,7 +153,7 @@ func TestTauSweep(t *testing.T) {
 	// The computed optimum must beat gross mis-tunings in both directions
 	// for Checkpoint Restart, where the period matters most.
 	at := func(scale float64) float64 {
-		p, ok := res.Point(core.CheckpointRestart, scale)
+		p, ok := res.Point(core.CheckpointRestart, report.F(scale))
 		if !ok {
 			t.Fatalf("missing CR point at scale %v", scale)
 		}
@@ -172,8 +173,8 @@ func TestMachinesStudy(t *testing.T) {
 	if tb.Rows() != 2 {
 		t.Errorf("machines table has %d rows, want 2", tb.Rows())
 	}
-	sw, ok1 := res.Cell("sunway-taihulight", core.CheckpointRestart)
-	ex, ok2 := res.Cell("exascale-120k", core.CheckpointRestart)
+	sw, ok1 := res.Point(core.CheckpointRestart, "sunway-taihulight")
+	ex, ok2 := res.Point(core.CheckpointRestart, "exascale-120k")
 	if !ok1 || !ok2 {
 		t.Fatal("missing cross-machine cells")
 	}
@@ -186,8 +187,8 @@ func TestMachinesStudy(t *testing.T) {
 	// finding: TaihuLight's slower fabric makes equal-fraction PFS
 	// checkpointing *worse* than on the projected exascale machine).
 	for _, name := range []string{"sunway-taihulight", "exascale-120k"} {
-		cr, _ := res.Cell(name, core.CheckpointRestart)
-		pr, _ := res.Cell(name, core.ParallelRecovery)
+		cr, _ := res.Point(core.CheckpointRestart, name)
+		pr, _ := res.Point(core.ParallelRecovery, name)
 		if pr.Efficiency.Mean <= cr.Efficiency.Mean {
 			t.Errorf("%s: PR (%v) should beat CR (%v)", name, pr.Efficiency.Mean, cr.Efficiency.Mean)
 		}
@@ -228,8 +229,8 @@ func TestSemiBlockingStudy(t *testing.T) {
 	}
 	// Overlapping computation with checkpoint writes must help CR, whose
 	// blocking PFS checkpoints dominate its overhead at 50% of the machine.
-	blocking, _ := res.Point(core.CheckpointRestart, 0)
-	semi, _ := res.Point(core.CheckpointRestart, 0.5)
+	blocking, _ := res.Point(core.CheckpointRestart, "0")
+	semi, _ := res.Point(core.CheckpointRestart, "0.5")
 	if semi.Efficiency.Mean <= blocking.Efficiency.Mean {
 		t.Errorf("semi-blocking CR (%v) should beat blocking (%v)",
 			semi.Efficiency.Mean, blocking.Efficiency.Mean)

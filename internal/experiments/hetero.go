@@ -127,11 +127,8 @@ func (s HeteroSpec) Run() (*report.Table, HeteroResult, error) {
 		{label: "hetero/reliability", machine: s.Fleet, placement: cluster.PlaceReliability},
 	}
 
-	cols := []string{"fleet / placement"}
-	for _, tech := range s.Techniques {
-		cols = append(cols, tech.String())
-	}
-	t := report.New("Heterogeneity extension: dropped applications by fleet and placement policy", cols...)
+	t := report.New("Heterogeneity extension: dropped applications by fleet and placement policy",
+		techColumns(s.Techniques, "fleet / placement")...)
 	t.AddNote("mean ± stddev over %d arrival patterns of %d applications each; slack-based scheduling",
 		s.Patterns, s.Arrivals)
 	for _, cl := range s.Fleet.Classes {

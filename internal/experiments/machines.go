@@ -3,14 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"exaresil/internal/appsim"
 	"exaresil/internal/core"
 	"exaresil/internal/failures"
 	"exaresil/internal/machine"
 	"exaresil/internal/report"
-	"exaresil/internal/resilience"
 	"exaresil/internal/selection"
-	"exaresil/internal/stats"
 	"exaresil/internal/workload"
 )
 
@@ -33,29 +30,8 @@ type MachinesSpec struct {
 	Trials int
 }
 
-// MachineCell is one technique on one machine.
-type MachineCell struct {
-	Machine    string
-	Technique  core.Technique
-	Nodes      int
-	Efficiency stats.Summary
-}
-
-// MachinesResult is the study's data set.
-type MachinesResult struct{ Cells []MachineCell }
-
-// Cell finds one machine/technique pair.
-func (r MachinesResult) Cell(machineName string, t core.Technique) (MachineCell, bool) {
-	for _, c := range r.Cells {
-		if c.Machine == machineName && c.Technique == t {
-			return c, true
-		}
-	}
-	return MachineCell{}, false
-}
-
 // Run executes the study.
-func (s MachinesSpec) Run() (*report.Table, MachinesResult, error) {
+func (s MachinesSpec) Run() (*report.Table, SweepResult, error) {
 	if s.Machines == nil {
 		s.Machines = []machine.Config{machine.SunwayTaihuLight(), machine.Exascale()}
 	}
@@ -69,62 +45,36 @@ func (s MachinesSpec) Run() (*report.Table, MachinesResult, error) {
 		s.Trials = 50
 	}
 	if err := s.SeverityPMF.Validate(); err != nil {
-		return nil, MachinesResult{}, err
+		return nil, SweepResult{}, err
 	}
 	if err := s.Resilience.Validate(); err != nil {
-		return nil, MachinesResult{}, err
+		return nil, SweepResult{}, err
+	}
+
+	rows := make([]sweepRow, len(s.Machines))
+	for i, cfg := range s.Machines {
+		if err := cfg.Validate(); err != nil {
+			return nil, SweepResult{}, err
+		}
+		model, err := failures.NewModel(cfg.MTBF, s.SeverityPMF)
+		if err != nil {
+			return nil, SweepResult{}, err
+		}
+		app := workload.App{Class: s.Class, TimeSteps: 1440, Nodes: cfg.NodesForFraction(s.Fraction)}
+		rows[i] = sweepRow{labels: []string{cfg.Name, report.I(app.Nodes)}, app: app, machine: cfg, model: model, rc: s.Resilience}
 	}
 
 	// The paper's five: the cross-machine table is a 2017-exhibit
 	// companion, so its shape stays pinned as the technique menu grows.
 	techniques := core.PaperTechniques()
-	cols := []string{"machine", "nodes used"}
-	for _, tech := range techniques {
-		cols = append(cols, tech.String())
-	}
 	t := report.New(
 		fmt.Sprintf("Cross-machine comparison (%s at %s of each machine)", s.Class.Name, fracLabel(s.Fraction)),
-		cols...)
+		techColumns(techniques, "machine", "nodes used")...)
 	t.AddNote("same application class and machine fraction; each machine at its own MTBF")
 	t.AddNote("mean ± stddev of %d trials", s.Trials)
-
-	var result MachinesResult
-	for _, cfg := range s.Machines {
-		if err := cfg.Validate(); err != nil {
-			return nil, MachinesResult{}, err
-		}
-		model, err := failures.NewModel(cfg.MTBF, s.SeverityPMF)
-		if err != nil {
-			return nil, MachinesResult{}, err
-		}
-		app := workload.App{
-			Class:     s.Class,
-			TimeSteps: 1440,
-			Nodes:     cfg.NodesForFraction(s.Fraction),
-		}
-		row := []string{cfg.Name, report.I(app.Nodes)}
-		for ti, tech := range techniques {
-			x, err := resilience.New(tech, app, cfg, model, s.Resilience)
-			if err != nil {
-				return nil, MachinesResult{}, err
-			}
-			st := appsim.Run(appsim.TrialSpec{
-				Executor: x,
-				Trials:   s.Trials,
-				Seed:     s.Seed ^ uint64(ti+401)*0x9e3779b97f4a7c15,
-				Workers:  s.workers(),
-			})
-			result.Cells = append(result.Cells, MachineCell{
-				Machine:    cfg.Name,
-				Technique:  tech,
-				Nodes:      app.Nodes,
-				Efficiency: st.Efficiency,
-			})
-			row = append(row, report.Eff(st.Efficiency.Mean, st.Efficiency.StdDev))
-		}
-		t.AddRow(row...)
-	}
-	return t, result, nil
+	return s.sweep(t, rows, techniques, s.Trials, func(ti int) uint64 {
+		return s.Seed ^ uint64(ti+401)*0x9e3779b97f4a7c15
+	})
 }
 
 // PolicyTable renders the Resilience Selection policy the Section VII
@@ -141,16 +91,16 @@ func PolicyTable(cfg Config, opts selection.Options) (*report.Table, error) {
 	if opts.Seed == 0 {
 		opts.Seed = cfg.Seed ^ 0xa0761d6478bd642f
 	}
+	if opts.Obs == nil {
+		opts.Obs = cfg.Obs
+	}
 	sel, err := selection.NewSelector(cfg.Machine, model, cfg.Resilience, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	cols := []string{"class", "size", "best technique"}
-	for _, tech := range sel.Techniques() {
-		cols = append(cols, tech.String())
-	}
-	t := report.New("Resilience Selection policy (probe efficiencies per cell)", cols...)
+	t := report.New("Resilience Selection policy (probe efficiencies per cell)",
+		techColumns(sel.Techniques(), "class", "size", "best technique")...)
 	t.AddNote("machine %s; the chooser picks the row's best technique for arriving applications", cfg.Machine.Name)
 	for _, c := range sel.Choices() {
 		row := []string{c.Class.Name, fracLabel(c.Fraction), c.Best.String()}

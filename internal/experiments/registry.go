@@ -14,6 +14,8 @@ import (
 
 	"exaresil/internal/report"
 	"exaresil/internal/selection"
+	"exaresil/internal/units"
+	"exaresil/internal/workload"
 )
 
 // ChartKind tells renderers which bar-chart shape suits an exhibit's
@@ -24,7 +26,8 @@ type ChartKind int
 const (
 	// ChartNone marks exhibits with no natural bar rendering.
 	ChartNone ChartKind = iota
-	// ChartScaling marks exhibits whose result is a ScalingResult.
+	// ChartScaling marks exhibits whose result is a SweepResult over
+	// machine fractions (figures 1-3).
 	ChartScaling
 	// ChartCluster marks exhibits whose result is a ClusterResult.
 	ChartCluster
@@ -35,10 +38,12 @@ const (
 // reproduces the published exhibits exactly.
 type Params struct {
 	// Trials is the Monte-Carlo repetition count for trial-based exhibits
-	// (figures 1-3, the ext-* sweeps, policy).
+	// (figures 1-3, ext-energy, the five ext-* sweeps); ext-menu2 runs
+	// Trials/2 antithetic pairs per arm and policy Trials/4 probes per
+	// cell, each at least 1.
 	Trials int
 	// Patterns is the arrival-pattern count for cluster exhibits
-	// (figures 4-5, ext-backfill, ext-selectors).
+	// (figures 4-5, ext-backfill, ext-selectors, ext-hetero).
 	Patterns int
 	// Arrivals is the applications-per-pattern count for cluster exhibits.
 	Arrivals int
@@ -48,6 +53,17 @@ type Params struct {
 	// Selection tunes selector construction for fig5 (zero value = the
 	// driver defaults).
 	Selection selection.Options
+}
+
+// share derives a count from Trials for exhibits that spend it in
+// bigger units (ext-menu2's antithetic pairs, policy's per-cell probes):
+// Trials/div, floored at 1 when Trials is positive, since a derived 0
+// reads as "use the driver's default" and would run more, not less.
+func (p Params) share(div int) int {
+	if p.Trials > 0 {
+		return max(1, p.Trials/div)
+	}
+	return p.Trials / div
 }
 
 // Exhibit is one registry entry.
@@ -60,7 +76,7 @@ type Exhibit struct {
 	// Chart names the bar-chart shape of the structured result.
 	Chart ChartKind
 	// Run regenerates the exhibit. The any value is the driver's
-	// structured result (ScalingResult, ClusterResult, ...), nil for
+	// structured result (SweepResult, ClusterResult, ...), nil for
 	// table-only exhibits.
 	Run func(cfg Config, p Params) (*report.Table, any, error)
 }
@@ -77,19 +93,22 @@ var registry = []Exhibit{
 			t, err := TableII(cfg)
 			return t, nil, err
 		}},
+	// Figures 1-3: the scaling study for A32 and D64 at the machine's
+	// ten-year MTBF, then D64 again at a 2.5-year MTBF.
 	{Name: "fig1", Group: "paper", Chart: ChartScaling,
 		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := Figure1(cfg, p.Trials)
+			t, res, err := ScalingSpec{Config: cfg, Class: workload.A32, Trials: p.Trials}.Run()
 			return t, res, err
 		}},
 	{Name: "fig2", Group: "paper", Chart: ChartScaling,
 		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := Figure2(cfg, p.Trials)
+			t, res, err := ScalingSpec{Config: cfg, Class: workload.D64, Trials: p.Trials}.Run()
 			return t, res, err
 		}},
 	{Name: "fig3", Group: "paper", Chart: ChartScaling,
 		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := Figure3(cfg, p.Trials)
+			t, res, err := ScalingSpec{Config: cfg, Class: workload.D64,
+				MTBF: units.Duration(2.5) * units.Year, Trials: p.Trials}.Run()
 			return t, res, err
 		}},
 	{Name: "fig4", Group: "paper", Chart: ChartCluster,
@@ -156,14 +175,14 @@ var registry = []Exhibit{
 		}},
 	{Name: "ext-menu2", Group: "ext", Chart: ChartNone,
 		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := Menu2Spec{Config: cfg, PairedTrials: p.Trials / 2}.Run()
+			t, res, err := Menu2Spec{Config: cfg, PairedTrials: p.share(2)}.Run()
 			return t, res, err
 		}},
 	{Name: "policy", Group: "ext", Chart: ChartNone,
 		Run: func(cfg Config, p Params) (*report.Table, any, error) {
 			opts := p.Selection
 			if opts.Trials == 0 {
-				opts.Trials = p.Trials / 4
+				opts.Trials = p.share(4)
 			}
 			t, err := PolicyTable(cfg, opts)
 			return t, nil, err

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"exaresil/internal/obs"
+	"exaresil/internal/workload"
 )
 
 func TestRegistryNamesUniqueAndGrouped(t *testing.T) {
@@ -92,15 +95,15 @@ func TestRegistryRunMatchesDirectDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, isScaling := res.(ScalingResult); !isScaling {
-		t.Fatalf("fig1 result has type %T, want ScalingResult", res)
+	if _, isSweep := res.(SweepResult); !isSweep {
+		t.Fatalf("fig1 result has type %T, want SweepResult", res)
 	}
-	want, _, err := Figure1(cfg, 2)
+	want, _, err := ScalingSpec{Config: cfg, Class: workload.A32, Trials: 2}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
-		t.Error("registry fig1 diverges from Figure1")
+		t.Error("registry fig1 diverges from the A32 ScalingSpec")
 	}
 
 	ex, _ = Lookup("table2")
@@ -130,6 +133,66 @@ func TestRegistryChartKinds(t *testing.T) {
 		}
 		if ex.Chart != want {
 			t.Errorf("%s chart kind %d, want %d", name, ex.Chart, want)
+		}
+	}
+}
+
+// counterTotal sums every series of one counter family.
+func counterTotal(r *obs.Registry, name string) float64 {
+	var sum float64
+	for _, s := range r.Snapshot() {
+		if s.Name == name {
+			sum += s.Value
+		}
+	}
+	return sum
+}
+
+// TestSimulatingExhibitsReportToObs pins that every exhibit which
+// simulates says so to Config.Obs: a fresh registry must count executor
+// runs or selection probes. table1, table2 and ext-whatif are closed-form.
+func TestSimulatingExhibitsReportToObs(t *testing.T) {
+	closedForm := map[string]bool{"table1": true, "table2": true, "ext-whatif": true}
+	for _, e := range Exhibits() {
+		if closedForm[e.Name] {
+			continue
+		}
+		cfg := Default()
+		cfg.Obs = obs.NewRegistry()
+		if _, _, err := e.Run(cfg, Params{Trials: 2, Patterns: 1, Arrivals: 10}); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		runs := counterTotal(cfg.Obs, "exaresil_resilience_runs_total")
+		probes := counterTotal(cfg.Obs, "exaresil_selection_probes_total")
+		if runs == 0 && probes == 0 {
+			t.Errorf("%s: reported neither executor runs nor selection probes", e.Name)
+		}
+	}
+}
+
+// TestSmallTrialsNeverFallBackToDefaults pins the derived counts of
+// ext-menu2 (Trials/2 pairs) and policy (Trials/4 probes): a small
+// positive Trials must not round to 0, which the drivers read as "use the
+// default", so Trials 1-3 never run more probe trials than Trials 8.
+func TestSmallTrialsNeverFallBackToDefaults(t *testing.T) {
+	probeTrials := func(name string, trials int) float64 {
+		e, _ := Lookup(name)
+		cfg := Default()
+		cfg.Obs = obs.NewRegistry()
+		if _, _, err := e.Run(cfg, Params{Trials: trials}); err != nil {
+			t.Fatalf("%s at %d trials: %v", name, trials, err)
+		}
+		return counterTotal(cfg.Obs, "exaresil_selection_probe_trials_total")
+	}
+	for _, name := range []string{"ext-menu2", "policy"} {
+		ceiling := probeTrials(name, 8)
+		if ceiling == 0 {
+			t.Fatalf("%s: no probe trials reported at 8 trials", name)
+		}
+		for trials := 1; trials <= 3; trials++ {
+			if n := probeTrials(name, trials); n > ceiling {
+				t.Errorf("%s: %g probe trials at %d trials, more than the %g at 8", name, n, trials, ceiling)
+			}
 		}
 	}
 }

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"exaresil/internal/appsim"
 	"exaresil/internal/core"
 	"exaresil/internal/report"
-	"exaresil/internal/resilience"
-	"exaresil/internal/stats"
 	"exaresil/internal/units"
 	"exaresil/internal/workload"
 )
@@ -30,32 +27,6 @@ type ScalingSpec struct {
 	Trials int
 	// Techniques are the bars per group (default: all five).
 	Techniques []core.Technique
-}
-
-// ScalingPoint is one bar of the figure: a technique at a size.
-type ScalingPoint struct {
-	Technique  core.Technique
-	Fraction   float64
-	Nodes      int
-	Efficiency stats.Summary
-	Completion float64
-}
-
-// ScalingResult is a figure's full data set.
-type ScalingResult struct {
-	Class  workload.Class
-	MTBF   units.Duration
-	Points []ScalingPoint
-}
-
-// Point finds the result for a technique/fraction pair.
-func (r ScalingResult) Point(t core.Technique, fraction float64) (ScalingPoint, bool) {
-	for _, p := range r.Points {
-		if p.Technique == t && p.Fraction == fraction {
-			return p, true
-		}
-	}
-	return ScalingPoint{}, false
 }
 
 // DefaultScalingFractions is the x-axis of Figures 1-3: one percent of the
@@ -88,82 +59,36 @@ func (s ScalingSpec) withDefaults() ScalingSpec {
 }
 
 // Run executes the study and renders its table.
-func (s ScalingSpec) Run() (*report.Table, ScalingResult, error) {
+func (s ScalingSpec) Run() (*report.Table, SweepResult, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
-		return nil, ScalingResult{}, err
+		return nil, SweepResult{}, err
 	}
 	model, err := s.model(s.MTBF)
 	if err != nil {
-		return nil, ScalingResult{}, err
+		return nil, SweepResult{}, err
 	}
 
-	rm := resilience.NewMetrics(s.Obs)
-	result := ScalingResult{Class: s.Class, MTBF: model.MTBF()}
-	cols := []string{"system use"}
-	for _, tech := range s.Techniques {
-		cols = append(cols, tech.String())
-	}
 	t := report.New(
 		fmt.Sprintf("Resilience technique efficiency vs. application size (%s, %s MTBF)",
 			s.Class.Name, mtbfLabel(model.MTBF())),
-		cols...)
+		techColumns(s.Techniques, "system use")...)
 	t.AddNote("efficiency = baseline execution time / execution time with slowdowns; mean ± stddev of %d trials", s.Trials)
 	t.AddNote("class %s: T_C = %.2f, %s per node; T_S = %d (T_B = %s)",
 		s.Class.Name, s.Class.CommFraction, s.Class.MemoryPerNode,
 		s.TimeSteps, units.Duration(s.TimeSteps)*units.Minute)
 
-	for _, frac := range s.Fractions {
-		app := workload.App{
-			Class:     s.Class,
-			TimeSteps: s.TimeSteps,
-			Nodes:     s.Machine.NodesForFraction(frac),
+	rows := make([]sweepRow, len(s.Fractions))
+	for i, frac := range s.Fractions {
+		rows[i] = sweepRow{
+			labels:  []string{fracLabel(frac)},
+			app:     workload.App{Class: s.Class, TimeSteps: s.TimeSteps, Nodes: s.Machine.NodesForFraction(frac)},
+			machine: s.Machine,
+			model:   model,
+			rc:      s.Resilience,
 		}
-		row := []string{fracLabel(frac)}
-		for ti, tech := range s.Techniques {
-			x, err := resilience.New(tech, app, s.Machine, model, s.Resilience)
-			if err != nil {
-				return nil, ScalingResult{}, fmt.Errorf("experiments: %v at %s: %w", tech, fracLabel(frac), err)
-			}
-			resilience.Instrument(x, rm)
-			st := appsim.Run(appsim.TrialSpec{
-				Executor: x,
-				Trials:   s.Trials,
-				Seed:     s.Seed ^ (uint64(ti+1) * 0x517cc1b727220a95),
-				Workers:  s.workers(),
-			})
-			result.Points = append(result.Points, ScalingPoint{
-				Technique:  tech,
-				Fraction:   frac,
-				Nodes:      app.Nodes,
-				Efficiency: st.Efficiency,
-				Completion: st.CompletionRate,
-			})
-			row = append(row, report.Eff(st.Efficiency.Mean, st.Efficiency.StdDev))
-		}
-		t.AddRow(row...)
 	}
-	return t, result, nil
-}
-
-// Figure1 is the low-memory, low-communication scaling study (class A32,
-// ten-year MTBF).
-func Figure1(cfg Config, trials int) (*report.Table, ScalingResult, error) {
-	return ScalingSpec{Config: cfg, Class: workload.A32, Trials: trials}.Run()
-}
-
-// Figure2 is the high-memory, high-communication scaling study (class D64,
-// ten-year MTBF).
-func Figure2(cfg Config, trials int) (*report.Table, ScalingResult, error) {
-	return ScalingSpec{Config: cfg, Class: workload.D64, Trials: trials}.Run()
-}
-
-// Figure3 repeats Figure 2 with a 2.5-year component MTBF.
-func Figure3(cfg Config, trials int) (*report.Table, ScalingResult, error) {
-	return ScalingSpec{
-		Config: cfg,
-		Class:  workload.D64,
-		MTBF:   units.Duration(2.5) * units.Year,
-		Trials: trials,
-	}.Run()
+	return s.sweep(t, rows, s.Techniques, s.Trials, func(ti int) uint64 {
+		return s.Seed ^ (uint64(ti+1) * 0x517cc1b727220a95)
+	})
 }

@@ -144,9 +144,3 @@ func (s SelectionSpec) Run() (*report.Table, SelectionResult, error) {
 	}
 	return t, result, nil
 }
-
-// Figure5 runs the resilience-selection study with paper defaults at the
-// given pattern count (0 means the paper's 50).
-func Figure5(cfg Config, patterns int) (*report.Table, SelectionResult, error) {
-	return SelectionSpec{Config: cfg, Patterns: patterns}.Run()
-}

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"exaresil/internal/appsim"
 	"exaresil/internal/core"
 	"exaresil/internal/report"
-	"exaresil/internal/resilience"
-	"exaresil/internal/stats"
 	"exaresil/internal/workload"
 )
 
@@ -27,28 +24,8 @@ type TauSweepSpec struct {
 	Trials int
 }
 
-// TauPoint is one technique at one period scale.
-type TauPoint struct {
-	Technique  core.Technique
-	Scale      float64
-	Efficiency stats.Summary
-}
-
-// TauResult is the ablation's data set.
-type TauResult struct{ Points []TauPoint }
-
-// Point finds one technique/scale pair.
-func (r TauResult) Point(t core.Technique, scale float64) (TauPoint, bool) {
-	for _, p := range r.Points {
-		if p.Technique == t && p.Scale == scale {
-			return p, true
-		}
-	}
-	return TauPoint{}, false
-}
-
 // Run executes the ablation.
-func (s TauSweepSpec) Run() (*report.Table, TauResult, error) {
+func (s TauSweepSpec) Run() (*report.Table, SweepResult, error) {
 	if s.Class.Name == "" {
 		s.Class = workload.C64
 	}
@@ -62,51 +39,30 @@ func (s TauSweepSpec) Run() (*report.Table, TauResult, error) {
 		s.Trials = 60
 	}
 	if err := s.Validate(); err != nil {
-		return nil, TauResult{}, err
+		return nil, SweepResult{}, err
 	}
 	model, err := s.model(0)
 	if err != nil {
-		return nil, TauResult{}, err
+		return nil, SweepResult{}, err
 	}
 
 	techniques := []core.Technique{core.CheckpointRestart, core.MultilevelCheckpoint, core.ParallelRecovery}
-	cols := []string{"period scale"}
-	for _, tech := range techniques {
-		cols = append(cols, tech.String())
-	}
 	t := report.New(
 		fmt.Sprintf("Checkpoint-period ablation (%s at %s of the machine)", s.Class.Name, fracLabel(s.Fraction)),
-		cols...)
+		techColumns(techniques, "period scale")...)
 	t.AddNote("scale 1 is the computed optimum (Daly Eq. 4 / multilevel optimizer); efficiency should peak there")
 	t.AddNote("mean ± stddev of %d trials", s.Trials)
 
-	var result TauResult
 	app := workload.App{Class: s.Class, TimeSteps: 1440, Nodes: s.Machine.NodesForFraction(s.Fraction)}
-	for _, scale := range s.Scales {
+	rows := make([]sweepRow, len(s.Scales))
+	for i, scale := range s.Scales {
 		rc := s.Resilience
 		rc.PeriodScale = scale
-		row := []string{report.F(scale)}
-		for ti, tech := range techniques {
-			x, err := resilience.New(tech, app, s.Machine, model, rc)
-			if err != nil {
-				return nil, TauResult{}, err
-			}
-			st := appsim.Run(appsim.TrialSpec{
-				Executor: x,
-				Trials:   s.Trials,
-				Seed:     s.Seed ^ uint64(ti+301)*0x9e3779b97f4a7c15,
-				Workers:  s.workers(),
-			})
-			result.Points = append(result.Points, TauPoint{
-				Technique:  tech,
-				Scale:      scale,
-				Efficiency: st.Efficiency,
-			})
-			row = append(row, report.Eff(st.Efficiency.Mean, st.Efficiency.StdDev))
-		}
-		t.AddRow(row...)
+		rows[i] = sweepRow{labels: []string{report.F(scale)}, app: app, machine: s.Machine, model: model, rc: rc}
 	}
-	return t, result, nil
+	return s.sweep(t, rows, techniques, s.Trials, func(ti int) uint64 {
+		return s.Seed ^ uint64(ti+301)*0x9e3779b97f4a7c15
+	})
 }
 
 // SemiBlockingSpec configures the semi-blocking checkpoint extension
@@ -126,28 +82,8 @@ type SemiBlockingSpec struct {
 	Trials int
 }
 
-// SemiBlockingPoint is one technique at one overlap rate.
-type SemiBlockingPoint struct {
-	Technique  core.Technique
-	Rate       float64
-	Efficiency stats.Summary
-}
-
-// SemiBlockingResult is the study's data set.
-type SemiBlockingResult struct{ Points []SemiBlockingPoint }
-
-// Point finds one technique/rate pair.
-func (r SemiBlockingResult) Point(t core.Technique, rate float64) (SemiBlockingPoint, bool) {
-	for _, p := range r.Points {
-		if p.Technique == t && p.Rate == rate {
-			return p, true
-		}
-	}
-	return SemiBlockingPoint{}, false
-}
-
 // Run executes the study.
-func (s SemiBlockingSpec) Run() (*report.Table, SemiBlockingResult, error) {
+func (s SemiBlockingSpec) Run() (*report.Table, SweepResult, error) {
 	if s.Class.Name == "" {
 		s.Class = workload.C64
 	}
@@ -161,49 +97,28 @@ func (s SemiBlockingSpec) Run() (*report.Table, SemiBlockingResult, error) {
 		s.Trials = 60
 	}
 	if err := s.Validate(); err != nil {
-		return nil, SemiBlockingResult{}, err
+		return nil, SweepResult{}, err
 	}
 	model, err := s.model(0)
 	if err != nil {
-		return nil, SemiBlockingResult{}, err
+		return nil, SweepResult{}, err
 	}
 
 	techniques := []core.Technique{core.CheckpointRestart, core.MultilevelCheckpoint}
-	cols := []string{"overlap rate"}
-	for _, tech := range techniques {
-		cols = append(cols, tech.String())
-	}
 	t := report.New(
 		fmt.Sprintf("Semi-blocking checkpoint extension (%s at %s of the machine)", s.Class.Name, fracLabel(s.Fraction)),
-		cols...)
+		techColumns(techniques, "overlap rate")...)
 	t.AddNote("overlap rate 0 is the paper's blocking model; higher rates keep computing during checkpoint writes")
 	t.AddNote("mean ± stddev of %d trials", s.Trials)
 
-	var result SemiBlockingResult
 	app := workload.App{Class: s.Class, TimeSteps: 1440, Nodes: s.Machine.NodesForFraction(s.Fraction)}
-	for _, rate := range s.Rates {
+	rows := make([]sweepRow, len(s.Rates))
+	for i, rate := range s.Rates {
 		rc := s.Resilience
 		rc.CheckpointComputeRate = rate
-		row := []string{report.F(rate)}
-		for ti, tech := range techniques {
-			x, err := resilience.New(tech, app, s.Machine, model, rc)
-			if err != nil {
-				return nil, SemiBlockingResult{}, err
-			}
-			st := appsim.Run(appsim.TrialSpec{
-				Executor: x,
-				Trials:   s.Trials,
-				Seed:     s.Seed ^ uint64(ti+501)*0x9e3779b97f4a7c15,
-				Workers:  s.workers(),
-			})
-			result.Points = append(result.Points, SemiBlockingPoint{
-				Technique:  tech,
-				Rate:       rate,
-				Efficiency: st.Efficiency,
-			})
-			row = append(row, report.Eff(st.Efficiency.Mean, st.Efficiency.StdDev))
-		}
-		t.AddRow(row...)
+		rows[i] = sweepRow{labels: []string{report.F(rate)}, app: app, machine: s.Machine, model: model, rc: rc}
 	}
-	return t, result, nil
+	return s.sweep(t, rows, techniques, s.Trials, func(ti int) uint64 {
+		return s.Seed ^ uint64(ti+501)*0x9e3779b97f4a7c15
+	})
 }

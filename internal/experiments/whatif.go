@@ -95,12 +95,8 @@ func (s WhatIfSpec) Run() (*report.Table, WhatIfResult, error) {
 	eff := ev.Eval()
 
 	result := WhatIfResult{Class: s.Class}
-	cols := []string{"MTBF", "system use"}
-	for _, tech := range s.Techniques {
-		cols = append(cols, tech.String())
-	}
-	t := report.New(
-		fmt.Sprintf("Analytic what-if efficiency landscape (%s)", s.Class.Name), cols...)
+	t := report.New(fmt.Sprintf("Analytic what-if efficiency landscape (%s)", s.Class.Name),
+		techColumns(s.Techniques, "MTBF", "system use")...)
 	t.AddNote("closed-form first-order efficiency; no Monte-Carlo sampling")
 	t.AddNote("class %s: T_C = %.2f, %s per node; T_S = %d",
 		s.Class.Name, s.Class.CommFraction, s.Class.MemoryPerNode, s.TimeSteps)

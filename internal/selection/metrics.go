@@ -11,9 +11,11 @@ import (
 // runs, and the series are atomic). The nil bundle is fully disabled.
 type selectorMetrics struct {
 	// probes counts Monte-Carlo candidate probes (cells x techniques);
-	// cells counts grid cells evaluated.
-	probes *obs.Counter
-	cells  *obs.Counter
+	// probeTrials the runs behind them (probes x trials per probe); cells
+	// counts grid cells evaluated.
+	probes      *obs.Counter
+	probeTrials *obs.Counter
+	cells       *obs.Counter
 	// cacheHits/cacheMisses record the multilevel schedule memoization
 	// activity attributable to the table build (a delta over the
 	// process-wide counters, bracketing construction).
@@ -34,6 +36,8 @@ func newSelectorMetrics(r *obs.Registry) *selectorMetrics {
 	return &selectorMetrics{
 		probes: r.Counter("exaresil_selection_probes_total",
 			"Monte-Carlo candidate probes run while building the table"),
+		probeTrials: r.Counter("exaresil_selection_probe_trials_total",
+			"Monte-Carlo runs behind the candidate probes"),
 		cells: r.Counter("exaresil_selection_cells_total",
 			"(class, size) grid cells evaluated"),
 		cacheHits: r.Counter("exaresil_selection_schedule_cache_hits_total",
@@ -47,14 +51,16 @@ func newSelectorMetrics(r *obs.Registry) *selectorMetrics {
 	}
 }
 
-// observeBuild folds the finished table build into the bundle: cell and
-// probe counts plus the schedule-cache delta across construction.
-func (m *selectorMetrics) observeBuild(cells, techniques int, hits0, misses0 uint64) {
+// observeBuild folds the finished table build into the bundle: cell,
+// probe and probe-run counts plus the schedule-cache delta across
+// construction.
+func (m *selectorMetrics) observeBuild(cells, techniques, trials int, hits0, misses0 uint64) {
 	if m == nil {
 		return
 	}
 	m.cells.Add(uint64(cells))
 	m.probes.Add(uint64(cells * techniques))
+	m.probeTrials.Add(uint64(cells * techniques * trials))
 	hits1, misses1 := resilience.ScheduleCacheStats()
 	m.cacheHits.Add(hits1 - hits0)
 	m.cacheMisses.Add(misses1 - misses0)

@@ -218,7 +218,7 @@ func NewSelector(cfg machine.Config, model *failures.Model, rc resilience.Config
 	for i, c := range cells {
 		s.table[cell{c.class.Name, c.frac}] = choices[i]
 	}
-	s.m.observeBuild(len(cells), len(opts.Techniques), cacheHits0, cacheMisses0)
+	s.m.observeBuild(len(cells), len(opts.Techniques), opts.Trials+2*opts.PairedTrials, cacheHits0, cacheMisses0)
 	return s, nil
 }
 

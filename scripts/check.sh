@@ -22,7 +22,10 @@
 #      metamorphic properties) over the seven-technique menu, run twice:
 #      plain Monte-Carlo and variance-reduced (-vr, antithetic paired) —
 #      exits non-zero on any violation
-#   5. the golden-exhibit digest comparison against results/golden/
+#   5. the golden-exhibit digest comparison against results/golden/:
+#      fourteen reduced-size exhibits, among them fig1 and the five
+#      extension sweeps (ext-mtbf, -weibull, -tau, -semiblocking,
+#      -machines)
 #   6. the five live scenarios of `exaload scenario all` (set
 #      SOAK_REQUESTS=0 to skip them), each on a fresh exaserve that must
 #      drain on SIGTERM: serve (golden fig4 bytes, then a cache hit),
