@@ -297,8 +297,8 @@ func checkChaos(o *observed) error {
 		"exaresil_serve_snapshots", "exaresil_serve_snapshot_cells_total", "exaresil_serve_jobs_total")); err != nil {
 		return err
 	}
-	// A crash scheduled on a cell-less exhibit never fires, so crashes
-	// alone do not imply resumes. But every failed job here is a landed
+	// A crash scheduled on a cell-less exhibit (table1, table2) never
+	// fires, so crashes alone do not imply resumes. But every failed job here is a landed
 	// crash (no job timeout is set), and its retry must have resumed.
 	failed := o.metrics[`exaresil_serve_jobs_total{state="failed"}`]
 	switch {
@@ -345,8 +345,9 @@ func checkMesh(o *observed) error {
 }
 
 // soakVocab is the chaos and mesh soaks' spec mix: cheap exhibits spanning
-// trial-based and grid (checkpointable) runs, repeated specs (cache hits
-// and joins), and per-spec seeds (distinct cache keys).
+// closed-form tables and checkpointable sweep (fig1) and grid (fig4) runs,
+// repeated specs (cache hits and joins), and per-spec seeds (distinct
+// cache keys).
 var soakVocab = []serve.Spec{
 	{Exhibit: "table1"},
 	{Exhibit: "table2"},

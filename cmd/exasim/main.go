@@ -18,9 +18,10 @@
 //	              ext-mtbf, ext-weibull, ext-tau, ext-semiblocking and
 //	              ext-machines; ext-menu2 runs N/2 antithetic pairs per arm
 //	              and policy N/4 probes per cell, each at least 1 (default
-//	              200, as in the paper)
+//	              0: each exhibit's registry row, 200 as in the paper)
 //	-patterns N   arrival patterns per cell of the cluster exhibits: fig4,
-//	              fig5, ext-backfill, ext-selectors, ext-hetero (default 50)
+//	              fig5, ext-backfill, ext-selectors, ext-hetero (default
+//	              0: the registry row's 50)
 //	-seed N       master random seed (default the paper-epoch constant)
 //	-csv DIR      additionally write each exhibit as DIR/<name>.csv
 //	-chart        additionally render figures as ASCII bar charts
@@ -36,7 +37,7 @@
 // `go tool pprof exasim cpu.out`.
 //
 // The whole invocation is validated before any exhibit runs: unknown
-// exhibit names, non-positive -trials/-patterns, and -metrics paths with
+// exhibit names, negative -trials/-patterns, and -metrics paths with
 // an unsupported extension are usage errors and exit 2 immediately.
 package main
 
@@ -95,8 +96,7 @@ func validMetricsPath(path string) bool {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("exasim", flag.ContinueOnError)
-	trials := fs.Int("trials", 200, "Monte-Carlo trials per cell of the trial-based exhibits (ext-menu2: N/2 pairs, policy: N/4 probes)")
-	patterns := fs.Int("patterns", 50, "arrival patterns per cell of the cluster exhibits")
+	scale := scaleFlags(fs)
 	seed := fs.Uint64("seed", 0, "master random seed (0 = default)")
 	csvDir := fs.String("csv", "", "directory to write CSV copies of each exhibit")
 	chart := fs.Bool("chart", false, "render figures as ASCII bar charts too")
@@ -110,11 +110,9 @@ func run(args []string) error {
 
 	// Validate the whole invocation before any exhibit runs: a typo in the
 	// last exhibit name must not cost a full regeneration of the first.
-	if *trials <= 0 {
-		return usagef("-trials must be positive, got %d", *trials)
-	}
-	if *patterns <= 0 {
-		return usagef("-patterns must be positive, got %d", *patterns)
+	params := scale()
+	if params.Trials < 0 || params.Patterns < 0 {
+		return usagef("-trials and -patterns must be non-negative, got %d and %d", params.Trials, params.Patterns)
 	}
 	if *workers < 0 {
 		return usagef("-workers must be non-negative, got %d", *workers)
@@ -165,7 +163,7 @@ func run(args []string) error {
 
 	for _, name := range expanded {
 		start := time.Now()
-		t, ch, err := exhibit(name, cfg, *trials, *patterns)
+		t, ch, err := exhibit(name, cfg, params)
 		if err != nil {
 			return err
 		}
@@ -258,15 +256,24 @@ func groupedChart[P any](unit string, ceiling float64, points []P,
 	return c
 }
 
+// scaleFlags declares -trials and -patterns on fs and returns their
+// parsed values as registry Params. Both default to 0: each exhibit's
+// registry row, as a spec that omits them asks the service for.
+func scaleFlags(fs *flag.FlagSet) func() experiments.Params {
+	trials := fs.Int("trials", 0, "Monte-Carlo trials per cell of the trial-based exhibits (ext-menu2: N/2 pairs, policy: N/4 probes; 0 = the exhibit's default, 200)")
+	patterns := fs.Int("patterns", 0, "arrival patterns per cell of the cluster exhibits (0 = the exhibit's default, 50)")
+	return func() experiments.Params { return experiments.Params{Trials: *trials, Patterns: *patterns} }
+}
+
 // exhibit resolves one exhibit name through the shared registry and builds
 // its chart. The chart is non-nil for exhibits with a natural bar
 // rendering.
-func exhibit(name string, cfg experiments.Config, trials, patterns int) (*report.Table, *report.BarChart, error) {
+func exhibit(name string, cfg experiments.Config, p experiments.Params) (*report.Table, *report.BarChart, error) {
 	ex, ok := experiments.Lookup(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("unknown exhibit %q", name)
 	}
-	t, res, err := ex.Run(cfg, experiments.Params{Trials: trials, Patterns: patterns})
+	t, res, err := ex.Run(cfg, p)
 	if err != nil {
 		return nil, nil, err
 	}

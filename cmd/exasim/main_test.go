@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 func TestExhibitDispatchKnowsEveryName(t *testing.T) {
 	cfg := experiments.Default()
 	for _, name := range []string{"table1", "table2"} {
-		tb, _, err := exhibit(name, cfg, 1, 1)
+		tb, _, err := exhibit(name, cfg, experiments.Params{Trials: 1, Patterns: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -21,8 +22,28 @@ func TestExhibitDispatchKnowsEveryName(t *testing.T) {
 			t.Errorf("%s produced an empty table", name)
 		}
 	}
-	if _, _, err := exhibit("fig9", cfg, 1, 1); err == nil {
+	if _, _, err := exhibit("fig9", cfg, experiments.Params{}); err == nil {
 		t.Error("unknown exhibit accepted")
+	}
+}
+
+// TestFlagDefaultsAreRowDefaults: exasim's flag defaults and the zero
+// Params a bare served spec maps to resolve to the same run for every
+// exhibit — the registry row's Defaults, which reproduce results/.
+func TestFlagDefaultsAreRowDefaults(t *testing.T) {
+	fs := flag.NewFlagSet("exasim", flag.ContinueOnError)
+	scale := scaleFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range experiments.Exhibits() {
+		got, want := ex.Resolve(scale()), ex.Resolve(experiments.Params{})
+		if got.Trials != want.Trials || got.Patterns != want.Patterns || got.Arrivals != want.Arrivals {
+			t.Errorf("%s: flag defaults resolve to %+v, the zero Params to %+v", ex.Name, got, want)
+		}
+		if want.Trials != ex.Defaults.Trials || want.Patterns != ex.Defaults.Patterns || want.Arrivals != ex.Defaults.Arrivals {
+			t.Errorf("%s: the zero Params resolves to %+v, not the row's %+v", ex.Name, want, ex.Defaults)
+		}
 	}
 }
 
@@ -42,7 +63,7 @@ func TestRunValidationIsUpfront(t *testing.T) {
 	}{
 		{"unknown exhibit", []string{"fig9"}, "unknown exhibit"},
 		{"unknown exhibit among valid", []string{"fig1", "fig9"}, "unknown exhibit"},
-		{"zero trials", []string{"-trials", "0", "fig1"}, "-trials"},
+		{"negative trials", []string{"-trials", "-1", "fig1"}, "-trials"},
 		{"negative patterns", []string{"-patterns", "-3", "fig4"}, "-patterns"},
 		{"negative workers", []string{"-workers", "-1", "fig1"}, "-workers"},
 		{"bad metrics extension", []string{"-metrics", "out.csv", "fig1"}, "-metrics"},

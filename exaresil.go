@@ -278,5 +278,5 @@ func (s *Simulation) RunClusterWithSelector(sch Scheduler, sel *Selector, patter
 // BuildSelector probes the technique/size grid and returns a Resilience
 // Selection policy for this simulation's environment.
 func (s *Simulation) BuildSelector(opts SelectorOptions) (*Selector, error) {
-	return selection.NewSelector(s.machine, s.model, s.resCfg, opts)
+	return selection.NewSelector(s.machine, s.model, s.resCfg, opts, nil)
 }

@@ -5,7 +5,9 @@
 //
 // Trials are reproducible regardless of scheduling: trial i always draws
 // its randomness from rng.Stream(seed, i), so a study's numbers depend only
-// on its seed and trial count, never on GOMAXPROCS.
+// on its seed and trial count, never on GOMAXPROCS. Cells (cells.go) is
+// the loop above it: every exhibit runs its cells through it, under the
+// Progress checkpoint/restart hook.
 package appsim
 
 import (

@@ -31,7 +31,7 @@ type Config struct {
 	// CrashRate is the fraction of job executions killed mid-run (see
 	// Crash and serve.Config.CrashHook).
 	CrashRate float64
-	// CrashCells bounds how many grid cells an execution may finish
+	// CrashCells bounds how many cells an execution may finish
 	// before an injected crash fires: the crash point is drawn uniformly
 	// from [1, CrashCells] (default 3).
 	CrashCells int
@@ -137,9 +137,9 @@ func (in *Injector) Middleware(next http.Handler) http.Handler {
 
 // Crash implements the serve.Config.CrashHook contract: it decides
 // whether the execution that is about to start should suffer an injected
-// worker crash, and after how many freshly computed grid cells. Exhibits
-// without grid cells never reach a crash point — like a real crash
-// landing after the process already wrote its result.
+// worker crash, and after how many freshly computed cells. Exhibits
+// without cells (the closed-form tables) never reach a crash point —
+// like a real crash landing after the process already wrote its result.
 func (in *Injector) Crash() (afterCells int, ok bool) {
 	if in.cfg.CrashRate <= 0 || in.roll() >= in.cfg.CrashRate {
 		return 0, false

@@ -14,7 +14,7 @@
 //   - latency: sleep before handling an HTTP request
 //   - error: answer an HTTP request with a synthetic 500
 //   - reset: abort the HTTP connection mid-request (client sees EOF/RST)
-//   - crash: kill a running job after a set number of grid cells, via
+//   - crash: kill a running job after a set number of cells, via
 //     the serve.Config.CrashHook contract
 //
 // The decision sequence for a given seed is fixed; which concurrent

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 
 	"exaresil/internal/cluster"
 	"exaresil/internal/core"
@@ -68,12 +66,6 @@ func (r ClusterResult) Cell(s core.Scheduler, t core.Technique) (ClusterCell, bo
 }
 
 func (s ClusterSpec) withDefaults() ClusterSpec {
-	if s.Patterns == 0 {
-		s.Patterns = 50
-	}
-	if s.Arrivals == 0 {
-		s.Arrivals = 100
-	}
 	if s.Schedulers == nil {
 		s.Schedulers = core.Schedulers()
 	}
@@ -85,8 +77,10 @@ func (s ClusterSpec) withDefaults() ClusterSpec {
 
 // patterns generates the study's shared arrival patterns: every
 // combination sees the same submissions, as in the paper, so differences
-// between cells are attributable to the techniques alone.
-func (s ClusterSpec) patterns() []workload.Pattern {
+// between cells are attributable to the techniques alone. Pattern p
+// draws from stream p+offset of the seed (Figures 4 and 5 use offset 0;
+// the policy comparisons of ext-selectors and ext-hetero their own).
+func (s ClusterSpec) patterns(offset uint64) []workload.Pattern {
 	out := make([]workload.Pattern, s.Patterns)
 	var src rng.Source
 	for p := range out {
@@ -99,146 +93,95 @@ func (s ClusterSpec) patterns() []workload.Pattern {
 			// Slot pair 2k/2k+1 regenerates the same pattern stream, the
 			// odd member with mirrored continuous draws (antithetic
 			// arrival gaps; discrete size/class draws are unaffected).
-			src.SetStream(s.Seed, uint64(p/2))
+			src.SetStream(s.Seed, uint64(p/2)+offset)
 			src.SetMirror(p%2 == 1)
 		} else {
-			src.SetStream(s.Seed, uint64(p))
+			src.SetStream(s.Seed, uint64(p)+offset)
 		}
 		out[p] = spec.Generate(s.Machine, &src)
 	}
 	return out
 }
 
-// runCells evaluates dropped-percentage statistics for each
-// (scheduler, chooser) cell over the shared patterns, in parallel across
-// cells and patterns. The chooser map allows Figure 5 to reuse the same
-// machinery with per-application technique selection.
+// runCells evaluates dropped-percentage statistics for each combo over
+// its patterns: one grid cell per (combo, pattern), spread across the
+// worker budget through the one cell loop (appsim.Cells). Each combo
+// carries its own cluster.Spec template — machine, scheduler, technique
+// or chooser, placement — and pattern set, so Figure 4, Figure 5's
+// per-application selection, ext-hetero's fleets and ext-selectors'
+// policies all run here. Pattern p of every combo runs from the same
+// cluster seed.
 //
-// Every task writes into its own (combo, pattern) slot and the slots are
-// folded in index order after all workers drain, so the Welford
-// accumulation sees observations in the same order on every run and the
-// figure's numbers are bit-identical regardless of worker count or
-// scheduling. The task channel is fully buffered and closed before the
-// workers start — there is no producer goroutine to strand on an
-// abandoned send — and every worker error is reported, joined, not just
-// the first one observed.
-//
-// When Config.Progress is attached, each finished cell is reported with
-// its (dropped%, wait-minutes) pair, cells the hook marks Completed are
-// folded from their recorded values instead of recomputed, and a canceled
-// Progress.Ctx aborts between cells — the grid's checkpoint/restart
-// surface (DESIGN.md §10). Restored values are the exact floats a full
-// run would produce, so a resumed grid stays bit-identical.
+// The cells are folded in index order, so the Welford accumulation sees
+// observations in the same order on every run and the figure's numbers
+// are bit-identical regardless of worker count, scheduling, or which
+// cells Config.Progress restored (DESIGN.md §10).
 func (s ClusterSpec) runCells(combos []comboSpec) ([]comboResult, error) {
-	pats := s.patterns()
 	model, err := s.model(0)
 	if err != nil {
 		return nil, err
 	}
-
-	type outcome struct {
-		pct  float64
-		wait float64
-		err  error
-	}
-
-	total := len(combos) * s.Patterns
-	tasks := make(chan int, total)
-	for i := 0; i < total; i++ {
-		tasks <- i
-	}
-	close(tasks)
-
-	prog := s.Progress
-	outs := make([]outcome, total)
-	workers := min(s.workers(), total)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				if vals, ok := prog.lookup(i); ok && len(vals) == 2 {
-					outs[i] = outcome{pct: vals[0], wait: vals[1]}
-					continue
-				}
-				if err := prog.cause(); err != nil {
-					outs[i] = outcome{err: err}
-					continue
-				}
-				cb := combos[i/s.Patterns]
-				pattern := i % s.Patterns
-				seedSlot, mirror := pattern, false
-				if s.Paired {
-					// Both pair members run from the same cluster seed so
-					// their failure draws pair up stream for stream.
-					seedSlot, mirror = pattern/2, pattern%2 == 1
-				}
-				spec := cluster.Spec{
-					Machine:    s.Machine,
-					Model:      model,
-					Scheduler:  cb.scheduler,
-					Technique:  cb.technique,
-					Chooser:    cb.chooser,
-					Resilience: s.Resilience,
-					Pattern:    pats[pattern],
-					Seed:       s.Seed ^ (uint64(seedSlot+1) * 0xd1342543de82ef95),
-					Mirror:     mirror,
-					Obs:        s.Obs,
-				}
-				m, err := cluster.Run(spec)
-				outs[i] = outcome{pct: m.DroppedPct(), wait: m.MeanWait.Minutes(), err: err}
-				if err == nil {
-					prog.note(i, []float64{outs[i].pct, outs[i].wait})
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// An aborted run reports its context's cause alone — the per-cell
-	// skip errors are all that cause repeated.
-	if err := prog.cause(); err != nil {
+	vals, err := s.cells(len(combos)*s.Patterns, 2, true, func(i, _ int) ([]float64, error) {
+		cb, pattern := combos[i/s.Patterns], i%s.Patterns
+		seedSlot, mirror := pattern, false
+		if s.Paired {
+			// Both pair members run from the same cluster seed so their
+			// failure draws pair up stream for stream.
+			seedSlot, mirror = pattern/2, pattern%2 == 1
+		}
+		spec := cb.Spec
+		spec.Model = model
+		spec.Resilience = s.Resilience
+		spec.Pattern = cb.patterns[pattern]
+		spec.Seed = s.Seed ^ (uint64(seedSlot+1) * 0xd1342543de82ef95)
+		spec.Mirror = mirror
+		spec.Obs = s.Obs
+		m, err := cluster.Run(spec)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{m.DroppedPct(), m.MeanWait.Minutes()}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := make([]comboResult, len(combos))
-	var errs []error
-	for i, oc := range outs {
-		if oc.err != nil {
-			errs = append(errs, oc.err)
-			continue
-		}
-		out[i/s.Patterns].dropped.Add(oc.pct)
-		out[i/s.Patterns].wait.Add(oc.wait)
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
+	for i, v := range vals {
+		out[i/s.Patterns].dropped.Add(v[0])
+		out[i/s.Patterns].wait.Add(v[1])
 	}
 	return out, nil
 }
 
-// comboSpec is one cell's policy; comboResult its accumulated outcome.
+// comboSpec is one combo's policy: the cluster.Spec fields that vary by
+// combo, and the arrival patterns it runs over. comboResult is its
+// accumulated outcome.
 type comboSpec struct {
-	scheduler core.Scheduler
-	technique core.Technique
-	chooser   cluster.TechniqueChooser
+	cluster.Spec
+	patterns []workload.Pattern
 }
 
 type comboResult struct {
 	dropped, wait stats.Accumulator
 }
 
+// scale rejects a non-positive pattern or arrival count (see positive).
+func scale(patterns, arrivals int) error {
+	return errors.Join(positive("patterns", patterns), positive("arrivals", arrivals))
+}
+
 // Run executes the Figure 4 study and renders its table.
 func (s ClusterSpec) Run() (*report.Table, ClusterResult, error) {
 	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
+	if err := errors.Join(s.Validate(), scale(s.Patterns, s.Arrivals)); err != nil {
 		return nil, ClusterResult{}, err
 	}
 
+	pats := s.patterns(0)
 	var combos []comboSpec
 	for _, sch := range s.Schedulers {
 		for _, tech := range s.Techniques {
-			combos = append(combos, comboSpec{scheduler: sch, technique: tech})
+			combos = append(combos, comboSpec{cluster.Spec{Machine: s.Machine, Scheduler: sch, Technique: tech}, pats})
 		}
 	}
 	raw, err := s.runCells(combos)
@@ -268,9 +211,6 @@ func (s ClusterSpec) Run() (*report.Table, ClusterResult, error) {
 			i++
 		}
 		t.AddRow(row...)
-	}
-	if i != len(raw) {
-		return nil, ClusterResult{}, fmt.Errorf("experiments: combo bookkeeping mismatch")
 	}
 	return t, result, nil
 }

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"exaresil/internal/core"
 	"exaresil/internal/failures"
@@ -36,9 +35,10 @@ type Config struct {
 	// exhibit's numbers: the series only count.
 	Obs *obs.Registry
 	// Progress, when non-nil, receives per-cell completion events from
-	// the grid exhibits and can pre-fill cells completed by an earlier,
-	// interrupted run (checkpoint/restart; see Progress). Attaching a
-	// hook never changes any exhibit's numbers.
+	// every simulating exhibit, stops it between cells once its context
+	// ends, and can pre-fill cells completed by an earlier, interrupted
+	// run (checkpoint/restart; see Progress). Attaching a hook never
+	// changes any exhibit's numbers.
 	Progress *Progress
 }
 
@@ -70,14 +70,6 @@ func (c Config) model(mtbf units.Duration) (*failures.Model, error) {
 		mtbf = c.Machine.MTBF
 	}
 	return failures.NewModel(mtbf, c.SeverityPMF)
-}
-
-// workers resolves the worker count.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // techColumns is a per-technique table's header: the label columns, then

@@ -9,6 +9,7 @@ package experiments
 // a rendered table plus a structured result.
 
 import (
+	"errors"
 	"fmt"
 
 	"exaresil/internal/analytic"
@@ -35,7 +36,7 @@ type EnergySpec struct {
 	Fraction float64
 	// TimeSteps is T_S (default 1440).
 	TimeSteps int
-	// Trials per cell (default 50).
+	// Trials per cell (the registry's default: 200).
 	Trials int
 	// Power is the node power model (default energy.Default).
 	Power energy.PowerModel
@@ -66,7 +67,8 @@ func (r EnergyResult) Cell(t core.Technique, class string) (EnergyCell, bool) {
 	return EnergyCell{}, false
 }
 
-// Run executes the energy study.
+// Run executes the energy study: one cell per (class, technique) pair,
+// spread across the worker budget.
 func (s EnergySpec) Run() (*report.Table, EnergyResult, error) {
 	if s.Fraction == 0 {
 		s.Fraction = 0.25
@@ -74,16 +76,10 @@ func (s EnergySpec) Run() (*report.Table, EnergyResult, error) {
 	if s.TimeSteps == 0 {
 		s.TimeSteps = 1440
 	}
-	if s.Trials == 0 {
-		s.Trials = 50
-	}
 	if s.Power == (energy.PowerModel{}) {
 		s.Power = energy.Default()
 	}
-	if err := s.Validate(); err != nil {
-		return nil, EnergyResult{}, err
-	}
-	if err := s.Power.Validate(); err != nil {
+	if err := errors.Join(s.Validate(), s.Power.Validate(), positive("trials", s.Trials)); err != nil {
 		return nil, EnergyResult{}, err
 	}
 	model, err := s.model(0)
@@ -93,6 +89,39 @@ func (s EnergySpec) Run() (*report.Table, EnergyResult, error) {
 
 	classes := []workload.Class{workload.A32, workload.B64, workload.C64, workload.D64}
 	techniques := []core.Technique{core.CheckpointRestart, core.MultilevelCheckpoint, core.ParallelRecovery}
+	apps := make([]workload.App, len(classes))
+	for i, class := range classes {
+		apps[i] = workload.App{Class: class, TimeSteps: s.TimeSteps, Nodes: s.Machine.NodesForFraction(s.Fraction)}
+	}
+
+	rm := resilience.NewMetrics(s.Obs)
+	nt := len(techniques)
+	vals, err := s.cells(len(classes)*nt, 2*summaryWidth, true, func(i, _ int) ([]float64, error) {
+		app, ti := apps[i/nt], i%nt
+		x, err := resilience.New(techniques[ti], app, s.Machine, model, s.Resilience)
+		if err != nil {
+			return nil, err
+		}
+		resilience.Instrument(x, rm)
+		horizon := units.Duration(appsim.DefaultHorizonFactor * float64(app.Baseline()))
+		var total, overhead stats.Accumulator
+		for trial := 0; trial < s.Trials; trial++ {
+			res := x.Run(0, horizon, rng.Stream(s.Seed^uint64(ti+1)*0x2545f4914f6cdd1d, uint64(trial)))
+			if !res.Completed {
+				continue
+			}
+			b, err := energy.Account(res, x.PhysicalNodes(), s.Resilience.RecoverySpeedup, s.Power)
+			if err != nil {
+				return nil, err
+			}
+			total.Add(b.Total.MWh())
+			overhead.Add(b.Overhead())
+		}
+		return append(summaryValues(total.Summarize()), summaryValues(overhead.Summarize())...), nil
+	})
+	if err != nil {
+		return nil, EnergyResult{}, err
+	}
 
 	cols := []string{"class", "ideal energy"}
 	for _, tech := range techniques {
@@ -105,40 +134,15 @@ func (s EnergySpec) Run() (*report.Table, EnergyResult, error) {
 	t.AddNote("node power: %.0fW compute / %.0fW I/O / %.0fW idle",
 		float64(s.Power.Compute), float64(s.Power.IO), float64(s.Power.Idle))
 
-	rm := resilience.NewMetrics(s.Obs)
 	var result EnergyResult
-	for _, class := range classes {
-		app := workload.App{Class: class, TimeSteps: s.TimeSteps, Nodes: s.Machine.NodesForFraction(s.Fraction)}
-		ideal := energy.IdealEnergy(app.Baseline(), app.Nodes, s.Power)
-		row := []string{class.Name, ideal.String()}
+	for ci, app := range apps {
+		row := []string{app.Class.Name, energy.IdealEnergy(app.Baseline(), app.Nodes, s.Power).String()}
 		for ti, tech := range techniques {
-			x, err := resilience.New(tech, app, s.Machine, model, s.Resilience)
-			if err != nil {
-				return nil, EnergyResult{}, err
-			}
-			resilience.Instrument(x, rm)
-			var total, overhead stats.Accumulator
-			for trial := 0; trial < s.Trials; trial++ {
-				res := x.Run(0, units.Duration(appsim.DefaultHorizonFactor*float64(app.Baseline())),
-					rng.Stream(s.Seed^uint64(ti+1)*0x2545f4914f6cdd1d, uint64(trial)))
-				if !res.Completed {
-					continue
-				}
-				b, err := energy.Account(res, x.PhysicalNodes(), s.Resilience.RecoverySpeedup, s.Power)
-				if err != nil {
-					return nil, EnergyResult{}, err
-				}
-				total.Add(b.Total.MWh())
-				overhead.Add(b.Overhead())
-			}
-			result.Cells = append(result.Cells, EnergyCell{
-				Technique: tech,
-				Class:     class,
-				TotalMWh:  total.Summarize(),
-				Overhead:  overhead.Summarize(),
-			})
-			row = append(row, fmt.Sprintf("%.1fMWh (%.1f%%)",
-				total.Mean(), 100*overhead.Mean()))
+			v := vals[ci*nt+ti]
+			c := EnergyCell{Technique: tech, Class: app.Class,
+				TotalMWh: summaryOf(v), Overhead: summaryOf(v[summaryWidth:])}
+			result.Cells = append(result.Cells, c)
+			row = append(row, fmt.Sprintf("%.1fMWh (%.1f%%)", c.TotalMWh.Mean, 100*c.Overhead.Mean))
 		}
 		t.AddRow(row...)
 	}
@@ -155,7 +159,7 @@ type MTBFSweepSpec struct {
 	Fraction float64
 	// MTBFYears is the sweep (default 20, 10, 5, 2.5, 1.25).
 	MTBFYears []float64
-	// Trials per point (default 50).
+	// Trials per point (the registry's default: 200).
 	Trials int
 }
 
@@ -169,9 +173,6 @@ func (s MTBFSweepSpec) Run() (*report.Table, SweepResult, error) {
 	}
 	if s.MTBFYears == nil {
 		s.MTBFYears = []float64{20, 10, 5, 2.5, 1.25}
-	}
-	if s.Trials == 0 {
-		s.Trials = 50
 	}
 	if err := s.Validate(); err != nil {
 		return nil, SweepResult{}, err
@@ -208,7 +209,7 @@ type WeibullSpec struct {
 	Fraction float64
 	// Shapes is the sweep (default 1.0, 0.8, 0.6).
 	Shapes []float64
-	// Trials per point (default 50).
+	// Trials per point (the registry's default: 200).
 	Trials int
 }
 
@@ -222,9 +223,6 @@ func (s WeibullSpec) Run() (*report.Table, SweepResult, error) {
 	}
 	if s.Shapes == nil {
 		s.Shapes = []float64{1.0, 0.8, 0.6}
-	}
-	if s.Trials == 0 {
-		s.Trials = 50
 	}
 	if err := s.Validate(); err != nil {
 		return nil, SweepResult{}, err
@@ -257,8 +255,8 @@ func (s WeibullSpec) Run() (*report.Table, SweepResult, error) {
 // strict FCFS.
 type BackfillSpec struct {
 	Config
-	// Patterns and Arrivals size the study (defaults 20 x 100: the
-	// comparison stabilizes faster than the full Figure 4).
+	// Patterns and Arrivals size the study (the registry's defaults:
+	// 50 x 100, as Figure 4).
 	Patterns int
 	Arrivals int
 }
@@ -266,12 +264,6 @@ type BackfillSpec struct {
 // Run executes the study, reusing the Figure 4 machinery with the extended
 // scheduler list.
 func (s BackfillSpec) Run() (*report.Table, ClusterResult, error) {
-	if s.Patterns == 0 {
-		s.Patterns = 20
-	}
-	if s.Arrivals == 0 {
-		s.Arrivals = 100
-	}
 	t, res, err := ClusterSpec{
 		Config:     s.Config,
 		Patterns:   s.Patterns,
@@ -291,7 +283,8 @@ func (s BackfillSpec) Run() (*report.Table, ClusterResult, error) {
 // simulation-probed policy, and how both fare in a cluster run.
 type SelectorAgreementSpec struct {
 	Config
-	// Patterns and Arrivals size the cluster comparison (defaults 10 x 60).
+	// Patterns and Arrivals size the cluster comparison (the registry's
+	// defaults: 50 x 60).
 	Patterns int
 	Arrivals int
 	// Probe tunes the Monte-Carlo selector (defaults as in Figure 5).
@@ -308,15 +301,11 @@ type SelectorAgreementResult struct {
 	MonteCarloDropped, AnalyticDropped stats.Summary
 }
 
-// Run executes the comparison.
+// Run executes the comparison. Its Progress cells are the cluster grid
+// (the Monte-Carlo policy's patterns, then the analytic policy's), then
+// the probe selector's cells.
 func (s SelectorAgreementSpec) Run() (*report.Table, SelectorAgreementResult, error) {
-	if s.Patterns == 0 {
-		s.Patterns = 10
-	}
-	if s.Arrivals == 0 {
-		s.Arrivals = 60
-	}
-	if err := s.Validate(); err != nil {
+	if err := errors.Join(s.Validate(), scale(s.Patterns, s.Arrivals)); err != nil {
 		return nil, SelectorAgreementResult{}, err
 	}
 	model, err := s.model(0)
@@ -324,14 +313,7 @@ func (s SelectorAgreementSpec) Run() (*report.Table, SelectorAgreementResult, er
 		return nil, SelectorAgreementResult{}, err
 	}
 
-	probe := s.Probe
-	if probe.Seed == 0 {
-		probe.Seed = s.Seed ^ 0xe7037ed1a0b428db
-	}
-	if probe.Obs == nil {
-		probe.Obs = s.Obs
-	}
-	mc, err := selection.NewSelector(s.Machine, model, s.Resilience, probe)
+	mc, err := s.selector(model, s.Probe, 0xe7037ed1a0b428db, 2*s.Patterns)
 	if err != nil {
 		return nil, SelectorAgreementResult{}, err
 	}
@@ -355,38 +337,20 @@ func (s SelectorAgreementSpec) Run() (*report.Table, SelectorAgreementResult, er
 	}
 
 	// Cluster-level comparison under slack-based scheduling.
-	var mcDrop, anDrop stats.Accumulator
-	for p := 0; p < s.Patterns; p++ {
-		pattern := workload.PatternSpec{Arrivals: s.Arrivals, FillSystem: true}.
-			Generate(s.Machine, rng.Stream(s.Seed, uint64(p+7000)))
-		for _, policy := range []struct {
-			choose cluster.TechniqueChooser
-			acc    *stats.Accumulator
-		}{
-			{mc.Choose, &mcDrop},
-			{an.Choose, &anDrop},
-		} {
-			m, err := cluster.Run(cluster.Spec{
-				Machine:    s.Machine,
-				Model:      model,
-				Scheduler:  core.SlackBased,
-				Chooser:    policy.choose,
-				Resilience: s.Resilience,
-				Pattern:    pattern,
-				Seed:       s.Seed ^ uint64(p+1)*0xd1342543de82ef95,
-				Obs:        s.Obs,
-			})
-			if err != nil {
-				return nil, SelectorAgreementResult{}, err
-			}
-			policy.acc.Add(m.DroppedPct())
-		}
+	cs := ClusterSpec{Config: s.Config, Patterns: s.Patterns, Arrivals: s.Arrivals}
+	pats := cs.patterns(7000)
+	raw, err := cs.runCells([]comboSpec{
+		{cluster.Spec{Machine: s.Machine, Scheduler: core.SlackBased, Chooser: mc.Choose}, pats},
+		{cluster.Spec{Machine: s.Machine, Scheduler: core.SlackBased, Chooser: an.Choose}, pats},
+	})
+	if err != nil {
+		return nil, SelectorAgreementResult{}, err
 	}
 
 	result := SelectorAgreementResult{
 		Agreement:         float64(agree) / float64(total),
-		MonteCarloDropped: mcDrop.Summarize(),
-		AnalyticDropped:   anDrop.Summarize(),
+		MonteCarloDropped: raw[0].dropped.Summarize(),
+		AnalyticDropped:   raw[1].dropped.Summarize(),
 	}
 	t := report.New("Resilience Selection policies: Monte-Carlo probing vs. closed-form model",
 		"metric", "value")

@@ -1,15 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"exaresil/internal/cluster"
 	"exaresil/internal/core"
 	"exaresil/internal/machine"
 	"exaresil/internal/report"
-	"exaresil/internal/rng"
 	"exaresil/internal/stats"
-	"exaresil/internal/workload"
 )
 
 // HeteroSpec configures the heterogeneity extension study: the cluster
@@ -28,7 +27,8 @@ type HeteroSpec struct {
 	// homogeneous Machine's node count so both fleets run identical
 	// arrival patterns.
 	Fleet machine.Config
-	// Patterns and Arrivals size the study (defaults 10 x 60).
+	// Patterns and Arrivals size the study (the registry's defaults:
+	// 50 x 60).
 	Patterns int
 	Arrivals int
 	// Techniques are the resilience techniques compared across fleets
@@ -71,12 +71,6 @@ func (s HeteroSpec) withDefaults() HeteroSpec {
 	if !s.Fleet.Heterogeneous() {
 		s.Fleet = machine.ExascaleHetero()
 	}
-	if s.Patterns == 0 {
-		s.Patterns = 10
-	}
-	if s.Arrivals == 0 {
-		s.Arrivals = 60
-	}
 	if s.Techniques == nil {
 		s.Techniques = []core.Technique{core.MultilevelCheckpoint, core.LightweightReplication}
 	}
@@ -90,14 +84,14 @@ type heteroArm struct {
 	placement cluster.PlacementPolicy
 }
 
-// Run executes the study: three arms (the homogeneous baseline, the
+// Run executes the study through runCells: three arms (the homogeneous baseline, the
 // heterogeneous fleet under first-fit, and the same fleet under
 // reliability-aware placement) over shared arrival patterns under
 // slack-based scheduling, so every difference between rows is
 // attributable to the fleet and the placement policy alone.
 func (s HeteroSpec) Run() (*report.Table, HeteroResult, error) {
 	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
+	if err := errors.Join(s.Validate(), scale(s.Patterns, s.Arrivals)); err != nil {
 		return nil, HeteroResult{}, err
 	}
 	if err := s.Fleet.Validate(); err != nil {
@@ -107,19 +101,12 @@ func (s HeteroSpec) Run() (*report.Table, HeteroResult, error) {
 		return nil, HeteroResult{}, fmt.Errorf("experiments: hetero fleet has %d nodes, homogeneous baseline %d; equal capacity is what makes the comparison meaningful",
 			s.Fleet.Nodes, s.Machine.Nodes)
 	}
-	model, err := s.model(0)
-	if err != nil {
-		return nil, HeteroResult{}, err
-	}
 
 	// Every arm sees the same submissions (both fleets have the same node
 	// count, so fill-system patterns transfer verbatim) and the same
 	// per-pattern cluster seed.
-	patterns := make([]workload.Pattern, s.Patterns)
-	for p := range patterns {
-		patterns[p] = workload.PatternSpec{Arrivals: s.Arrivals, FillSystem: true}.
-			Generate(s.Machine, rng.Stream(s.Seed, uint64(p+9000)))
-	}
+	cs := ClusterSpec{Config: s.Config, Patterns: s.Patterns, Arrivals: s.Arrivals}
+	patterns := cs.patterns(9000)
 
 	arms := []heteroArm{
 		{label: "homogeneous", machine: s.Machine, placement: cluster.PlaceFirstFit},
@@ -136,37 +123,30 @@ func (s HeteroSpec) Run() (*report.Table, HeteroResult, error) {
 	}
 	t.AddNote("reliability-aware placement steers checkpoint-heavy applications onto the high-MTBF class")
 
-	var result HeteroResult
+	var combos []comboSpec
 	for _, arm := range arms {
-		row := []string{arm.label}
 		for _, tech := range s.Techniques {
-			var drop, wait stats.Accumulator
-			for p := 0; p < s.Patterns; p++ {
-				m, err := cluster.Run(cluster.Spec{
-					Machine:    arm.machine,
-					Model:      model,
-					Scheduler:  core.SlackBased,
-					Technique:  tech,
-					Resilience: s.Resilience,
-					Placement:  arm.placement,
-					Pattern:    patterns[p],
-					Seed:       s.Seed ^ uint64(p+1)*0xd1342543de82ef95,
-					Obs:        s.Obs,
-				})
-				if err != nil {
-					return nil, HeteroResult{}, fmt.Errorf("experiments: hetero arm %s/%v pattern %d: %w",
-						arm.label, tech, p, err)
-				}
-				drop.Add(m.DroppedPct())
-				wait.Add(m.MeanWait.Minutes())
-			}
-			sum := drop.Summarize()
+			combos = append(combos, comboSpec{cluster.Spec{Machine: arm.machine, Scheduler: core.SlackBased,
+				Technique: tech, Placement: arm.placement}, patterns})
+		}
+	}
+	raw, err := cs.runCells(combos)
+	if err != nil {
+		return nil, HeteroResult{}, err
+	}
+
+	var result HeteroResult
+	for ai, arm := range arms {
+		row := []string{arm.label}
+		for ti, tech := range s.Techniques {
+			cr := raw[ai*len(s.Techniques)+ti]
+			sum := cr.dropped.Summarize()
 			result.Cells = append(result.Cells, HeteroCell{
 				Arm:             arm.label,
 				Placement:       arm.placement,
 				Technique:       tech,
 				Dropped:         sum,
-				MeanWaitMinutes: wait.Summarize(),
+				MeanWaitMinutes: cr.wait.Summarize(),
 			})
 			row = append(row, report.Pct(sum.Mean, sum.StdDev))
 		}

@@ -26,7 +26,7 @@ type MachinesSpec struct {
 	// Class and Fraction pick the application (defaults C64 at 25%).
 	Class    workload.Class
 	Fraction float64
-	// Trials per cell (default 50).
+	// Trials per cell (the registry's default: 200).
 	Trials int
 }
 
@@ -40,9 +40,6 @@ func (s MachinesSpec) Run() (*report.Table, SweepResult, error) {
 	}
 	if s.Fraction == 0 {
 		s.Fraction = 0.25
-	}
-	if s.Trials == 0 {
-		s.Trials = 50
 	}
 	if err := s.SeverityPMF.Validate(); err != nil {
 		return nil, SweepResult{}, err
@@ -79,7 +76,7 @@ func (s MachinesSpec) Run() (*report.Table, SweepResult, error) {
 
 // PolicyTable renders the Resilience Selection policy the Section VII
 // study learns: the winning technique and per-candidate probe efficiencies
-// for every (class, size) cell.
+// for every (class, size) cell. Its Progress cells are the probe cells.
 func PolicyTable(cfg Config, opts selection.Options) (*report.Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -88,13 +85,7 @@ func PolicyTable(cfg Config, opts selection.Options) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed ^ 0xa0761d6478bd642f
-	}
-	if opts.Obs == nil {
-		opts.Obs = cfg.Obs
-	}
-	sel, err := selection.NewSelector(cfg.Machine, model, cfg.Resilience, opts)
+	sel, err := cfg.selector(model, opts, 0xa0761d6478bd642f, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"exaresil/internal/core"
@@ -31,7 +32,7 @@ type Menu2Spec struct {
 	// population).
 	Fractions []float64
 	// PairedTrials is the probe count per technique arm, in antithetic
-	// pairs (default 15, i.e. 30 probes per arm).
+	// pairs (the registry's default: 100, i.e. 200 probes per arm).
 	PairedTrials int
 }
 
@@ -75,15 +76,13 @@ func (r Menu2Result) Point(mtbf units.Duration, class string, frac float64) (Men
 	return Menu2Point{}, false
 }
 
-// Run executes the study.
+// Run executes the study. Its Progress cells are the probe cells of one
+// selector per MTBF, MTBF by MTBF.
 func (s Menu2Spec) Run() (*report.Table, Menu2Result, error) {
 	if s.MTBFs == nil {
 		s.MTBFs = []units.Duration{10 * units.Year, 5 * units.Year, units.Duration(2.5) * units.Year}
 	}
-	if s.PairedTrials == 0 {
-		s.PairedTrials = 15
-	}
-	if err := s.Validate(); err != nil {
+	if err := errors.Join(s.Validate(), positive("paired trials", s.PairedTrials)); err != nil {
 		return nil, Menu2Result{}, err
 	}
 
@@ -102,14 +101,15 @@ func (s Menu2Spec) Run() (*report.Table, Menu2Result, error) {
 		if err != nil {
 			return nil, Menu2Result{}, err
 		}
+		// One selector per MTBF, each with its own range of probe cells.
 		sel, err := selection.NewSelector(s.Machine.WithMTBF(mtbf), model, s.Resilience, selection.Options{
 			Techniques:    menu,
 			SizeFractions: s.Fractions,
 			PairedTrials:  s.PairedTrials,
 			Seed:          s.Seed ^ uint64(mi+1)*0x9e3779b97f4a7c15,
-			Workers:       s.workers(),
+			Workers:       s.Workers,
 			Obs:           s.Obs,
-		})
+		}, s.Progress.Offset(len(result.Points)))
 		if err != nil {
 			return nil, Menu2Result{}, err
 		}

@@ -1,75 +1,44 @@
 package experiments
 
-import "context"
+import (
+	"fmt"
 
-// Progress threads service-level checkpoint/restart through the grid
-// exhibits (introduced in PR 5; see DESIGN.md §10). The cluster grids —
-// fig4, fig5 — decompose into independent (combo, pattern) cells whose
-// outcomes are folded in index order, so a run can report each finished
-// cell to a hook, and a later run of the same spec can be handed those
-// outcomes back and skip the work. Because the fold order is fixed and the
-// restored values are the exact float64s an uninterrupted run would have
-// produced, a resumed exhibit is bit-identical to a from-scratch one.
-//
-// All three fields are optional; a nil *Progress (the default) is inert
-// and costs only nil checks on the cell path.
-type Progress struct {
-	// Ctx, when non-nil, aborts the run between cells once it is
-	// canceled: remaining cells are skipped and the run returns the
-	// context's cause. Cells already finished have been reported through
-	// OnCell, which is what makes mid-job crashes resumable.
-	Ctx context.Context
-	// Completed maps cell index → the outcome values recorded by an
-	// earlier, interrupted run of the same spec. Cells present here are
-	// not recomputed; their values are folded as if just computed.
-	Completed map[int][]float64
-	// OnCell is called as each fresh (not restored) cell finishes with
-	// its outcome values. It must be safe for concurrent use: grid cells
-	// run on parallel workers.
-	OnCell func(cell int, values []float64)
+	"exaresil/internal/appsim"
+	"exaresil/internal/stats"
+)
 
-	// base offsets cell indices, giving each runCells invocation of a
-	// multi-grid exhibit (fig5 runs one grid per bias) a disjoint index
-	// range within one shared Completed/OnCell namespace.
-	base int
+// Progress threads service-level checkpoint/restart through every
+// simulating exhibit (see appsim.Progress). Each exhibit runs its grid,
+// sweep, energy or selector-probe cells through appsim.Cells; DESIGN.md
+// §10.1 lists what each kind of cell records and how multi-range
+// exhibits such as fig5 lay out their cell indices.
+type Progress = appsim.Progress
+
+// cells runs n cells of width values each through the one cell loop,
+// under c's Progress and worker budget (see appsim.Cells).
+func (c Config) cells(n, width int, spread bool, run func(cell, trialWorkers int) ([]float64, error)) ([][]float64, error) {
+	return appsim.Cells(c.Progress, n, width, c.Workers, spread, run)
 }
 
-// offset returns a view of p whose cell indices are shifted by n more
-// than p's. Multi-grid drivers use it to keep per-grid indices disjoint.
-func (p *Progress) offset(n int) *Progress {
-	if p == nil {
-		return nil
-	}
-	q := *p
-	q.base += n
-	return &q
+// summaryWidth is the number of cell values one stats.Summary takes.
+const summaryWidth = 6
+
+// summaryValues lays a summary out as cell values; summaryOf reads it
+// back. The round trip is exact, so a restored cell renders the bytes a
+// computed one does.
+func summaryValues(s stats.Summary) []float64 {
+	return []float64{float64(s.N), s.Mean, s.StdDev, s.Min, s.Max, s.CI95}
 }
 
-// lookup reports a previously completed cell's recorded values.
-func (p *Progress) lookup(cell int) ([]float64, bool) {
-	if p == nil || p.Completed == nil {
-		return nil, false
-	}
-	v, ok := p.Completed[cell+p.base]
-	return v, ok
+func summaryOf(v []float64) stats.Summary {
+	return stats.Summary{N: int(v[0]), Mean: v[1], StdDev: v[2], Min: v[3], Max: v[4], CI95: v[5]}
 }
 
-// note reports one freshly finished cell.
-func (p *Progress) note(cell int, values []float64) {
-	if p == nil || p.OnCell == nil {
-		return
-	}
-	p.OnCell(cell+p.base, values)
-}
-
-// cause returns the abort reason once the run's context is canceled, nil
-// otherwise.
-func (p *Progress) cause() error {
-	if p == nil || p.Ctx == nil {
-		return nil
-	}
-	if p.Ctx.Err() != nil {
-		return context.Cause(p.Ctx)
+// positive rejects a non-positive scale field: drivers have no scale
+// defaults, the registry row supplies them (Exhibit.Defaults).
+func positive(name string, n int) error {
+	if n <= 0 {
+		return fmt.Errorf("experiments: %s must be positive, got %d", name, n)
 	}
 	return nil
 }

@@ -170,9 +170,10 @@ func TestProgressCrashThenResume(t *testing.T) {
 	}
 }
 
-// TestProgressFig5DisjointRanges: fig5 runs one grid per bias; each grid
-// must report into its own cell-index range (the collector panics on a
-// duplicate), and a full resume must restore every grid.
+// TestProgressFig5DisjointRanges: fig5 runs one grid per bias and one
+// selector; each grid and the probe cells must report into their own
+// cell-index range (the collector panics on a duplicate), and a full
+// resume must restore every cell.
 func TestProgressFig5DisjointRanges(t *testing.T) {
 	cfg := Default()
 	spec := SelectionSpec{Config: cfg, Patterns: 2, Arrivals: 8}
@@ -184,8 +185,9 @@ func TestProgressFig5DisjointRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 biases x (3 schedulers x 2 variants) x 2 patterns.
-	if want := 4 * 3 * 2 * 2; rec.len() != want {
+	// 4 biases x (3 schedulers x 2 variants) x 2 patterns, then the
+	// selector's 8 classes x 7 sizes probe cells.
+	if want := 4*3*2*2 + 8*7; rec.len() != want {
 		t.Fatalf("fig5 reported %d cells, want %d", rec.len(), want)
 	}
 

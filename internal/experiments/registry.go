@@ -33,9 +33,9 @@ const (
 	ChartCluster
 )
 
-// Params tunes the statistical scale of a registry run. Zero fields keep
-// each driver's own defaults (the paper's scales), so the zero Params
-// reproduces the published exhibits exactly.
+// Params tunes the statistical scale of a registry run. Zero fields take
+// the row's Defaults (the scale results/ was generated with), so the zero
+// Params reproduces the published exhibits exactly.
 type Params struct {
 	// Trials is the Monte-Carlo repetition count for trial-based exhibits
 	// (figures 1-3, ext-energy, the five ext-* sweeps); ext-menu2 runs
@@ -55,17 +55,6 @@ type Params struct {
 	Selection selection.Options
 }
 
-// share derives a count from Trials for exhibits that spend it in
-// bigger units (ext-menu2's antithetic pairs, policy's per-cell probes):
-// Trials/div, floored at 1 when Trials is positive, since a derived 0
-// reads as "use the driver's default" and would run more, not less.
-func (p Params) share(div int) int {
-	if p.Trials > 0 {
-		return max(1, p.Trials/div)
-	}
-	return p.Trials / div
-}
-
 // Exhibit is one registry entry.
 type Exhibit struct {
 	// Name is the exhibit's CLI and API identifier.
@@ -75,114 +64,127 @@ type Exhibit struct {
 	Group string
 	// Chart names the bar-chart shape of the structured result.
 	Chart ChartKind
-	// Run regenerates the exhibit. The any value is the driver's
-	// structured result (SweepResult, ClusterResult, ...), nil for
-	// table-only exhibits.
-	Run func(cfg Config, p Params) (*report.Table, any, error)
+	// Defaults is the scale results/ was generated with: 200 trials and
+	// 50 patterns as the exhibit spends them, and its driver's arrivals.
+	// A zero field is one the exhibit does not read.
+	Defaults Params
+
+	run func(cfg Config, p Params) (*report.Table, any, error)
+}
+
+// Resolve fills p's zero scale fields from the row's Defaults: the
+// parameters Run runs the exhibit at.
+func (e Exhibit) Resolve(p Params) Params {
+	if p.Trials == 0 {
+		p.Trials = e.Defaults.Trials
+	}
+	if p.Patterns == 0 {
+		p.Patterns = e.Defaults.Patterns
+	}
+	if p.Arrivals == 0 {
+		p.Arrivals = e.Defaults.Arrivals
+	}
+	return p
+}
+
+// Run regenerates the exhibit at Resolve(p). The any value is the
+// driver's structured result (SweepResult, ClusterResult, ...), nil for
+// table-only exhibits.
+func (e Exhibit) Run(cfg Config, p Params) (*report.Table, any, error) {
+	return e.run(cfg, e.Resolve(p))
+}
+
+// typed adapts a driver's typed result to the registry's any.
+func typed[R any](t *report.Table, r R, err error) (*report.Table, any, error) {
+	return t, r, err
 }
 
 // registry lists every exhibit in display order: the paper's exhibits
 // first (the "all" group), then the extensions (the "ext-all" group).
 var registry = []Exhibit{
 	{Name: "table1", Group: "paper", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
 			return TableI(), nil, nil
 		}},
 	{Name: "table2", Group: "paper", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
 			t, err := TableII(cfg)
 			return t, nil, err
 		}},
 	// Figures 1-3: the scaling study for A32 and D64 at the machine's
 	// ten-year MTBF, then D64 again at a 2.5-year MTBF.
-	{Name: "fig1", Group: "paper", Chart: ChartScaling,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := ScalingSpec{Config: cfg, Class: workload.A32, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "fig1", Defaults: Params{Trials: 200}, Group: "paper", Chart: ChartScaling,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(ScalingSpec{Config: cfg, Class: workload.A32, Trials: p.Trials}.Run())
 		}},
-	{Name: "fig2", Group: "paper", Chart: ChartScaling,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := ScalingSpec{Config: cfg, Class: workload.D64, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "fig2", Defaults: Params{Trials: 200}, Group: "paper", Chart: ChartScaling,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(ScalingSpec{Config: cfg, Class: workload.D64, Trials: p.Trials}.Run())
 		}},
-	{Name: "fig3", Group: "paper", Chart: ChartScaling,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := ScalingSpec{Config: cfg, Class: workload.D64,
-				MTBF: units.Duration(2.5) * units.Year, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "fig3", Defaults: Params{Trials: 200}, Group: "paper", Chart: ChartScaling,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(ScalingSpec{Config: cfg, Class: workload.D64,
+				MTBF: units.Duration(2.5) * units.Year, Trials: p.Trials}.Run())
 		}},
-	{Name: "fig4", Group: "paper", Chart: ChartCluster,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := ClusterSpec{Config: cfg, Patterns: p.Patterns,
-				Arrivals: p.Arrivals, Paired: p.Paired}.Run()
-			return t, res, err
+	{Name: "fig4", Defaults: Params{Patterns: 50, Arrivals: 100}, Group: "paper", Chart: ChartCluster,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(ClusterSpec{Config: cfg, Patterns: p.Patterns,
+				Arrivals: p.Arrivals, Paired: p.Paired}.Run())
 		}},
-	{Name: "fig5", Group: "paper", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := SelectionSpec{Config: cfg, Patterns: p.Patterns,
-				Arrivals: p.Arrivals, Paired: p.Paired, Selection: p.Selection}.Run()
-			return t, res, err
+	{Name: "fig5", Defaults: Params{Patterns: 50, Arrivals: 100}, Group: "paper", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(SelectionSpec{Config: cfg, Patterns: p.Patterns,
+				Arrivals: p.Arrivals, Paired: p.Paired, Selection: p.Selection}.Run())
 		}},
-	{Name: "ext-energy", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := EnergySpec{Config: cfg, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "ext-energy", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(EnergySpec{Config: cfg, Trials: p.Trials}.Run())
 		}},
-	{Name: "ext-mtbf", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := MTBFSweepSpec{Config: cfg, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "ext-mtbf", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(MTBFSweepSpec{Config: cfg, Trials: p.Trials}.Run())
 		}},
-	{Name: "ext-weibull", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := WeibullSpec{Config: cfg, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "ext-weibull", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(WeibullSpec{Config: cfg, Trials: p.Trials}.Run())
 		}},
-	{Name: "ext-backfill", Group: "ext", Chart: ChartCluster,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := BackfillSpec{Config: cfg, Patterns: p.Patterns, Arrivals: p.Arrivals}.Run()
-			return t, res, err
+	{Name: "ext-backfill", Defaults: Params{Patterns: 50, Arrivals: 100}, Group: "ext", Chart: ChartCluster,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(BackfillSpec{Config: cfg, Patterns: p.Patterns, Arrivals: p.Arrivals}.Run())
 		}},
-	{Name: "ext-selectors", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := SelectorAgreementSpec{Config: cfg, Patterns: p.Patterns, Arrivals: p.Arrivals}.Run()
-			return t, res, err
+	{Name: "ext-selectors", Defaults: Params{Patterns: 50, Arrivals: 60}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(SelectorAgreementSpec{Config: cfg, Patterns: p.Patterns, Arrivals: p.Arrivals}.Run())
 		}},
-	{Name: "ext-tau", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := TauSweepSpec{Config: cfg, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "ext-tau", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(TauSweepSpec{Config: cfg, Trials: p.Trials}.Run())
 		}},
-	{Name: "ext-semiblocking", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := SemiBlockingSpec{Config: cfg, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "ext-semiblocking", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(SemiBlockingSpec{Config: cfg, Trials: p.Trials}.Run())
 		}},
-	{Name: "ext-machines", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := MachinesSpec{Config: cfg, Trials: p.Trials}.Run()
-			return t, res, err
+	{Name: "ext-machines", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(MachinesSpec{Config: cfg, Trials: p.Trials}.Run())
 		}},
 	{Name: "ext-whatif", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := WhatIfSpec{Config: cfg}.Run()
-			return t, res, err
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(WhatIfSpec{Config: cfg}.Run())
 		}},
-	{Name: "ext-hetero", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := HeteroSpec{Config: cfg, Patterns: p.Patterns, Arrivals: p.Arrivals}.Run()
-			return t, res, err
+	{Name: "ext-hetero", Defaults: Params{Patterns: 50, Arrivals: 60}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(HeteroSpec{Config: cfg, Patterns: p.Patterns, Arrivals: p.Arrivals}.Run())
 		}},
-	{Name: "ext-menu2", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
-			t, res, err := Menu2Spec{Config: cfg, PairedTrials: p.share(2)}.Run()
-			return t, res, err
+	{Name: "ext-menu2", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
+			return typed(Menu2Spec{Config: cfg, PairedTrials: max(1, p.Trials/2)}.Run())
 		}},
-	{Name: "policy", Group: "ext", Chart: ChartNone,
-		Run: func(cfg Config, p Params) (*report.Table, any, error) {
+	{Name: "policy", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+		run: func(cfg Config, p Params) (*report.Table, any, error) {
 			opts := p.Selection
 			if opts.Trials == 0 {
-				opts.Trials = p.share(4)
+				opts.Trials = max(1, p.Trials/4)
 			}
 			t, err := PolicyTable(cfg, opts)
 			return t, nil, err

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"exaresil/internal/obs"
 	"exaresil/internal/workload"
@@ -18,7 +20,7 @@ func TestRegistryNamesUniqueAndGrouped(t *testing.T) {
 		if e.Group != "paper" && e.Group != "ext" {
 			t.Errorf("%s: unknown group %q", e.Name, e.Group)
 		}
-		if e.Run == nil {
+		if e.run == nil {
 			t.Errorf("%s: nil runner", e.Name)
 		}
 	}
@@ -193,6 +195,55 @@ func TestSmallTrialsNeverFallBackToDefaults(t *testing.T) {
 			if n := probeTrials(name, trials); n > ceiling {
 				t.Errorf("%s: %g probe trials at %d trials, more than the %g at 8", name, n, trials, ceiling)
 			}
+		}
+	}
+}
+
+// simulating counts the goroutines in a stack dump that are inside a
+// simulation: an executor run or a cluster run.
+func simulating(stacks string) int {
+	n := 0
+	for _, g := range strings.Split(stacks, "\n\n") {
+		if strings.Contains(g, "exaresil/internal/resilience.") || strings.Contains(g, "exaresil/internal/cluster.") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOneWorkerRunsOneSimulation samples every goroutine's stack while
+// each simulating exhibit runs at Workers: 1, and requires that no two
+// simulations ever run at once: the worker budget bounds every level of
+// an exhibit's cells, selector probes included.
+func TestOneWorkerRunsOneSimulation(t *testing.T) {
+	closedForm := map[string]bool{"table1": true, "table2": true, "ext-whatif": true}
+	for _, e := range Exhibits() {
+		if closedForm[e.Name] {
+			continue
+		}
+		cfg := Default()
+		cfg.Workers = 1
+		stop, peak := make(chan struct{}), make(chan int)
+		go func() {
+			most, buf := 0, make([]byte, 1<<20)
+			for {
+				select {
+				case <-stop:
+					peak <- most
+					return
+				default:
+				}
+				most = max(most, simulating(string(buf[:runtime.Stack(buf, true)])))
+				time.Sleep(time.Millisecond)
+			}
+		}()
+		_, _, err := e.Run(cfg, Params{Trials: 8, Patterns: 2, Arrivals: 10})
+		close(stop)
+		if most := <-peak; most > 1 {
+			t.Errorf("%s: %d simulations ran at once at Workers: 1", e.Name, most)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 	}
 }

@@ -23,7 +23,8 @@ type ScalingSpec struct {
 	Fractions []float64
 	// TimeSteps is T_S (default 1440: the one-day baseline of Section V).
 	TimeSteps int
-	// Trials is the Monte-Carlo repetition count (paper: 200).
+	// Trials is the Monte-Carlo repetition count (paper: 200, the
+	// registry's default).
 	Trials int
 	// Techniques are the bars per group (default: all five).
 	Techniques []core.Technique
@@ -42,9 +43,6 @@ func (s ScalingSpec) withDefaults() ScalingSpec {
 	}
 	if s.TimeSteps == 0 {
 		s.TimeSteps = 1440
-	}
-	if s.Trials == 0 {
-		s.Trials = 200
 	}
 	if s.Techniques == nil {
 		// The paper's five, not the full menu: Figures 1-3 reproduce the

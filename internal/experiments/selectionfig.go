@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"errors"
+
 	"exaresil/internal/cluster"
 	"exaresil/internal/core"
+	"exaresil/internal/failures"
 	"exaresil/internal/report"
 	"exaresil/internal/selection"
 	"exaresil/internal/stats"
@@ -60,12 +63,6 @@ func (r SelectionResult) Cell(b workload.Bias, s core.Scheduler) (SelectionCell,
 }
 
 func (s SelectionSpec) withDefaults() SelectionSpec {
-	if s.Patterns == 0 {
-		s.Patterns = 50
-	}
-	if s.Arrivals == 0 {
-		s.Arrivals = 100
-	}
 	if s.Biases == nil {
 		s.Biases = workload.Biases()
 	}
@@ -78,10 +75,12 @@ func (s SelectionSpec) withDefaults() SelectionSpec {
 	return s
 }
 
-// Run executes the Figure 5 study and renders its table.
+// Run executes the Figure 5 study and renders its table. Its Progress
+// cells are the per-bias grids, bias by bias, then the selector's probe
+// cells.
 func (s SelectionSpec) Run() (*report.Table, SelectionResult, error) {
 	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
+	if err := errors.Join(s.Validate(), scale(s.Patterns, s.Arrivals)); err != nil {
 		return nil, SelectionResult{}, err
 	}
 	model, err := s.model(0)
@@ -89,14 +88,8 @@ func (s SelectionSpec) Run() (*report.Table, SelectionResult, error) {
 		return nil, SelectionResult{}, err
 	}
 
-	selOpts := s.Selection
-	if selOpts.Seed == 0 {
-		selOpts.Seed = s.Seed ^ 0xa0761d6478bd642f
-	}
-	if selOpts.Obs == nil {
-		selOpts.Obs = s.Obs
-	}
-	selector, err := selection.NewSelector(s.Machine, model, s.Resilience, selOpts)
+	gridCells := len(s.Biases) * 2 * len(s.Schedulers) * s.Patterns
+	selector, err := s.selector(model, s.Selection, 0xa0761d6478bd642f, gridCells)
 	if err != nil {
 		return nil, SelectionResult{}, err
 	}
@@ -115,12 +108,13 @@ func (s SelectionSpec) Run() (*report.Table, SelectionResult, error) {
 			Bias:     bias,
 			Paired:   s.Paired,
 		}
-		cs.Progress = s.Progress.offset(cellBase)
+		cs.Progress = s.Progress.Offset(cellBase)
+		pats := cs.patterns(0)
 		combos := make([]comboSpec, 0, 2*len(s.Schedulers))
 		for _, sch := range s.Schedulers {
 			combos = append(combos,
-				comboSpec{scheduler: sch, technique: s.Baseline},
-				comboSpec{scheduler: sch, chooser: cluster.TechniqueChooser(selector.Choose)},
+				comboSpec{cluster.Spec{Machine: s.Machine, Scheduler: sch, Technique: s.Baseline}, pats},
+				comboSpec{cluster.Spec{Machine: s.Machine, Scheduler: sch, Chooser: selector.Choose}, pats},
 			)
 		}
 		cellBase += 2 * len(s.Schedulers) * cs.Patterns
@@ -143,4 +137,20 @@ func (s SelectionSpec) Run() (*report.Table, SelectionResult, error) {
 		}
 	}
 	return t, result, nil
+}
+
+// selector builds the Monte-Carlo selector the selection exhibits share:
+// opts with the seed derived from c.Seed by salt unless set, c's metrics
+// and worker budget, and its probe cells at cell index base onward.
+func (c Config) selector(model *failures.Model, opts selection.Options, salt uint64, base int) (*selection.Selector, error) {
+	if opts.Seed == 0 {
+		opts.Seed = c.Seed ^ salt
+	}
+	if opts.Obs == nil {
+		opts.Obs = c.Obs
+	}
+	if opts.Workers == 0 {
+		opts.Workers = c.Workers
+	}
+	return selection.NewSelector(c.Machine, model, c.Resilience, opts, c.Progress.Offset(base))
 }

@@ -57,36 +57,45 @@ func (r SweepResult) Point(t core.Technique, row string) (SweepPoint, bool) {
 	return SweepPoint{}, false
 }
 
-// sweep runs every (row, technique) cell in table order, each as trials
-// Monte-Carlo runs seeded by seed(ti) for the ti-th technique, adds one
-// row of mean ± stddev efficiencies to t per sweepRow, and returns t with
-// the cells. Every executor reports to c.Obs.
+// sweep runs every (row, technique) cell in table order, one cell at a
+// time with the worker budget on its trials, each as trials Monte-Carlo
+// runs seeded by seed(ti) for the ti-th technique. It adds one row of
+// mean ± stddev efficiencies to t per sweepRow, and returns t with the
+// cells. Every executor reports to c.Obs.
 func (c Config) sweep(t *report.Table, rows []sweepRow, techniques []core.Technique,
 	trials int, seed func(ti int) uint64) (*report.Table, SweepResult, error) {
+	if err := positive("trials", trials); err != nil {
+		return nil, SweepResult{}, err
+	}
 	rm := resilience.NewMetrics(c.Obs)
+	nt := len(techniques)
+	vals, err := c.cells(len(rows)*nt, summaryWidth+1, false, func(i, workers int) ([]float64, error) {
+		r, ti := rows[i/nt], i%nt
+		x, err := resilience.New(techniques[ti], r.app, r.machine, r.model, r.rc)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %v at %s: %w", techniques[ti], r.labels[0], err)
+		}
+		resilience.Instrument(x, rm)
+		st := appsim.Run(appsim.TrialSpec{Executor: x, Trials: trials, Seed: seed(ti), Workers: workers})
+		return append(summaryValues(st.Efficiency), st.CompletionRate), nil
+	})
+	if err != nil {
+		return nil, SweepResult{}, err
+	}
 	var result SweepResult
-	for _, r := range rows {
+	for ri, r := range rows {
 		cells := slices.Clip(r.labels)
 		for ti, tech := range techniques {
-			x, err := resilience.New(tech, r.app, r.machine, r.model, r.rc)
-			if err != nil {
-				return nil, SweepResult{}, fmt.Errorf("experiments: %v at %s: %w", tech, r.labels[0], err)
-			}
-			resilience.Instrument(x, rm)
-			st := appsim.Run(appsim.TrialSpec{
-				Executor: x,
-				Trials:   trials,
-				Seed:     seed(ti),
-				Workers:  c.workers(),
-			})
+			v := vals[ri*nt+ti]
+			eff := summaryOf(v)
 			result.Points = append(result.Points, SweepPoint{
 				Technique:  tech,
 				Row:        r.labels[0],
 				Nodes:      r.app.Nodes,
-				Efficiency: st.Efficiency,
-				Completion: st.CompletionRate,
+				Efficiency: eff,
+				Completion: v[summaryWidth],
 			})
-			cells = append(cells, report.Eff(st.Efficiency.Mean, st.Efficiency.StdDev))
+			cells = append(cells, report.Eff(eff.Mean, eff.StdDev))
 		}
 		t.AddRow(cells...)
 	}

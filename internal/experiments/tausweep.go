@@ -20,7 +20,7 @@ type TauSweepSpec struct {
 	Fraction float64
 	// Scales is the sweep (default 1/4, 1/2, 1, 2, 4).
 	Scales []float64
-	// Trials per point (default 60).
+	// Trials per point (the registry's default: 200).
 	Trials int
 }
 
@@ -34,9 +34,6 @@ func (s TauSweepSpec) Run() (*report.Table, SweepResult, error) {
 	}
 	if s.Scales == nil {
 		s.Scales = []float64{0.25, 0.5, 1, 2, 4}
-	}
-	if s.Trials == 0 {
-		s.Trials = 60
 	}
 	if err := s.Validate(); err != nil {
 		return nil, SweepResult{}, err
@@ -78,7 +75,7 @@ type SemiBlockingSpec struct {
 	Fraction float64
 	// Rates is the sweep (default 0, 0.25, 0.5, 0.75).
 	Rates []float64
-	// Trials per point (default 60).
+	// Trials per point (the registry's default: 200).
 	Trials int
 }
 
@@ -92,9 +89,6 @@ func (s SemiBlockingSpec) Run() (*report.Table, SweepResult, error) {
 	}
 	if s.Rates == nil {
 		s.Rates = []float64{0, 0.25, 0.5, 0.75}
-	}
-	if s.Trials == 0 {
-		s.Trials = 60
 	}
 	if err := s.Validate(); err != nil {
 		return nil, SweepResult{}, err

@@ -2,7 +2,9 @@ package mesh
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -131,13 +133,32 @@ func TestMeshByteIdenticalToSingleProcess(t *testing.T) {
 	}
 }
 
-// TestMeshFailoverResumesGoldenFig5: kill the replica serving the
-// golden fig5 spec mid-execution. The monitor must detect the death,
-// hand the checkpoint snapshot to a survivor, re-route the job, and the
-// old job id must (via forwarding) finish with the pinned golden
-// digest — byte-identity through a failover.
+// TestMeshFailoverResumesGoldenFig5: kill the replica serving a spec
+// after its first recorded cell. The monitor must detect the death, hand
+// the checkpoint snapshot to a survivor, re-route the job, and the old
+// job id must (via forwarding) finish with the oracle's bytes —
+// byte-identity through a failover. Two inputs: the golden fig5 spec
+// (grid and probe cells) and fig1 at its default 200 trials (sweep
+// cells), whose oracle is results/fig1.csv.
 func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
-	// The timeout must be generous: under the race detector a busy fig5
+	fig1, err := os.ReadFile("../../results/fig1.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		spec serve.Spec
+		want string
+	}{
+		{"fig5", serve.Spec{Exhibit: "fig5", Patterns: 6}, goldenDigest(t, "fig5")},
+		{"fig1", serve.Spec{Exhibit: "fig1"}, fmt.Sprintf("%x", sha256.Sum256(fig1))},
+	} {
+		t.Run(tc.name, func(t *testing.T) { failoverResumes(t, tc.spec, tc.want) })
+	}
+}
+
+func failoverResumes(t *testing.T, spec serve.Spec, want string) {
+	// The timeout must be generous: under the race detector a busy
 	// runner can starve heartbeat tickers for well over 40ms, and a
 	// spurious failover of a *survivor* would leave no replica to re-route
 	// to. 3s keeps detection fast for the test while staying far above
@@ -148,7 +169,6 @@ func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  3 * time.Second,
 	})
-	spec := serve.Spec{Exhibit: "fig5", Patterns: 6} // the golden fig5 spec
 	view, err := c.Submit(spec)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -159,9 +179,9 @@ func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
 	}
 	idx := owner.idx
 
-	// Wait for the serving replica to checkpoint at least one grid cell,
-	// then kill it mid-job. The poll is deliberately slack (10ms): under
-	// the race detector a hot poll loop slows the runner itself.
+	// Wait for the serving replica to checkpoint at least one cell, then
+	// kill it mid-job. The poll is deliberately slack (10ms): under the
+	// race detector a hot poll loop slows the runner itself.
 	victim := c.replicas[idx].srv
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -178,8 +198,8 @@ func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
 	}
 
 	final := waitMeshDone(t, c, view.ID, 180*time.Second)
-	if want := goldenDigest(t, "fig5"); final.Digest != want {
-		t.Fatalf("post-failover digest %s != golden %s", final.Digest, want)
+	if final.Digest != want {
+		t.Fatalf("post-failover digest %s != oracle %s", final.Digest, want)
 	}
 	if moved, ok := parseJobID(final.ID); !ok || moved.idx == idx {
 		t.Fatalf("job finished on %q; expected a surviving replica, not %d", final.ID, idx)

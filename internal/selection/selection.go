@@ -10,13 +10,9 @@
 package selection
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"exaresil/internal/appsim"
 	"exaresil/internal/core"
@@ -56,10 +52,11 @@ type Options struct {
 	HorizonFactor float64
 	// Seed drives the probes.
 	Seed uint64
-	// Workers bounds the goroutines probing grid cells concurrently
-	// (default GOMAXPROCS). Every cell derives its probe seeds from its
-	// position in the grid, not from completion order, so the resulting
-	// table is identical for every worker count — including 1.
+	// Workers bounds the simulations probing grid cells concurrently
+	// (default GOMAXPROCS): cells spread across them with one trial
+	// worker each. Every cell derives its probe seeds from its position
+	// in the grid, not from completion order, so the resulting table is
+	// identical for every worker count — including 1.
 	Workers int
 	// Obs, when non-nil, receives the selector's metrics: probe and cell
 	// counts, the schedule-cache activity of the table build, and Choose
@@ -115,12 +112,15 @@ type Selector struct {
 
 // NewSelector builds a selector for the given machine and failure model by
 // probing the technique/size grid. Construction cost is that of
-// (classes x fractions x techniques x trials) short simulations, fanned
-// out across Options.Workers goroutines — one cell per task, with each
-// cell's probe seeds fixed by its grid position so the table is
-// bit-identical to a serial build. The resulting Selector is immutable and
-// safe for concurrent use.
-func NewSelector(cfg machine.Config, model *failures.Model, rc resilience.Config, opts Options) (*Selector, error) {
+// (classes x fractions x techniques x trials) short simulations. Each
+// (class, fraction) cell is a probe cell of the one cell loop
+// (appsim.Cells): cells spread across Options.Workers with one trial
+// worker each, and each cell's probe seeds are fixed by its grid
+// position, so the table is bit-identical to a serial build. prog, when
+// non-nil, records each probe cell's arm efficiencies, restores recorded
+// cells, and stops the build once its context ends. The resulting
+// Selector is immutable and safe for concurrent use.
+func NewSelector(cfg machine.Config, model *failures.Model, rc resilience.Config, opts Options, prog *appsim.Progress) (*Selector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -176,61 +176,37 @@ func NewSelector(cfg machine.Config, model *failures.Model, rc resilience.Config
 			cells = append(cells, gridCell{class, frac})
 		}
 	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
-	// With more than one cell in flight the per-cell Monte-Carlo probes
-	// run single-threaded: the parallelism budget is spent on cells, not
-	// on nested worker pools. Either split gives the same table bits.
-	innerWorkers := 0
-	if workers > 1 {
-		innerWorkers = 1
-	}
-
-	choices := make([]Choice, len(cells))
-	errs := make([]error, len(cells))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(cells) {
-					return
-				}
-				choices[i], errs[i] = probeCell(cfg, model, rc, opts, cells[i].class, cells[i].frac,
-					uint64(i), innerWorkers)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	effs, err := appsim.Cells(prog, len(cells), len(opts.Techniques), opts.Workers, true, func(i, workers int) ([]float64, error) {
+		return probeCell(cfg, model, rc, opts, cells[i].class, cells[i].frac, uint64(i), workers)
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, c := range cells {
-		s.table[cell{c.class.Name, c.frac}] = choices[i]
+		// The winner is the first arm with the strictly highest mean.
+		choice := Choice{Class: c.class, Fraction: c.frac, Best: opts.Techniques[0], Efficiency: effs[i]}
+		bestEff := math.Inf(-1)
+		for ti, e := range effs[i] {
+			if e > bestEff {
+				bestEff, choice.Best = e, opts.Techniques[ti]
+			}
+		}
+		s.table[cell{c.class.Name, c.frac}] = choice
 	}
 	s.m.observeBuild(len(cells), len(opts.Techniques), opts.Trials+2*opts.PairedTrials, cacheHits0, cacheMisses0)
 	return s, nil
 }
 
 // probeCell evaluates every candidate technique on one (class, fraction)
-// grid cell. cellIndex is the cell's position in the flattened class-major
-// grid; in the default mode the k-th candidate uses probe number
-// cellIndex*len(techniques)+k, so seeds depend only on grid position. In
-// paired mode (Options.PairedTrials > 0) every candidate instead shares the
-// cell-keyed substream family (common random numbers) and runs its trials
-// as antithetic pairs.
+// grid cell and returns their mean probe efficiencies, indexed as
+// opts.Techniques. cellIndex is the cell's position in the flattened
+// class-major grid; in the default mode the k-th candidate uses probe
+// number cellIndex*len(techniques)+k, so seeds depend only on grid
+// position. In paired mode (Options.PairedTrials > 0) every candidate
+// instead shares the cell-keyed substream family (common random numbers)
+// and runs its trials as antithetic pairs.
 func probeCell(cfg machine.Config, model *failures.Model, rc resilience.Config, opts Options,
-	class workload.Class, frac float64, cellIndex uint64, workers int) (Choice, error) {
+	class workload.Class, frac float64, cellIndex uint64, workers int) ([]float64, error) {
 	app := workload.App{
 		ID:        0,
 		Class:     class,
@@ -238,12 +214,11 @@ func probeCell(cfg machine.Config, model *failures.Model, rc resilience.Config, 
 		Nodes:     cfg.NodesForFraction(frac),
 	}
 	probeBase := cellIndex * uint64(len(opts.Techniques))
-	choice := Choice{Class: class, Fraction: frac, Best: opts.Techniques[0]}
-	bestEff := math.Inf(-1)
+	effs := make([]float64, 0, len(opts.Techniques))
 	for ti, tech := range opts.Techniques {
 		x, err := resilience.New(tech, app, cfg, model, rc)
 		if err != nil {
-			return Choice{}, fmt.Errorf("selection: probing %v on %s@%.0f%%: %w",
+			return nil, fmt.Errorf("selection: probing %v on %s@%.0f%%: %w",
 				tech, class.Name, 100*frac, err)
 		}
 		spec := appsim.TrialSpec{
@@ -263,14 +238,9 @@ func probeCell(cfg machine.Config, model *failures.Model, rc resilience.Config, 
 			spec.Trials = opts.Trials
 			spec.Seed = opts.Seed ^ ((probeBase + uint64(ti)) * 0x9e3779b97f4a7c15)
 		}
-		st := appsim.Run(spec)
-		choice.Efficiency = append(choice.Efficiency, st.Efficiency.Mean)
-		if st.Efficiency.Mean > bestEff {
-			bestEff = st.Efficiency.Mean
-			choice.Best = tech
-		}
+		effs = append(effs, appsim.Run(spec).Efficiency.Mean)
 	}
-	return choice, nil
+	return effs, nil
 }
 
 // Techniques reports the candidate set the selector was built over.

@@ -20,7 +20,7 @@ func buildSelector(t *testing.T) *Selector {
 		TimeSteps:     360,
 		SizeFractions: []float64{0.01, 0.25, 0.50},
 		Seed:          1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +31,13 @@ func TestNewSelectorValidation(t *testing.T) {
 	cfg := machine.Exascale()
 	model := failures.MustModel(cfg.MTBF, failures.DefaultSeverityPMF())
 	rc := resilience.DefaultConfig()
-	if _, err := NewSelector(machine.Config{}, model, rc, Options{}); err == nil {
+	if _, err := NewSelector(machine.Config{}, model, rc, Options{}, nil); err == nil {
 		t.Error("invalid machine accepted")
 	}
-	if _, err := NewSelector(cfg, nil, rc, Options{}); err == nil {
+	if _, err := NewSelector(cfg, nil, rc, Options{}, nil); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := NewSelector(cfg, model, resilience.Config{RecoverySpeedup: 0}, Options{}); err == nil {
+	if _, err := NewSelector(cfg, model, resilience.Config{RecoverySpeedup: 0}, Options{}, nil); err == nil {
 		t.Error("invalid resilience config accepted")
 	}
 }
@@ -168,7 +168,7 @@ func TestParallelConstructionMatchesSerial(t *testing.T) {
 			SizeFractions: []float64{0.01, 0.25},
 			Seed:          42,
 			Workers:       workers,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestOptionsTrialValidation(t *testing.T) {
 		{Trials: 4, PairedTrials: 2}, // mutually exclusive
 	}
 	for _, opts := range bad {
-		if _, err := NewSelector(cfg, model, rc, opts); err == nil {
+		if _, err := NewSelector(cfg, model, rc, opts, nil); err == nil {
 			t.Errorf("Options %+v accepted, want an error", opts)
 		}
 	}
@@ -226,7 +226,7 @@ func TestOptionsCandidateValidation(t *testing.T) {
 		{"unknown technique", []core.Technique{core.Technique(99)}},
 	}
 	for _, tc := range bad {
-		if _, err := NewSelector(cfg, model, rc, Options{Techniques: tc.menu}); err == nil {
+		if _, err := NewSelector(cfg, model, rc, Options{Techniques: tc.menu}, nil); err == nil {
 			t.Errorf("%s: menu %v accepted, want an error", tc.name, tc.menu)
 		}
 	}
@@ -237,7 +237,7 @@ func TestOptionsCandidateValidation(t *testing.T) {
 		TimeSteps:     60,
 		SizeFractions: []float64{0.01},
 		Seed:          3,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("expanded menu rejected: %v", err)
 	}
@@ -258,7 +258,7 @@ func TestOptionsTrialDefaulting(t *testing.T) {
 		TimeSteps:     360,
 		SizeFractions: []float64{0.25},
 		Seed:          5,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestPairedTrialsDeterministicAcrossWorkers(t *testing.T) {
 			SizeFractions: []float64{0.01, 0.25},
 			Seed:          42,
 			Workers:       workers,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

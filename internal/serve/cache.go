@@ -128,7 +128,7 @@ func (f *flight) begin(stop context.CancelCauseFunc, now time.Time) bool {
 
 // kill aborts the flight in place — the replica hosting it is being torn
 // down. A running flight has its execution context canceled and settles
-// through the worker's ctx.Done path; for those, kill reports handled.
+// on its worker once the runner returns; for those, kill reports handled.
 // A queued flight is marked aborted (a worker that still pops it skips
 // it) and reports unhandled: the caller must settle its jobs and free
 // its queue slot itself, because no worker ever will.
@@ -151,7 +151,7 @@ func (f *flight) kill() (handled bool) {
 // settle records the flight's outcome and finalizes every attached job.
 // It returns the jobs that actually transitioned (already-canceled jobs
 // keep their state). The first settle wins: a later one — a killed
-// flight racing its own worker's ctx.Done settle — must not overwrite
+// flight racing its own worker's settle — must not overwrite
 // the recorded outcome that attach-settled submitters read.
 func (f *flight) settle(state State, res *Result, err error, errMsg string, now time.Time) int {
 	f.mu.Lock()

@@ -19,15 +19,14 @@ type Metrics struct {
 	// RequestSeconds is the per-route latency distribution.
 
 	// Job lifecycle.
-	Submitted     *obs.Counter // jobs accepted (all cache dispositions)
-	JobsDone      *obs.Counter
-	JobsFailed    *obs.Counter
-	JobsCanceled  *obs.Counter
-	JobsInflight  *obs.Gauge     // flights currently executing
-	Executions    *obs.Counter   // spec runs actually started (single-flight dedups these)
-	JobSeconds    *obs.Histogram // execution wall time
-	JobsAbandoned *obs.Counter   // timeouts/cancels that left a simulation running detached
-	StoreEvicted  *obs.Counter
+	Submitted    *obs.Counter // jobs accepted (all cache dispositions)
+	JobsDone     *obs.Counter
+	JobsFailed   *obs.Counter
+	JobsCanceled *obs.Counter
+	JobsInflight *obs.Gauge     // flights currently executing
+	Executions   *obs.Counter   // spec runs actually started (single-flight dedups these)
+	JobSeconds   *obs.Histogram // execution wall time
+	StoreEvicted *obs.Counter
 
 	// Queue and backpressure.
 	QueueDepth    *obs.Gauge // flights waiting in the queue
@@ -55,8 +54,8 @@ type Metrics struct {
 	// Checkpoint/restart (job-level snapshots; DESIGN.md §10).
 	Snapshots             *obs.Gauge   // partial-result snapshots retained
 	SnapshotResumes       *obs.Counter // executions that began from a non-empty snapshot
-	SnapshotCellsRecorded *obs.Counter // grid cells checkpointed as they finished
-	SnapshotCellsRestored *obs.Counter // grid cells restored instead of recomputed
+	SnapshotCellsRecorded *obs.Counter // cells checkpointed as they finished
+	SnapshotCellsRestored *obs.Counter // cells restored instead of recomputed
 	SnapshotsEvicted      *obs.Counter
 	CrashesInjected       *obs.Counter // CrashHook firings (chaos worker crashes)
 }
@@ -64,16 +63,15 @@ type Metrics struct {
 // NewMetrics registers the service's metric families on r (nil = disabled).
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
-		reg:           r,
-		Submitted:     r.Counter("exaresil_serve_jobs_submitted_total", "jobs accepted for execution or cache resolution"),
-		JobsDone:      r.Counter("exaresil_serve_jobs_total", "terminal job outcomes", obs.L("state", "done")),
-		JobsFailed:    r.Counter("exaresil_serve_jobs_total", "terminal job outcomes", obs.L("state", "failed")),
-		JobsCanceled:  r.Counter("exaresil_serve_jobs_total", "terminal job outcomes", obs.L("state", "canceled")),
-		JobsInflight:  r.Gauge("exaresil_serve_jobs_inflight", "flights currently executing on a worker"),
-		Executions:    r.Counter("exaresil_serve_executions_total", "experiment runs started (identical concurrent specs share one)"),
-		JobSeconds:    r.Histogram("exaresil_serve_job_seconds", "execution wall time per flight", obs.LatencyBuckets),
-		JobsAbandoned: r.Counter("exaresil_serve_jobs_abandoned_total", "executions detached by timeout or cancel while still running"),
-		StoreEvicted:  r.Counter("exaresil_serve_store_evicted_total", "terminal jobs aged out of the bounded job store"),
+		reg:          r,
+		Submitted:    r.Counter("exaresil_serve_jobs_submitted_total", "jobs accepted for execution or cache resolution"),
+		JobsDone:     r.Counter("exaresil_serve_jobs_total", "terminal job outcomes", obs.L("state", "done")),
+		JobsFailed:   r.Counter("exaresil_serve_jobs_total", "terminal job outcomes", obs.L("state", "failed")),
+		JobsCanceled: r.Counter("exaresil_serve_jobs_total", "terminal job outcomes", obs.L("state", "canceled")),
+		JobsInflight: r.Gauge("exaresil_serve_jobs_inflight", "flights currently executing on a worker"),
+		Executions:   r.Counter("exaresil_serve_executions_total", "experiment runs started (identical concurrent specs share one)"),
+		JobSeconds:   r.Histogram("exaresil_serve_job_seconds", "execution wall time per flight", obs.LatencyBuckets),
+		StoreEvicted: r.Counter("exaresil_serve_store_evicted_total", "terminal jobs aged out of the bounded job store"),
 
 		QueueDepth:    r.Gauge("exaresil_serve_queue_depth", "flights waiting in the queue"),
 		QueueRejected: r.Counter("exaresil_serve_queue_rejections_total", "submissions rejected with 429 because the queue was full"),
@@ -94,8 +92,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 
 		Snapshots:             r.Gauge("exaresil_serve_snapshots", "partial-result snapshots retained for resume"),
 		SnapshotResumes:       r.Counter("exaresil_serve_snapshot_resumes_total", "executions resumed from a prior attempt's snapshot"),
-		SnapshotCellsRecorded: r.Counter("exaresil_serve_snapshot_cells_total", "grid-cell checkpoint events", obs.L("event", "recorded")),
-		SnapshotCellsRestored: r.Counter("exaresil_serve_snapshot_cells_total", "grid-cell checkpoint events", obs.L("event", "restored")),
+		SnapshotCellsRecorded: r.Counter("exaresil_serve_snapshot_cells_total", "cell checkpoint events", obs.L("event", "recorded")),
+		SnapshotCellsRestored: r.Counter("exaresil_serve_snapshot_cells_total", "cell checkpoint events", obs.L("event", "restored")),
 		SnapshotsEvicted:      r.Counter("exaresil_serve_snapshots_evicted_total", "snapshots evicted from the bounded checkpoint store"),
 		CrashesInjected:       r.Counter("exaresil_serve_crashes_injected_total", "worker crashes injected by the configured CrashHook"),
 	}

@@ -38,7 +38,8 @@ type Config struct {
 	// are evicted).
 	StoreSize int
 	// JobTimeout bounds one execution (0 = no timeout). A timed-out
-	// flight fails its jobs and detaches the still-running simulation.
+	// flight's runner stops within one cell, and the flight fails its
+	// jobs; the cells it finished stay in the snapshot for a resubmission.
 	JobTimeout time.Duration
 	// SnapshotSize bounds the checkpoint store (default 64 partial-result
 	// snapshots of interrupted executions; see snapshot.go).
@@ -51,14 +52,18 @@ type Config struct {
 	// Obs receives the service metric families; GET /metrics exposes the
 	// whole registry. Nil disables both.
 	Obs *obs.Registry
-	// Runner executes one spec (nil = the experiments registry). Tests
-	// substitute controllable runners; the context is canceled on per-job
-	// timeout or when every subscribed job is canceled, and cfg.Progress
-	// carries the execution's checkpoint hook.
+	// Runner executes one spec on the worker's goroutine (nil = the
+	// experiments registry). Tests substitute controllable runners; the
+	// context is canceled on per-job timeout, on Kill, on an injected
+	// crash, or when every subscribed job is canceled, and cfg.Progress
+	// carries the execution's checkpoint hook with that context. A runner
+	// must return soon after its context ends — the registry's exhibits
+	// return within one cell — since the worker takes no other flight
+	// until it does.
 	Runner func(ctx context.Context, cfg experiments.Config, s Spec) (*Result, error)
 	// CrashHook, when non-nil, is consulted once per execution start;
 	// when it fires, the execution's context is canceled with a crash
-	// cause after that many further grid cells complete — a deterministic
+	// cause after that many further cells complete — a deterministic
 	// mid-job worker crash (internal/chaos wires this behind the exaserve
 	// -chaos flag). Crashed jobs fail; resubmitting the same spec resumes
 	// from the snapshot the crashed run left behind.
@@ -311,7 +316,8 @@ func (s *Server) ImportSnapshot(key string, cells map[int][]float64) int {
 
 // Kill simulates abrupt replica death for the mesh: admission closes,
 // every live flight is aborted — running ones through their execution
-// context, queued ones settled directly (no worker will ever reach an
+// context, whose runner stops within one cell and settles the flight on
+// its worker; queued ones settled directly (no worker will ever reach an
 // aborted flight's settle path) — and the workers are reaped in the
 // background. Checkpoint snapshots survive so the coordinator can export
 // them; the Server itself stays readable (the mesh decides what "dead"
@@ -324,7 +330,7 @@ func (s *Server) Kill() {
 	now := time.Now()
 	for _, fl := range s.cache.liveFlights() {
 		if fl.kill() {
-			continue // running (settles via ctx.Done) or already finished
+			continue // running (settles when its runner returns) or already finished
 		}
 		// Queued corpse: free its slot and fail its jobs ourselves.
 		s.cache.forget(fl)
@@ -384,20 +390,20 @@ func (s *Server) Health() HealthView {
 // errCrash is the cancel cause of an injected worker crash (CrashHook).
 var errCrash = errors.New("serve: injected worker crash")
 
-// execFlight runs one flight on a worker: start the runner in a child
-// goroutine and wait for it, the per-job timeout, last-subscriber
-// cancellation, or an injected worker crash — whichever comes first. A
-// detached runner (anything but the runner's own return won the select)
-// keeps simulating until it notices the canceled context, but its result
-// is discarded and the worker moves on; the abandoned counter makes that
-// visible.
+// execFlight runs one flight on a worker: it calls the runner on the
+// worker's goroutine and settles the flight from what the runner
+// returns. The per-job timeout, last-subscriber cancellation, Kill and an
+// injected worker crash all cancel the runner's context; the runner then
+// returns within one cell, and the flight settles by the context's cause
+// even if a result came back, so an interrupted flight never reaches the
+// cache.
 //
 // Checkpoint/restart: every execution opens the spec's snapshot and
 // threads an experiments.Progress hook through the runner config, so
-// grid exhibits record each finished cell and skip cells a previous,
-// interrupted attempt already completed. Success drops the snapshot (the
-// result cache owns the spec now); failure, timeout, crash, and cancel
-// keep a non-empty one for the next attempt.
+// every simulating exhibit records each finished cell and skips cells a
+// previous, interrupted attempt already completed. Success drops the
+// snapshot (the result cache owns the spec now); failure, timeout,
+// crash, and cancel keep a non-empty one for the next attempt.
 func (s *Server) execFlight(fl *flight) {
 	now := time.Now()
 	ctx, cancelCause := context.WithCancelCause(context.Background())
@@ -446,57 +452,37 @@ func (s *Server) execFlight(fl *flight) {
 		},
 	}
 
-	type outcome struct {
-		res *Result
-		err error
-	}
-	ch := make(chan outcome, 1)
 	start := time.Now()
-	go func() {
-		res, err := s.cfg.Runner(ctx, ecfg, fl.spec)
-		ch <- outcome{res, err}
-	}()
-
-	select {
-	case o := <-ch:
-		secs := time.Since(start).Seconds()
-		s.m.JobSeconds.Observe(secs)
-		s.noteJobSeconds(secs)
-		if o.err != nil {
-			s.cache.forget(fl)
-			s.snaps.settle(fl.key)
-			n := fl.settle(StateFailed, nil, o.err, "run: "+o.err.Error(), time.Now())
-			s.m.JobsFailed.Add(uint64(n))
-		} else {
-			s.cache.complete(fl, o.res)
-			s.snaps.drop(fl.key)
-			n := fl.settle(StateDone, o.res, nil, "", time.Now())
-			s.m.JobsDone.Add(uint64(n))
-		}
-	case <-ctx.Done():
-		s.m.JobsAbandoned.Inc()
-		s.cache.forget(fl)
-		s.snaps.settle(fl.key)
-		cause := context.Cause(ctx)
-		switch {
-		case errors.Is(cause, errCrash):
-			n := fl.settle(StateFailed, nil, cause,
-				"injected worker crash; resubmit to resume from the last snapshot", time.Now())
-			s.m.JobsFailed.Add(uint64(n))
-		case errors.Is(cause, context.DeadlineExceeded):
-			n := fl.settle(StateFailed, nil, cause,
-				fmt.Sprintf("job timeout after %s", s.cfg.JobTimeout), time.Now())
-			s.m.JobsFailed.Add(uint64(n))
-		case errors.Is(cause, errKilled):
-			n := fl.settle(StateFailed, nil, cause, "replica killed", time.Now())
-			s.m.JobsFailed.Add(uint64(n))
-		default:
-			// Last subscriber canceled mid-run; its job is already
-			// terminal, so this usually transitions nothing.
-			n := fl.settle(StateCanceled, nil, cause, "canceled", time.Now())
-			s.m.JobsCanceled.Add(uint64(n))
-		}
+	res, err := s.cfg.Runner(ctx, ecfg, fl.spec)
+	secs := time.Since(start).Seconds()
+	s.m.JobSeconds.Observe(secs)
+	s.noteJobSeconds(secs)
+	if ctx.Err() != nil {
+		err = context.Cause(ctx)
 	}
+	if err == nil {
+		s.cache.complete(fl, res)
+		s.snaps.drop(fl.key)
+		n := fl.settle(StateDone, res, nil, "", time.Now())
+		s.m.JobsDone.Add(uint64(n))
+		return
+	}
+	s.cache.forget(fl)
+	s.snaps.settle(fl.key)
+	state, msg, count := StateFailed, "run: "+err.Error(), s.m.JobsFailed
+	switch {
+	case errors.Is(err, errCrash):
+		msg = "injected worker crash; resubmit to resume from the last snapshot"
+	case errors.Is(err, context.DeadlineExceeded):
+		msg = fmt.Sprintf("job timeout after %s", s.cfg.JobTimeout)
+	case errors.Is(err, errKilled):
+		msg = "replica killed"
+	case ctx.Err() != nil:
+		// Last subscriber canceled mid-run; its job is already terminal,
+		// so this usually transitions nothing.
+		state, msg, count = StateCanceled, "canceled", s.m.JobsCanceled
+	}
+	count.Add(uint64(fl.settle(state, nil, err, msg, time.Now())))
 }
 
 // noteJobSeconds folds one execution time into the EWMA behind

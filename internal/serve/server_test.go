@@ -353,52 +353,117 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
-// TestCancelRunningJobDetaches: canceling the last subscriber of a running
-// flight cancels its context; the worker abandons the execution and the
-// key is not cached.
-func TestCancelRunningJobDetaches(t *testing.T) {
+// heldRunner wraps a context-obeying blockingRunner: once a run has seen
+// its context end, it signals stopped and returns only after hold closes,
+// so a test can look at the worker between the cancellation and the
+// runner's return.
+func heldRunner(r *blockingRunner) (run func(context.Context, experiments.Config, Spec) (*Result, error), stopped chan string, hold chan struct{}) {
+	stopped, hold = make(chan string, 8), make(chan struct{})
+	run = func(ctx context.Context, cfg experiments.Config, s Spec) (*Result, error) {
+		res, err := r.run(ctx, cfg, s)
+		if ctx.Err() != nil {
+			stopped <- s.Exhibit
+			<-hold
+		}
+		return res, err
+	}
+	return run, stopped, hold
+}
+
+// waitStopped blocks until a held runner reports that its context ended.
+func waitStopped(t *testing.T, stopped chan string) string {
+	t.Helper()
+	select {
+	case ex := <-stopped:
+		return ex
+	case <-time.After(10 * time.Second):
+		t.Fatal("runner never saw its context end")
+		return ""
+	}
+}
+
+// requireNoStart fails if the runner starts another execution within a
+// short window: the worker must still be busy with the stopped one.
+func requireNoStart(t *testing.T, r *blockingRunner, srv *Server) {
+	t.Helper()
+	select {
+	case c := <-r.started:
+		t.Fatalf("worker started %s before the stopped runner returned", c)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if srv.Inflight() != 1 || srv.Queued() != 1 {
+		t.Fatalf("inflight %d queued %d, want 1 and 1 while the runner is held", srv.Inflight(), srv.Queued())
+	}
+}
+
+// TestCancelRunningJobWaitsForRunner: canceling the last subscriber of a
+// running flight cancels its context and the job at once, but the
+// worker takes its next flight only after the runner has returned, and
+// the key is not cached.
+func TestCancelRunningJobWaitsForRunner(t *testing.T) {
 	r := newBlockingRunner(true) // returns ctx.Err() on cancellation
 	defer r.unblock()
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: r.run})
+	run, stopped, hold := heldRunner(r)
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: run})
 
 	_, a, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
 	r.waitStart(t)
+	_, b, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
 	if code := cancelJob(t, ts, a.ID); code != http.StatusOK {
 		t.Fatalf("cancel running A: HTTP %d", code)
 	}
 	if v := pollTerminal(t, ts, a.ID); v.State != "canceled" {
 		t.Fatalf("A state %s, want canceled", v.State)
 	}
-	waitCounter(t, "abandoned", func() uint64 { return srv.m.JobsAbandoned.Value() }, 1)
+	waitStopped(t, stopped)
+	requireNoStart(t, r, srv)
+	close(hold)
+	if c := r.waitStart(t); !strings.Contains(c, "fig2") {
+		t.Fatalf("after the runner returned the worker started %s, want B", c)
+	}
 
 	// The canceled execution must not have been cached.
 	code, a2, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
 	if code != http.StatusAccepted || a2.Cache != CacheMiss {
 		t.Fatalf("resubmit after cancel: HTTP %d cache %q, want 202 miss", code, a2.Cache)
 	}
-	r.waitStart(t)
 	r.unblock()
-	if v := pollTerminal(t, ts, a2.ID); v.State != "done" {
-		t.Fatalf("A2 ended %s: %s", v.State, v.Error)
+	for _, id := range []string{b.ID, a2.ID} {
+		if v := pollTerminal(t, ts, id); v.State != "done" {
+			t.Fatalf("%s ended %s: %s", id, v.State, v.Error)
+		}
 	}
 }
 
 // TestJobTimeout: an execution exceeding JobTimeout fails its job with a
-// timeout diagnostic and is counted as abandoned.
+// timeout diagnostic once its runner has returned, and only then does
+// the worker take its next flight.
 func TestJobTimeout(t *testing.T) {
 	r := newBlockingRunner(true)
 	defer r.unblock()
-	srv, ts := newTestServer(t, Config{Workers: 1, JobTimeout: 25 * time.Millisecond, Runner: r.run})
+	run, stopped, hold := heldRunner(r)
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, JobTimeout: 25 * time.Millisecond, Runner: run})
 
 	_, a, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
+	r.waitStart(t)
+	_, b, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
+	waitStopped(t, stopped)
+	if _, v := getJob(t, ts, a.ID); v.State != "running" {
+		t.Fatalf("timed-out job is %s while its runner is held, want running", v.State)
+	}
+	requireNoStart(t, r, srv)
+	close(hold)
 	v := pollTerminal(t, ts, a.ID)
 	if v.State != "failed" || !strings.Contains(v.Error, "timeout") {
 		t.Fatalf("timed-out job: state %s error %q, want failed with timeout", v.State, v.Error)
 	}
-	waitCounter(t, "abandoned", func() uint64 { return srv.m.JobsAbandoned.Value() }, 1)
+	if c := r.waitStart(t); !strings.Contains(c, "fig2") {
+		t.Fatalf("after the runner returned the worker started %s, want B", c)
+	}
 	if code, _, _ := fetchResult(t, ts, a.ID); code != http.StatusConflict {
 		t.Errorf("result of failed job: HTTP %d, want 409", code)
 	}
+	pollTerminal(t, ts, b.ID)
 }
 
 // waitCounter polls a metric until it reaches want.

@@ -4,19 +4,20 @@ import "sync"
 
 // This file is the service's checkpoint store: the analogue of the
 // paper's first-level (in-memory) checkpoint tier, sitting in front of
-// the result cache's "parallel file system" role. A grid exhibit reports
-// every finished cell through the experiments.Progress hook; the cells
-// accumulate in a snapshot keyed by the spec's cache key. When the
-// execution fails — runner error, per-job timeout, injected worker
-// crash, or last-subscriber cancel — the snapshot survives, and the next
-// flight for the same spec resumes from it instead of relaunching from
-// scratch. A successful execution drops its snapshot: the finished
-// result in the cache supersedes it.
+// the result cache's "parallel file system" role. Every simulating
+// exhibit reports each finished cell through the experiments.Progress
+// hook; the cells accumulate in a snapshot keyed by the spec's cache key.
+// When the execution fails — runner error, per-job timeout, injected
+// worker crash, or last-subscriber cancel — the snapshot survives, and
+// the next flight for the same spec resumes from it instead of
+// relaunching from scratch. A successful execution drops its snapshot:
+// the finished result in the cache supersedes it.
 
 // snapshot accumulates one spec's completed cells. Writes are
 // first-write-wins: cells are deterministic functions of the spec, so a
-// detached (abandoned) runner racing a resumed one records identical
-// values and the earlier write is as good as the later.
+// cell a mesh handoff imports while a flight of the same spec records it
+// carries identical values, and the earlier write is as good as the
+// later.
 type snapshot struct {
 	mu    sync.Mutex
 	cells map[int][]float64

@@ -17,7 +17,7 @@
 //   - Pool: the worker pool — one bounded, discardable FIFO that every
 //     worker pops, an elastic width, and graceful drain.
 //   - snapStore: the checkpoint tier (DESIGN.md §10, introduced in PR 5).
-//     Grid exhibits report per-cell completion through
+//     Every simulating exhibit reports per-cell completion through
 //     experiments.Progress; interrupted executions leave a snapshot, and
 //     resubmitting the same spec resumes from it instead of relaunching —
 //     the serving-layer analogue of the paper's checkpoint/restart, with
@@ -46,8 +46,9 @@ import (
 )
 
 // Spec is one experiment request. The zero value of every optional field
-// means "the exhibit's own default" (the paper's statistical scale), so
-// omitting a field and spelling out its default are the same request.
+// means "the exhibit's own default" (its registry row's Defaults, the
+// scale results/ was generated with), so omitting a field and spelling
+// out its default are the same request.
 type Spec struct {
 	// Exhibit names the experiment in the experiments registry (fig1,
 	// fig4, ext-tau, ...). Group aliases (all, ext-all) are rejected: one
@@ -150,11 +151,28 @@ func (s Spec) Validate() error {
 }
 
 // Canonical returns the canonical serialization the cache key hashes:
-// every field in a fixed order, zero values spelled out. Two specs are the
-// same experiment if and only if their canonical forms are equal.
+// every field in a fixed order, zero values spelled out. A scale field
+// equal to the exhibit's default, or one the exhibit does not read (its
+// default is 0), is written as 0, so a default spelled out, omitted, or an
+// unread field set all hash alike. The seed stays as given: a server may
+// run with a non-default seed.
 func (s Spec) Canonical() string {
+	if ex, ok := experiments.Lookup(s.Exhibit); ok {
+		d := ex.Defaults
+		s.Trials = unlessDefault(s.Trials, d.Trials)
+		s.Patterns = unlessDefault(s.Patterns, d.Patterns)
+		s.Arrivals = unlessDefault(s.Arrivals, d.Arrivals)
+	}
 	return fmt.Sprintf("exhibit=%s&trials=%d&patterns=%d&arrivals=%d&seed=%d",
 		s.Exhibit, s.Trials, s.Patterns, s.Arrivals, s.Seed)
+}
+
+// unlessDefault canonicalizes one scale field against its default.
+func unlessDefault(v, def int) int {
+	if v == def || def == 0 {
+		return 0
+	}
+	return v
 }
 
 // Key is the spec's cache key: the hex SHA-256 of its canonical form.

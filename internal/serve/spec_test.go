@@ -47,6 +47,37 @@ func TestSpecKeySemanticEquality(t *testing.T) {
 		{Exhibit: "table2", Trials: 50, Seed: 7},
 		{Exhibit: "ext-tau", Trials: 10, Patterns: 3, Arrivals: 20, Seed: 99},
 	}
+	// A default spelled out, or a field the exhibit never reads, is the
+	// same request as the field omitted.
+	same := map[Spec]Spec{
+		{Exhibit: "fig1", Trials: 200}:                               {Exhibit: "fig1"},
+		{Exhibit: "fig1", Patterns: 6}:                               {Exhibit: "fig1"},
+		{Exhibit: "fig4", Patterns: 50, Arrivals: 100}:               {Exhibit: "fig4"},
+		{Exhibit: "fig4", Trials: 9, Patterns: 6}:                    {Exhibit: "fig4", Patterns: 6},
+		{Exhibit: "ext-selectors", Arrivals: 60}:                     {Exhibit: "ext-selectors"},
+		{Exhibit: "table2", Trials: 50, Seed: 7}:                     {Exhibit: "table2", Seed: 7},
+		{Exhibit: "ext-whatif", Trials: 3, Patterns: 4, Arrivals: 5}: {Exhibit: "ext-whatif"},
+	}
+	for in, want := range same {
+		if in.Key() != want.Key() {
+			t.Errorf("spec %+v keys as %s, want the key of %+v", in, in.Canonical(), want)
+		}
+		specs = append(specs, in)
+	}
+	// Specs that spell out only fields their exhibit reads, at non-default
+	// values, keep their canonical form byte for byte: the served-zipf
+	// and loadsweep vocabularies, and the scenarios' golden fig4 spec.
+	for _, s := range []Spec{
+		{Exhibit: "fig1", Trials: 2, Seed: 1},
+		{Exhibit: "ext-mtbf", Trials: 2, Seed: 5},
+		{Exhibit: "fig4", Patterns: 1, Arrivals: 5, Seed: 3},
+		{Exhibit: "fig4", Patterns: 6},
+	} {
+		if want := fmt.Sprintf("exhibit=%s&trials=%d&patterns=%d&arrivals=%d&seed=%d",
+			s.Exhibit, s.Trials, s.Patterns, s.Arrivals, s.Seed); s.Canonical() != want {
+			t.Errorf("canonical form of %+v is %s, want %s", s, s.Canonical(), want)
+		}
+	}
 	for _, want := range specs {
 		base := want.Key()
 		for trial := 0; trial < 25; trial++ {
@@ -64,18 +95,19 @@ func TestSpecKeySemanticEquality(t *testing.T) {
 	}
 }
 
-// TestSpecKeySensitivity: changing any single parameter changes the key.
+// TestSpecKeySensitivity: changing any single parameter the exhibit
+// reads changes the key (fig4 reads patterns and arrivals, fig1 trials).
 func TestSpecKeySensitivity(t *testing.T) {
-	base := Spec{Exhibit: "fig4", Trials: 10, Patterns: 6, Arrivals: 40, Seed: 1}
+	base := Spec{Exhibit: "fig4", Patterns: 6, Arrivals: 40, Seed: 1}
 	mutations := map[string]Spec{
-		"exhibit":  {Exhibit: "fig5", Trials: 10, Patterns: 6, Arrivals: 40, Seed: 1},
-		"trials":   {Exhibit: "fig4", Trials: 11, Patterns: 6, Arrivals: 40, Seed: 1},
-		"patterns": {Exhibit: "fig4", Trials: 10, Patterns: 7, Arrivals: 40, Seed: 1},
-		"arrivals": {Exhibit: "fig4", Trials: 10, Patterns: 6, Arrivals: 41, Seed: 1},
-		"seed":     {Exhibit: "fig4", Trials: 10, Patterns: 6, Arrivals: 40, Seed: 2},
+		"exhibit":  {Exhibit: "fig5", Patterns: 6, Arrivals: 40, Seed: 1},
+		"trials":   {Exhibit: "fig1", Trials: 11, Seed: 1},
+		"patterns": {Exhibit: "fig4", Patterns: 7, Arrivals: 40, Seed: 1},
+		"arrivals": {Exhibit: "fig4", Patterns: 6, Arrivals: 41, Seed: 1},
+		"seed":     {Exhibit: "fig4", Patterns: 6, Arrivals: 40, Seed: 2},
 		"zeroed":   {Exhibit: "fig4"},
 	}
-	seen := map[string]string{base.Canonical(): "base"}
+	seen := map[string]string{base.Canonical(): "base", Spec{Exhibit: "fig1", Trials: 10, Seed: 1}.Canonical(): "fig1 base"}
 	for name, m := range mutations {
 		if m.Key() == base.Key() {
 			t.Errorf("mutating %s did not change the cache key", name)

@@ -26,14 +26,20 @@
 #      fourteen reduced-size exhibits, among them fig1 and the five
 #      extension sweeps (ext-mtbf, -weibull, -tau, -semiblocking,
 #      -machines)
-#   6. the five live scenarios of `exaload scenario all` (set
+#   6. the registry defaults against results/: exasim at its flag
+#      defaults (each exhibit's registry row) regenerates the nine
+#      sub-second extension exhibits, and each CSV must equal its
+#      results/ copy byte for byte — a wrong default that exasim and the
+#      service share would pass every unit test but not this
+#   7. the five live scenarios of `exaload scenario all` (set
 #      SOAK_REQUESTS=0 to skip them), each on a fresh exaserve that must
 #      drain on SIGTERM: serve (golden fig4 bytes, then a cache hit),
-#      chaos (zero wrong or failed results under fault injection), mesh
-#      (the same after a real replica failover), load (exaload gen,
-#      replay, run and sweep), and autoscale (the pool grows, shrinks
-#      back to the floor, and loses no jobs)
-#   7. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
+#      chaos (zero wrong or failed results under fault injection, with
+#      fig1's sweeps and fig4's grids crashing and resuming), mesh (the
+#      same after a real replica failover), load (exaload gen, replay, run and sweep), and
+#      autoscale (the pool grows, shrinks back to the floor, and loses no
+#      jobs)
+#   8. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
 #      the exhibit benchmarks and fail on any >10% time or allocation
 #      regression against that report (cmd/exabench -baseline)
 #
@@ -86,6 +92,16 @@ go run ./cmd/exacheck "$@" -vr sweep
 
 echo "== golden exhibits"
 go run ./cmd/exacheck golden
+
+echo "== registry defaults reproduce results/"
+DEFAULTS=$(mktemp -d)
+DEFAULT_EXHIBITS="ext-energy ext-mtbf ext-weibull ext-tau ext-semiblocking ext-machines ext-whatif ext-selectors policy"
+# shellcheck disable=SC2086 # the list is meant to split
+go run ./cmd/exasim -csv "$DEFAULTS" $DEFAULT_EXHIBITS >/dev/null
+for name in $DEFAULT_EXHIBITS; do
+  cmp "results/$name.csv" "$DEFAULTS/$name.csv"
+done
+rm -rf "$DEFAULTS"
 
 if [ "${SOAK_REQUESTS:-}" != "0" ]; then
   echo "== live scenarios"
