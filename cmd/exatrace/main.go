@@ -32,18 +32,9 @@ func main() {
 	}
 }
 
-// techNames lists the -tech spelling of every technique in the core menu.
-func techNames() []string {
-	var names []string
-	for _, t := range core.Techniques() {
-		names = append(names, resilience.TechLabel(t))
-	}
-	return names
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("exatrace", flag.ContinueOnError)
-	techName := fs.String("tech", "pr", "technique: "+strings.Join(techNames(), ", "))
+	techName := fs.String("tech", "pr", "technique: "+strings.Join(core.TechniqueSpellings(), ", "))
 	className := fs.String("class", "C64", "application class (Table I name)")
 	fraction := fs.Float64("fraction", 0.25, "fraction of the machine")
 	steps := fs.Int("steps", 1440, "application time steps (minutes of work)")

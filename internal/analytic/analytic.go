@@ -44,27 +44,51 @@ func Efficiency(t core.Technique, app workload.App, cfg machine.Config, model *f
 		return 0, err
 	}
 
-	costs := resilience.ComputeCosts(app, cfg)
-	rate := model.Rate(app.Nodes).PerMinute()
+	c := newCell(app, cfg, resilience.ComputeCosts(app, cfg), model, opts)
+	return c.efficiency(t)
+}
 
+// cell is one scoring point: an application on a machine under a failure
+// model, with what the twins share derived once.
+type cell struct {
+	app   workload.App
+	cfg   machine.Config
+	costs resilience.Costs
+	model *failures.Model
+	opts  resilience.Config
+	rate  float64 // the application's failure rate, per minute
+	// ml, when non-nil, caches the multilevel exact stretch across Evals.
+	ml *mlCache
+}
+
+func newCell(app workload.App, cfg machine.Config, costs resilience.Costs, model *failures.Model, opts resilience.Config) cell {
+	return cell{app: app, cfg: cfg, costs: costs, model: model, opts: opts, rate: model.Rate(app.Nodes).PerMinute()}
+}
+
+// efficiency is the one per-technique dispatch of the analytic twins,
+// shared by Efficiency and Evaluator.Eval.
+func (c *cell) efficiency(t core.Technique) (float64, error) {
 	switch t {
 	case core.Ideal:
 		return 1, nil
 	case core.CheckpointRestart:
-		return exactPeriodicEfficiency(1, costs.PFS, costs.PFS, rate), nil
+		return exactPeriodicEfficiency(1, c.costs.PFS, c.costs.PFS, c.rate), nil
 	case core.ParallelRecovery:
-		mu := resilience.MessageLoggingSlowdown(app.Class)
-		return periodicEfficiency(mu, costs.L2, costs.L2, rate, opts.RecoverySpeedup), nil
+		mu := resilience.MessageLoggingSlowdown(c.app.Class)
+		return periodicEfficiency(mu, c.costs.L2, c.costs.L2, c.rate, c.opts.RecoverySpeedup), nil
 	case core.MultilevelCheckpoint:
-		return multilevelEfficiency(app, costs, model, opts)
+		if c.ml != nil {
+			return c.ml.efficiency(c), nil
+		}
+		return multilevelEfficiency(c.app, c.costs, c.model, c.opts)
 	case core.PartialRedundancy:
-		return redundantEfficiency(app, cfg, costs, model, 1.5), nil
+		return redundantEfficiency(c.app, c.cfg, c.costs, c.model, 1.5), nil
 	case core.FullRedundancy:
-		return redundantEfficiency(app, cfg, costs, model, 2.0), nil
+		return redundantEfficiency(c.app, c.cfg, c.costs, c.model, 2.0), nil
 	case core.InMemoryReplicatedCheckpoint:
-		return restoreEfficiency(app, costs, model, opts.ReStoreReplicas()), nil
+		return restoreEfficiency(c.app, c.costs, c.model, c.opts.ReStoreReplicas()), nil
 	case core.LightweightReplication:
-		return teamReplicationEfficiency(app, cfg, costs, model, opts.TeamSyncPenalty), nil
+		return teamReplicationEfficiency(c.app, c.cfg, c.costs, c.model, c.opts.TeamSyncPenalty), nil
 	default:
 		return 0, fmt.Errorf("analytic: no model for technique %v", t)
 	}

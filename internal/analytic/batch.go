@@ -59,14 +59,10 @@ type Evaluator struct {
 	apps  []workload.App
 	costs []resilience.Costs
 
-	// mu is the class's message-logging slowdown, constant over the grid.
-	mu float64
-
-	// mlStretch caches the multilevel exact stretch per (MTBF, nodes)
-	// pair; the optimizer behind it is the only non-trivial cost in the
-	// grid and is technique-axis-invariant.
-	mlStretch []float64
-	mlDone    []bool
+	// ml caches the multilevel exact stretch per (MTBF, nodes) pair; the
+	// optimizer behind it is the only non-trivial cost in the grid and is
+	// technique-axis-invariant.
+	ml []mlCache
 
 	// eff is the reused output buffer, MTBF-major then nodes then
 	// technique.
@@ -101,9 +97,7 @@ func NewEvaluator(g Grid) (*Evaluator, error) {
 		models:     make([]*failures.Model, len(g.MTBFs)),
 		apps:       make([]workload.App, len(g.Nodes)),
 		costs:      make([]resilience.Costs, len(g.Nodes)),
-		mu:         resilience.MessageLoggingSlowdown(g.Class),
-		mlStretch:  make([]float64, len(g.MTBFs)*len(g.Nodes)),
-		mlDone:     make([]bool, len(g.MTBFs)*len(g.Nodes)),
+		ml:         make([]mlCache, len(g.MTBFs)*len(g.Nodes)),
 		eff:        make([]float64, len(g.MTBFs)*len(g.Nodes)*len(g.Techniques)),
 	}
 	for mi, mtbf := range g.MTBFs {
@@ -129,11 +123,7 @@ func NewEvaluator(g Grid) (*Evaluator, error) {
 		e.costs[ni] = resilience.ComputeCosts(app, g.Machine)
 	}
 	for _, t := range g.Techniques {
-		switch t {
-		case core.Ideal, core.CheckpointRestart, core.ParallelRecovery,
-			core.MultilevelCheckpoint, core.PartialRedundancy, core.FullRedundancy,
-			core.InMemoryReplicatedCheckpoint, core.LightweightReplication:
-		default:
+		if !t.Valid() {
 			return nil, fmt.Errorf("analytic: no model for technique %v", t)
 		}
 	}
@@ -151,56 +141,38 @@ func (e *Evaluator) Index(mi, ni, ti int) int {
 // next Eval call.
 func (e *Evaluator) Eval() []float64 {
 	for mi := range e.grid.MTBFs {
-		model := e.models[mi]
-		cfg := e.cfgs[mi]
 		for ni := range e.grid.Nodes {
-			app := e.apps[ni]
-			costs := e.costs[ni]
-			rate := model.Rate(app.Nodes).PerMinute()
+			c := newCell(e.apps[ni], e.cfgs[mi], e.costs[ni], e.models[mi], e.grid.Resilience)
+			c.ml = &e.ml[mi*len(e.grid.Nodes)+ni]
 			base := e.Index(mi, ni, 0)
 			for ti, t := range e.techniques {
-				var eff float64
-				switch t {
-				case core.Ideal:
-					eff = 1
-				case core.CheckpointRestart:
-					eff = exactPeriodicEfficiency(1, costs.PFS, costs.PFS, rate)
-				case core.ParallelRecovery:
-					eff = periodicEfficiency(e.mu, costs.L2, costs.L2, rate, e.grid.Resilience.RecoverySpeedup)
-				case core.MultilevelCheckpoint:
-					eff = e.multilevel(mi, ni, app, costs, model)
-				case core.PartialRedundancy:
-					eff = redundantEfficiency(app, cfg, costs, model, 1.5)
-				case core.FullRedundancy:
-					eff = redundantEfficiency(app, cfg, costs, model, 2.0)
-				case core.InMemoryReplicatedCheckpoint:
-					eff = restoreEfficiency(app, costs, model, e.grid.Resilience.ReStoreReplicas())
-				case core.LightweightReplication:
-					eff = teamReplicationEfficiency(app, cfg, costs, model, e.grid.Resilience.TeamSyncPenalty)
-				}
-				e.eff[base+ti] = eff
+				e.eff[base+ti], _ = c.efficiency(t)
 			}
 		}
 	}
 	return e.eff
 }
 
-// multilevel scores the multilevel cell through the evaluator's stretch
-// cache: the schedule search runs once per (MTBF, nodes) pair and its
-// exact stretch is reused by every later Eval.
-func (e *Evaluator) multilevel(mi, ni int, app workload.App, costs resilience.Costs, model *failures.Model) float64 {
-	slot := mi*len(e.grid.Nodes) + ni
-	if !e.mlDone[slot] {
-		eff, err := multilevelEfficiency(app, costs, model, e.grid.Resilience)
-		stretch := 0.0
+// mlCache is one (MTBF, nodes) pair's multilevel stretch: the schedule
+// search runs on the first Eval and its exact stretch is reused by every
+// later one.
+type mlCache struct {
+	stretch float64
+	done    bool
+}
+
+// efficiency scores the multilevel cell through the cache.
+func (m *mlCache) efficiency(c *cell) float64 {
+	if !m.done {
+		eff, err := multilevelEfficiency(c.app, c.costs, c.model, c.opts)
+		m.stretch = 0
 		if err == nil && eff > 0 {
-			stretch = 1 / eff
+			m.stretch = 1 / eff
 		}
-		e.mlStretch[slot] = stretch
-		e.mlDone[slot] = true
+		m.done = true
 	}
-	if s := e.mlStretch[slot]; s > 0 {
-		return clamp01(1 / s)
+	if m.stretch > 0 {
+		return clamp01(1 / m.stretch)
 	}
 	return 0
 }

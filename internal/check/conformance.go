@@ -472,7 +472,7 @@ func reconcileMetrics(reg *obs.Registry, want map[core.Technique]*phaseTotals) [
 
 	for _, tech := range techs {
 		w := want[tech]
-		lbl := resilience.TechLabel(tech)
+		lbl := tech.Label()
 		series := func(name, extra string) float64 {
 			return snap[name+"|technique="+lbl+extra]
 		}

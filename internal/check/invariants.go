@@ -55,17 +55,18 @@ func (v Violation) String() string {
 // and FinishRun after it with the run's Result. The checker accumulates
 // violations across runs; it never stops a simulation.
 type Checker struct {
-	tech       core.Technique
+	tech core.Technique
+	// levels is the technique whose table row bounds checkpoint levels.
+	levels     core.Technique
 	multilevel bool
-	// reStore enables the replica-holder-loss mirror: degree is k and lost
-	// counts the holders destroyed since the last commit, so the checker
-	// independently predicts when a restore must degrade to a from-scratch
-	// relaunch. A degenerate ReStore executor (no peers for the replicas)
-	// behaves — and is mirrored — exactly as Checkpoint Restart.
-	reStore           bool
-	reStoreDegenerate bool
-	reStoreDegree     int
-	reStoreLost       int // per-run, reset by BeginRun
+	// A positive reStoreDegree enables the replica-holder-loss mirror: it
+	// is k, and reStoreLost counts the holders destroyed since the last
+	// commit, so the checker independently predicts when a restore must
+	// degrade to a from-scratch relaunch. A degenerate ReStore executor (no
+	// peers for the replicas) has degree 0: it behaves — and is mirrored,
+	// levels included — exactly as Checkpoint Restart.
+	reStoreDegree int
+	reStoreLost   int // per-run, reset by BeginRun
 
 	context    string
 	violations []Violation
@@ -127,12 +128,14 @@ func (c *Checker) RunSeverities() [4]int { return c.severities }
 func NewChecker(x resilience.Executor) *Checker {
 	c := &Checker{
 		tech:       x.Technique(),
+		levels:     x.Technique(),
 		multilevel: x.Technique() == core.MultilevelCheckpoint,
 	}
 	if info, ok := resilience.ReStoreInfoOf(x); ok {
-		c.reStore = !info.Degenerate
-		c.reStoreDegenerate = info.Degenerate
 		c.reStoreDegree = info.Degree
+		if info.Degenerate {
+			c.levels = core.CheckpointRestart
+		}
 	}
 	return c
 }
@@ -197,7 +200,7 @@ func (c *Checker) Observe(ev resilience.TraceEvent) {
 			c.fail(ev.Time, "nested checkpoint (level %d inside level %d)", ev.Level, c.ckptLevel)
 		}
 		c.checkProgressMonotone(ev)
-		c.checkLevelRange(ev, "checkpoint")
+		c.checkLevelRange(ev)
 		c.inCheckpoint = true
 		c.ckptLevel = ev.Level
 		c.ckptSnapshot = ev.Progress
@@ -256,7 +259,7 @@ func (c *Checker) Observe(ev resilience.TraceEvent) {
 				c.committed[level] = 0
 			}
 		}
-		if c.reStore {
+		if c.reStoreDegree > 0 {
 			// Mirror the replica ledger: a node loss destroys one holder's
 			// copy, a catastrophic failure two; once the losses since the
 			// last commit reach the degree, the in-memory checkpoint is gone
@@ -356,32 +359,12 @@ func (c *Checker) checkProgressMonotone(ev resilience.TraceEvent) {
 	}
 }
 
-// checkLevelRange validates checkpoint levels against the technique's
-// storage hierarchy: CR and redundancy write only to the PFS (level 3),
-// Parallel Recovery only to remote memory (level 2), multilevel to 1-3.
-func (c *Checker) checkLevelRange(ev resilience.TraceEvent, what string) {
-	ok := true
-	switch c.tech {
-	case core.CheckpointRestart, core.PartialRedundancy, core.FullRedundancy:
-		ok = ev.Level == 3
-	case core.ParallelRecovery:
-		ok = ev.Level == 2
-	case core.MultilevelCheckpoint:
-		ok = ev.Level >= 1 && ev.Level <= 3
-	case core.InMemoryReplicatedCheckpoint:
-		// Peer-RAM replicas are partner-level storage (level 2); the
-		// degenerate fallback writes to the PFS like Checkpoint Restart.
-		if c.reStoreDegenerate {
-			ok = ev.Level == 3
-		} else {
-			ok = ev.Level == 2
-		}
-	case core.LightweightReplication:
-		// The scheme keeps no checkpoints at all.
-		ok = false
-	}
-	if !ok {
-		c.fail(ev.Time, "%v %s at level %d outside the technique's hierarchy", c.tech, what, ev.Level)
+// checkLevelRange validates a checkpoint's level against the levels the
+// technique's table row writes (Checkpoint Restart's row for a degenerate
+// ReStore executor, which writes to the PFS).
+func (c *Checker) checkLevelRange(ev resilience.TraceEvent) {
+	if !c.levels.WritesLevel(ev.Level) {
+		c.fail(ev.Time, "%v checkpoint at level %d outside the technique's hierarchy", c.tech, ev.Level)
 	}
 }
 

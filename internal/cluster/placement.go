@@ -12,7 +12,6 @@ package cluster
 import (
 	"fmt"
 
-	"exaresil/internal/core"
 	"exaresil/internal/failures"
 	"exaresil/internal/machine"
 	"exaresil/internal/resilience"
@@ -51,17 +50,6 @@ func (p PlacementPolicy) String() string {
 // Valid reports whether the policy is one of the defined values.
 func (p PlacementPolicy) Valid() bool {
 	return p == PlaceFirstFit || p == PlaceReliability
-}
-
-// checkpointHeavy reports whether the technique's running cost is
-// dominated by checkpoint/restart traffic, making node reliability the
-// binding resource for it.
-func checkpointHeavy(t core.Technique) bool {
-	switch t {
-	case core.CheckpointRestart, core.MultilevelCheckpoint, core.InMemoryReplicatedCheckpoint:
-		return true
-	}
-	return false
 }
 
 // classState is one node class's runtime ledger.
@@ -133,7 +121,7 @@ func (c *run) placeClass(j *job) (*classState, resilience.Executor) {
 			continue
 		}
 		a, b := c.classes[best].class, cls.class
-		if checkpointHeavy(j.tech) {
+		if j.tech.CheckpointHeavy() {
 			if b.MTBF > a.MTBF || (b.MTBF == a.MTBF && b.Speed > a.Speed) {
 				best = i
 			}

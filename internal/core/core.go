@@ -4,7 +4,11 @@
 // agree on vocabulary without importing one another.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Technique identifies one of the HPC resilience strategies compared by the
 // study.
@@ -45,94 +49,127 @@ const (
 	// relaunches the application. A post-2017 extension beyond the paper's
 	// menu.
 	LightweightReplication
-
-	numTechniques
 )
 
-// Techniques lists every real technique (excluding Ideal) in presentation
-// order: the paper's five in the bar order of its figures, then the
-// post-2017 extensions.
-func Techniques() []Technique {
-	return []Technique{
-		CheckpointRestart,
-		MultilevelCheckpoint,
-		ParallelRecovery,
-		PartialRedundancy,
-		FullRedundancy,
-		InMemoryReplicatedCheckpoint,
-		LightweightReplication,
-	}
+// techniqueRow is one technique's vocabulary.
+type techniqueRow struct {
+	name    string   // as the paper names it
+	label   string   // metric label value and first CLI spelling
+	aliases []string // further CLI spellings
+	// paper and cluster mark membership of the paper's menu (Figures 1-3)
+	// and of the Section VI/VII cluster menu, which drops redundancy.
+	paper, cluster bool
+	// levels marks the checkpoint levels the technique writes: 1 local
+	// RAM, 2 partner RAM, 3 the parallel file system.
+	levels [4]bool
+	// checkpointHeavy: checkpoint/restart traffic dominates the running
+	// cost, so node reliability binds placement.
+	checkpointHeavy bool
 }
+
+// techniques is the technique table, one row per technique in
+// presentation order: the paper's five in the bar order of its figures,
+// then the post-2017 extensions.
+var techniques = [...]techniqueRow{
+	Ideal: {name: "Ideal", label: "ideal"},
+	CheckpointRestart: {name: "Checkpoint Restart", label: "cr", aliases: []string{"checkpoint-restart"},
+		paper: true, cluster: true, levels: [4]bool{3: true}, checkpointHeavy: true},
+	MultilevelCheckpoint: {name: "Multilevel Checkpoint", label: "multilevel", aliases: []string{"ml"},
+		paper: true, cluster: true, levels: [4]bool{1: true, 2: true, 3: true}, checkpointHeavy: true},
+	ParallelRecovery: {name: "Parallel Recovery", label: "pr", aliases: []string{"parallel-recovery"},
+		paper: true, cluster: true, levels: [4]bool{2: true}},
+	PartialRedundancy: {name: "Redundancy r=1.5", label: "red1.5", aliases: []string{"partial-redundancy"},
+		paper: true, levels: [4]bool{3: true}},
+	FullRedundancy: {name: "Redundancy r=2.0", label: "red2.0", aliases: []string{"full-redundancy"},
+		paper: true, levels: [4]bool{3: true}},
+	InMemoryReplicatedCheckpoint: {name: "In-Memory Replicated Checkpoint", label: "restore",
+		aliases: []string{"in-memory-replicated"}, levels: [4]bool{2: true}, checkpointHeavy: true},
+	// Lightweight Replication keeps no checkpoints at all.
+	LightweightReplication: {name: "Lightweight Replication", label: "teampi",
+		aliases: []string{"lightweight-replication"}},
+}
+
+// NumTechniques counts the techniques, Ideal included: the length of an
+// array indexed by Technique.
+const NumTechniques = len(techniques)
+
+// menu lists the real techniques (excluding Ideal) whose row passes in.
+func menu(in func(techniqueRow) bool) []Technique {
+	var out []Technique
+	for t := CheckpointRestart; int(t) < NumTechniques; t++ {
+		if in(techniques[t]) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// Techniques lists every real technique (excluding Ideal) in presentation
+// order.
+func Techniques() []Technique { return menu(func(techniqueRow) bool { return true }) }
 
 // PaperTechniques lists only the five technique variants of the 2017
 // paper, in its presentation order. The paper's own exhibits (Figures 1-3,
 // the cross-machine table) use this list so their pinned outputs do not
 // shift as the repository's technique menu grows.
-func PaperTechniques() []Technique {
-	return []Technique{
-		CheckpointRestart,
-		MultilevelCheckpoint,
-		ParallelRecovery,
-		PartialRedundancy,
-		FullRedundancy,
-	}
-}
+func PaperTechniques() []Technique { return menu(func(r techniqueRow) bool { return r.paper }) }
 
 // ClusterTechniques lists the techniques carried into the Section VI/VII
 // cluster studies; the paper drops both redundancy variants there because
 // Section V shows them unviable at exascale.
-func ClusterTechniques() []Technique {
-	return []Technique{CheckpointRestart, MultilevelCheckpoint, ParallelRecovery}
-}
+func ClusterTechniques() []Technique { return menu(func(r techniqueRow) bool { return r.cluster }) }
 
 // Valid reports whether t names a known technique.
-func (t Technique) Valid() bool { return t >= Ideal && t < numTechniques }
+func (t Technique) Valid() bool { return t >= Ideal && int(t) < NumTechniques }
 
 // String names the technique as the paper does.
 func (t Technique) String() string {
-	switch t {
-	case Ideal:
-		return "Ideal"
-	case CheckpointRestart:
-		return "Checkpoint Restart"
-	case MultilevelCheckpoint:
-		return "Multilevel Checkpoint"
-	case ParallelRecovery:
-		return "Parallel Recovery"
-	case PartialRedundancy:
-		return "Redundancy r=1.5"
-	case FullRedundancy:
-		return "Redundancy r=2.0"
-	case InMemoryReplicatedCheckpoint:
-		return "In-Memory Replicated Checkpoint"
-	case LightweightReplication:
-		return "Lightweight Replication"
-	default:
+	if !t.Valid() {
 		return fmt.Sprintf("Technique(%d)", int(t))
 	}
+	return techniques[t].name
 }
 
-// ParseTechnique maps a CLI-friendly name to a Technique.
-func ParseTechnique(name string) (Technique, error) {
-	switch name {
-	case "ideal":
-		return Ideal, nil
-	case "cr", "checkpoint-restart":
-		return CheckpointRestart, nil
-	case "ml", "multilevel":
-		return MultilevelCheckpoint, nil
-	case "pr", "parallel-recovery":
-		return ParallelRecovery, nil
-	case "red1.5", "partial-redundancy":
-		return PartialRedundancy, nil
-	case "red2.0", "full-redundancy":
-		return FullRedundancy, nil
-	case "restore", "in-memory-replicated":
-		return InMemoryReplicatedCheckpoint, nil
-	case "teampi", "lightweight-replication":
-		return LightweightReplication, nil
+// Label is the technique's stable metric label value and first CLI
+// spelling: CLI-style, unlike String's presentation name, so dashboards
+// never see spaces.
+func (t Technique) Label() string {
+	if !t.Valid() {
+		return fmt.Sprintf("technique-%d", int(t))
 	}
-	return 0, fmt.Errorf("core: unknown technique %q", name)
+	return techniques[t].label
+}
+
+// WritesLevel reports whether the technique writes checkpoints at the
+// given level (1 local RAM, 2 partner RAM, 3 PFS).
+func (t Technique) WritesLevel(level int) bool {
+	return t.Valid() && level >= 0 && level < 4 && techniques[t].levels[level]
+}
+
+// CheckpointHeavy reports whether checkpoint/restart traffic dominates the
+// technique's running cost, making node reliability the binding resource
+// for its placement.
+func (t Technique) CheckpointHeavy() bool { return t.Valid() && techniques[t].checkpointHeavy }
+
+// TechniqueSpellings lists every spelling ParseTechnique accepts, each
+// technique's label before its aliases.
+func TechniqueSpellings() []string {
+	var out []string
+	for _, r := range techniques {
+		out = append(append(out, r.label), r.aliases...)
+	}
+	return out
+}
+
+// ParseTechnique maps a CLI spelling (a label or an alias) to a
+// Technique.
+func ParseTechnique(name string) (Technique, error) {
+	for t, r := range techniques {
+		if name == r.label || slices.Contains(r.aliases, name) {
+			return Technique(t), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown technique %q (want one of %s)", name, strings.Join(TechniqueSpellings(), ", "))
 }
 
 // Scheduler identifies one of the resource-management heuristics of

@@ -40,7 +40,7 @@ type Params struct {
 	// Trials is the Monte-Carlo repetition count for trial-based exhibits
 	// (figures 1-3, ext-energy, the five ext-* sweeps); ext-menu2 runs
 	// Trials/2 antithetic pairs per arm and policy Trials/4 probes per
-	// cell, each at least 1.
+	// cell, each at least 1 (see Exhibit.Resolve).
 	Trials int
 	// Patterns is the arrival-pattern count for cluster exhibits
 	// (figures 4-5, ext-backfill, ext-selectors, ext-hetero).
@@ -69,14 +69,21 @@ type Exhibit struct {
 	// A zero field is one the exhibit does not read.
 	Defaults Params
 
-	run func(cfg Config, p Params) (*report.Table, any, error)
+	// trialUnit is the trials one unit of the exhibit's work spends: 2 per
+	// antithetic pair of ext-menu2, 4 per probe of policy; 0 is 1.
+	trialUnit int
+	run       func(cfg Config, p Params) (*report.Table, any, error)
 }
 
-// Resolve fills p's zero scale fields from the row's Defaults: the
-// parameters Run runs the exhibit at.
+// Resolve fills p's zero scale fields from the row's Defaults and rounds
+// Trials down to whole units of work, at least one: the parameters Run
+// runs the exhibit at, so equal work resolves alike.
 func (e Exhibit) Resolve(p Params) Params {
 	if p.Trials == 0 {
 		p.Trials = e.Defaults.Trials
+	}
+	if u := e.trialUnit; u > 1 {
+		p.Trials = u * max(1, p.Trials/u)
 	}
 	if p.Patterns == 0 {
 		p.Patterns = e.Defaults.Patterns
@@ -176,15 +183,15 @@ var registry = []Exhibit{
 		run: func(cfg Config, p Params) (*report.Table, any, error) {
 			return typed(HeteroSpec{Config: cfg, Patterns: p.Patterns, Arrivals: p.Arrivals}.Run())
 		}},
-	{Name: "ext-menu2", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+	{Name: "ext-menu2", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone, trialUnit: 2,
 		run: func(cfg Config, p Params) (*report.Table, any, error) {
-			return typed(Menu2Spec{Config: cfg, PairedTrials: max(1, p.Trials/2)}.Run())
+			return typed(Menu2Spec{Config: cfg, PairedTrials: p.Trials / 2}.Run())
 		}},
-	{Name: "policy", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone,
+	{Name: "policy", Defaults: Params{Trials: 200}, Group: "ext", Chart: ChartNone, trialUnit: 4,
 		run: func(cfg Config, p Params) (*report.Table, any, error) {
 			opts := p.Selection
 			if opts.Trials == 0 {
-				opts.Trials = max(1, p.Trials/4)
+				opts.Trials = p.Trials / 4
 			}
 			t, err := PolicyTable(cfg, opts)
 			return t, nil, err

@@ -90,10 +90,12 @@ func WriteTrace(w io.Writer, t *Trace) error {
 }
 
 // ReadTrace parses a JSONL trace. Every malformed condition is an error
-// naming the 1-based line: unknown fields, truncated or non-JSON lines,
-// a missing or mismatched header, blank interior lines, and offsets that
-// run backwards. Nothing is silently skipped — a trace either replays
-// exactly or not at all.
+// naming the 1-based line: truncated or non-JSON lines, a missing or
+// mismatched header, blank interior lines, and offsets that run
+// backwards. Every line decodes strictly (serve.DecodeStrict): a key in
+// the wrong case, an unknown or repeated key, or trailing data is an
+// error, and each event's spec must pass serve.ParseSpec. Nothing is
+// silently skipped — a trace either replays exactly or not at all.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	line := 0
@@ -113,17 +115,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		line++
 		return strings.TrimSuffix(s, "\n"), true, nil
 	}
-	decodeStrict := func(s string, v any) error {
-		dec := json.NewDecoder(bytes.NewReader([]byte(s)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(v); err != nil {
+	decode := func(s string, fields map[string]any) error {
+		if err := serve.DecodeStrict(strings.NewReader(s), fields); err != nil {
 			return fmt.Errorf("trace: line %d: %v", line, err)
-		}
-		// Anything after the JSON value means two records were glued
-		// together (a torn write).
-		var extra json.RawMessage
-		if err := dec.Decode(&extra); err != io.EOF {
-			return fmt.Errorf("trace: line %d: trailing data after record", line)
 		}
 		return nil
 	}
@@ -136,7 +130,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: empty input (no header line)")
 	}
 	var hdr traceHeader
-	if err := decodeStrict(hdrLine, &hdr); err != nil {
+	if err := decode(hdrLine, map[string]any{
+		"format": &hdr.Format, "version": &hdr.Version, "seed": &hdr.Seed, "note": &hdr.Note,
+	}); err != nil {
 		return nil, err
 	}
 	if hdr.Format != traceFormat {
@@ -160,15 +156,21 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: line %d: blank line inside trace", line)
 		}
 		var e Event
-		if err := decodeStrict(s, &e); err != nil {
+		var spec json.RawMessage
+		if err := decode(s, map[string]any{
+			"offset_s": &e.Offset, "spec": &spec, "outcome": &e.Outcome, "cache": &e.Cache, "latency_s": &e.Latency,
+		}); err != nil {
 			return nil, err
 		}
 		if e.Offset < prev {
 			return nil, fmt.Errorf("trace: line %d: offset %v runs backwards (previous %v)", line, e.Offset, prev)
 		}
 		prev = e.Offset
-		if e.Spec.Exhibit == "" {
+		if spec == nil {
 			return nil, fmt.Errorf("trace: line %d: event has no spec", line)
+		}
+		if e.Spec, err = serve.ParseSpec(bytes.NewReader(spec)); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %v", line, err)
 		}
 		switch e.Outcome {
 		case OutcomeGenerated, OutcomeOK, OutcomeRejected, OutcomeError:

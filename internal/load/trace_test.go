@@ -121,7 +121,14 @@ func TestReadTraceRejects(t *testing.T) {
 		{"blank interior line", header + "\n" + event, "line 2: blank line"},
 		{"non-JSON line", header + "not json\n", "line 2"},
 		{"backwards offsets", header + event + `{"offset_s":0.5,"spec":{"exhibit":"fig1"},"outcome":"ok"}` + "\n", "line 3: offset 0.5 runs backwards"},
-		{"missing spec", header + `{"offset_s":1,"spec":{},"outcome":"ok"}` + "\n", "line 2: event has no spec"},
+		{"missing spec", header + `{"offset_s":1,"outcome":"ok"}` + "\n", "line 2: event has no spec"},
+		{"spec without exhibit", header + `{"offset_s":1,"spec":{},"outcome":"ok"}` + "\n", "line 2: spec: exhibit is required"},
+		{"header key case", `{"FORMAT":"exaload-trace","Version":1}` + "\n", `line 1: field "FORMAT" must be spelled "format"`},
+		{"header repeated key", `{"format":"exaload-trace","version":1,"version":1}` + "\n", `line 1: duplicate field "version"`},
+		{"event key case", header + `{"Offset_s":1,"spec":{"exhibit":"fig1"},"outcome":"ok"}` + "\n", `line 2: field "Offset_s" must be spelled "offset_s"`},
+		{"spec key case", header + `{"offset_s":1,"spec":{"EXHIBIT":"fig1"},"outcome":"ok"}` + "\n", `line 2: decode spec: field "EXHIBIT" must be spelled "exhibit"`},
+		{"spec unknown exhibit", header + `{"offset_s":1,"spec":{"exhibit":"fig9"},"outcome":"ok"}` + "\n", `line 2: spec: unknown exhibit "fig9"`},
+		{"spec negative trials", header + `{"offset_s":1,"spec":{"exhibit":"fig1","trials":-5},"outcome":"ok"}` + "\n", "line 2: spec: trials must be non-negative"},
 		{"unknown outcome", header + `{"offset_s":1,"spec":{"exhibit":"fig1"},"outcome":"mystery"}` + "\n", `line 2: unknown outcome "mystery"`},
 	}
 	for _, c := range cases {

@@ -22,18 +22,26 @@ import (
 func TestWireConformance(t *testing.T) {
 	release := make(chan struct{})
 	// fig5 parks until cleanup, so its jobs stay unfinished and fill the
-	// queues on demand; everything else finishes at once.
-	runner := func(ctx context.Context, _ experiments.Config, s serve.Spec) (*serve.Result, error) {
-		if s.Exhibit == "fig5" {
-			select {
-			case <-release:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+	// queues on demand; everything else finishes at once. Each surface's
+	// runner reports the seed of every fig5 run it starts.
+	runner := func(started chan<- uint64) func(context.Context, experiments.Config, serve.Spec) (*serve.Result, error) {
+		return func(ctx context.Context, _ experiments.Config, s serve.Spec) (*serve.Result, error) {
+			if s.Exhibit == "fig5" {
+				started <- s.Seed
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
 			}
+			return &serve.Result{CSV: []byte(s.Canonical() + "\n"), Text: s.Canonical(), Digest: s.Key()}, nil
 		}
-		return &serve.Result{CSV: []byte(s.Canonical() + "\n"), Text: s.Canonical(), Digest: s.Key()}, nil
 	}
-	scfg := serve.Config{Workers: 1, QueueDepth: 2, Runner: runner}
+	// 64 exceeds every start a surface can report (seeds 1 and 2, one run
+	// per worker, then the queued runs after release), so no runner ever
+	// blocks on its report.
+	serverStarts, meshStarts := make(chan uint64, 64), make(chan uint64, 64)
+	scfg := serve.Config{Workers: 1, QueueDepth: 2, Runner: runner(serverStarts)}
 	single, err := serve.New(scfg)
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
@@ -43,16 +51,22 @@ func TestWireConformance(t *testing.T) {
 		defer cancel()
 		_ = single.Drain(ctx)
 	})
+	scfg.Runner = runner(meshStarts)
 	c := newTestMesh(t, Config{Replicas: 2, Serve: scfg, HeartbeatTimeout: 30 * time.Second})
 	t.Cleanup(func() { close(release) }) // runs before both drains
 
 	type surface struct {
-		name string
-		h    http.Handler
-		b    serve.Backend
-		ids  *strings.Replacer // {done}, {parked}, {canceled} → job ids
+		name    string
+		h       http.Handler
+		b       serve.Backend
+		workers int
+		started <-chan uint64     // seeds of the fig5 runs its workers start
+		ids     *strings.Replacer // {done}, {parked}, {canceled} → job ids
 	}
-	surfaces := []*surface{{name: "server", h: single.Handler(), b: single}, {name: "mesh", h: c.Handler(), b: c}}
+	surfaces := []*surface{
+		{name: "server", h: single.Handler(), b: single, workers: 1, started: serverStarts},
+		{name: "mesh", h: c.Handler(), b: c, workers: 2, started: meshStarts},
+	}
 	submit := func(b serve.Backend, spec serve.Spec) string {
 		t.Helper()
 		view, err := b.Submit(spec)
@@ -77,14 +91,34 @@ func TestWireConformance(t *testing.T) {
 		}
 		s.ids = strings.NewReplacer("{done}", done, "{parked}", parked, "{canceled}", canceled)
 	}
-	// fill submits parked specs until the backend reports saturation.
-	fill := func(b serve.Backend) {
-		for i := 0; i < 32; i++ {
-			if _, err := b.Submit(serve.Spec{Exhibit: "fig5", Seed: uint64(100 + i)}); errors.Is(err, serve.ErrSaturated) {
-				return
+	// fill parks a fig5 run on every worker of the surface, then submits
+	// parked specs until the backend reports saturation. Saturation alone
+	// is not enough on the mesh: a worker still idle there would pop a
+	// queued flight afterwards and free a slot.
+	fill := func(s *surface) {
+		seed := uint64(100)
+		untilSaturated := func() {
+			for ; seed < 164; seed++ {
+				if _, err := s.b.Submit(serve.Spec{Exhibit: "fig5", Seed: seed}); errors.Is(err, serve.ErrSaturated) {
+					return
+				}
+			}
+			t.Fatal("64 parked submissions never saturated the queues")
+		}
+		// Saturation leaves every live queue full, so each idle worker
+		// starts a parked run. The canceled job (seed 2) holds no worker.
+		untilSaturated()
+		for held := 0; held < s.workers; {
+			select {
+			case seed := <-s.started:
+				if seed != 2 {
+					held++
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: %d of %d workers started a parked run", s.name, held, s.workers)
 			}
 		}
-		t.Fatal("32 parked submissions never saturated the queues")
+		untilSaturated()
 	}
 
 	rows := []struct {
@@ -116,7 +150,7 @@ func TestWireConformance(t *testing.T) {
 		var sigs []string
 		for _, s := range surfaces {
 			if row.fill {
-				fill(s.b)
+				fill(s)
 			}
 			rec := httptest.NewRecorder()
 			s.h.ServeHTTP(rec, httptest.NewRequest(row.method, s.ids.Replace(row.path), strings.NewReader(row.body)))

@@ -10,7 +10,9 @@
 //     overhead models (Eqs. 7, 8);
 //   - daly.go: the first-order optimal checkpoint period (Eq. 4);
 //   - engine.go: the shared event-driven execution state machine;
-//   - one file per technique implementing the engine's strategy interface;
+//   - one file per strategy implementing the engine's strategy interface:
+//     rollback.go (Checkpoint Restart, Parallel Recovery and ReStore),
+//     multilevel.go, redundancy.go and teampi.go;
 //   - mlopt.go: the multilevel checkpoint schedule optimizer.
 package resilience
 

@@ -22,7 +22,7 @@ import (
 // internal/check).
 type Metrics struct {
 	des     *des.Metrics
-	perTech [int(core.LightweightReplication) + 1]techMetrics
+	perTech [core.NumTechniques]techMetrics
 }
 
 // techMetrics is one technique's series.
@@ -33,31 +33,6 @@ type techMetrics struct {
 	useful, checkpoint  *obs.FloatCounter
 	restore, relaunch   *obs.FloatCounter
 	rework              *obs.FloatCounter
-}
-
-// TechLabel is the stable label value for a technique (CLI-style, not the
-// presentation string, so dashboards never see spaces or dots).
-func TechLabel(t core.Technique) string {
-	switch t {
-	case core.Ideal:
-		return "ideal"
-	case core.CheckpointRestart:
-		return "cr"
-	case core.MultilevelCheckpoint:
-		return "multilevel"
-	case core.ParallelRecovery:
-		return "pr"
-	case core.PartialRedundancy:
-		return "red1.5"
-	case core.FullRedundancy:
-		return "red2.0"
-	case core.InMemoryReplicatedCheckpoint:
-		return "restore"
-	case core.LightweightReplication:
-		return "teampi"
-	default:
-		return fmt.Sprintf("technique-%d", int(t))
-	}
 }
 
 // The phase label values of exaresil_resilience_time_minutes_total.
@@ -83,7 +58,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 func newMetrics(r *obs.Registry) *Metrics {
 	m := &Metrics{des: des.NewMetrics(r)}
 	for t := range m.perTech {
-		tech := obs.L("technique", TechLabel(core.Technique(t)))
+		tech := obs.L("technique", core.Technique(t).Label())
 		tm := &m.perTech[t]
 		tm.runs = r.Counter("exaresil_resilience_runs_total", "executor runs", tech)
 		tm.completions = r.Counter("exaresil_resilience_completions_total", "runs that finished before their horizon", tech)

@@ -27,7 +27,7 @@ type multilevel struct {
 
 // newMultilevel builds the Multilevel Checkpoint executor, optimizing the
 // checkpoint schedule for the application's failure rates.
-func newMultilevel(app workload.App, costs Costs, model *failures.Model, opts MultilevelConfig, periodScale float64) Executor {
+func newMultilevel(app workload.App, costs Costs, model *failures.Model, opts MultilevelConfig, periodScale float64) *executor {
 	s := &multilevel{application: app, costs: costs}
 	x := &executor{strat: s, model: model, phys: app.Nodes, viable: true}
 	optimize := OptimizeMultilevel

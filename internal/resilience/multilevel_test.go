@@ -3,7 +3,9 @@ package resilience
 import (
 	"testing"
 
+	"exaresil/internal/core"
 	"exaresil/internal/failures"
+	"exaresil/internal/machine"
 	"exaresil/internal/units"
 	"exaresil/internal/workload"
 )
@@ -23,26 +25,38 @@ func TestSingleLevelScratchRestartAccounting(t *testing.T) {
 	costs := Costs{L1: 1 * units.Minute, L2: 3 * units.Minute, PFS: 10 * units.Minute}
 	anyFailure := failures.Failure{Severity: failures.SeverityTransient}
 
-	cr := &checkpointRestart{application: testApp(workload.C64, 1000), costs: costs}
-	cr.reset()
-	if resp := cr.onFailure(anyFailure, 50); resp.restoreLevel != 0 || resp.restoreTo != 0 || resp.restartCost != costs.PFS {
-		t.Errorf("CR scratch restart = level %d @ %v costing %v, want level 0 @ 0 costing T_PFS",
-			resp.restoreLevel, resp.restoreTo, resp.restartCost)
+	// The single-level rollbacks as New parameterizes them.
+	cfg := machine.Exascale()
+	app := testApp(workload.C64, 1000)
+	real := ComputeCosts(app, cfg)
+	rollbackOf := func(tech core.Technique) strategy {
+		x, err := New(tech, app, cfg, defaultModel(cfg), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := x.(*executor).strat
+		s.reset()
+		return s
 	}
-	cr.onCheckpointDone(3, 30)
-	if resp := cr.onFailure(anyFailure, 50); resp.restoreLevel != 3 || resp.restoreTo != 30 {
-		t.Errorf("CR restore = level %d @ %v, want level 3 @ 30min", resp.restoreLevel, resp.restoreTo)
-	}
-
-	pr := &parallelRecovery{application: testApp(workload.C64, 1000), costs: costs, speedup: 8}
-	pr.reset()
-	if resp := pr.onFailure(anyFailure, 50); resp.restoreLevel != 0 || resp.restoreTo != 0 || resp.restartCost != costs.L2 {
-		t.Errorf("PR scratch restart = level %d @ %v costing %v, want level 0 @ 0 costing T_L2",
-			resp.restoreLevel, resp.restoreTo, resp.restartCost)
-	}
-	pr.onCheckpointDone(2, 40)
-	if resp := pr.onFailure(anyFailure, 50); resp.restoreLevel != 2 || resp.restoreTo != 40 {
-		t.Errorf("PR restore = level %d @ %v, want level 2 @ 40min", resp.restoreLevel, resp.restoreTo)
+	for _, c := range []struct {
+		tech              core.Technique
+		level             int
+		relaunch, restore units.Duration
+	}{
+		{core.CheckpointRestart, 3, real.PFS, real.PFS},
+		{core.ParallelRecovery, 2, real.L2, real.L2},
+		{core.InMemoryReplicatedCheckpoint, 2, real.PFS, ReplicatedRestoreCost(real)},
+	} {
+		s := rollbackOf(c.tech)
+		if resp := s.onFailure(anyFailure, 50); resp.restoreLevel != 0 || resp.restoreTo != 0 || resp.restartCost != c.relaunch {
+			t.Errorf("%v scratch restart = level %d @ %v costing %v, want level 0 @ 0 costing %v",
+				c.tech, resp.restoreLevel, resp.restoreTo, resp.restartCost, c.relaunch)
+		}
+		s.onCheckpointDone(c.level, 30)
+		if resp := s.onFailure(anyFailure, 50); resp.restoreLevel != c.level || resp.restoreTo != 30 || resp.restartCost != c.restore {
+			t.Errorf("%v restore = level %d @ %v costing %v, want level %d @ 30min costing %v",
+				c.tech, resp.restoreLevel, resp.restoreTo, resp.restartCost, c.level, c.restore)
+		}
 	}
 
 	// Full redundancy on 4 virtual / 8 physical nodes: a rollback needs

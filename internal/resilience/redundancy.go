@@ -38,7 +38,7 @@ type redundancy struct {
 // newRedundancy builds a redundancy executor of the given degree. The
 // machine's node count bounds viability: replica sets larger than the
 // machine cannot execute (the zero-efficiency cliffs of Figures 1-3).
-func newRedundancy(app workload.App, costs Costs, model *failures.Model, degree float64, machineNodes int, periodScale float64) Executor {
+func newRedundancy(app workload.App, costs Costs, model *failures.Model, degree float64, machineNodes int, periodScale float64) *executor {
 	phys := RedundantNodes(app.Nodes, degree)
 	s := &redundancy{
 		application: app,

@@ -44,7 +44,7 @@ type teamReplication struct {
 
 // newTeamReplication builds the Lightweight Replication executor. Like full
 // redundancy it occupies 2 * N_a physical nodes, which bounds viability.
-func newTeamReplication(app workload.App, costs Costs, model *failures.Model, syncPenalty float64, machineNodes int) Executor {
+func newTeamReplication(app workload.App, costs Costs, model *failures.Model, syncPenalty float64, machineNodes int) *executor {
 	phys := 2 * app.Nodes
 	s := &teamReplication{
 		application:  app,

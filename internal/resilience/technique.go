@@ -238,30 +238,39 @@ func New(t core.Technique, app workload.App, cfg machine.Config, model *failures
 
 	costs := ComputeCosts(app, cfg)
 	scale := opts.periodScale()
-	withRate := func(x Executor) Executor {
-		if e, ok := x.(*executor); ok {
-			e.ckptRate = opts.CheckpointComputeRate
-		}
-		return x
-	}
+	// pfs is Checkpoint Restart's rollback: PFS checkpoints, restores and
+	// relaunches, and no slowdown.
+	pfs := rollback{tech: t, application: app, level: 3, ckptCost: costs.PFS, restoreCost: costs.PFS,
+		relaunchCost: costs.PFS, work: app.Baseline(), speed: 1}
+	var x *executor
 	switch t {
 	case core.Ideal:
 		return NewIdeal(app), nil
 	case core.CheckpointRestart:
-		return withRate(newCheckpointRestart(app, costs, model, scale)), nil
+		x = newRollback(pfs, model, scale)
 	case core.MultilevelCheckpoint:
-		return withRate(newMultilevel(app, costs, model, opts.Multilevel, scale)), nil
+		x = newMultilevel(app, costs, model, opts.Multilevel, scale)
 	case core.ParallelRecovery:
-		return withRate(newParallelRecovery(app, costs, model, opts.RecoverySpeedup, scale)), nil
+		x = newRollback(rollback{tech: t, application: app, level: 2, ckptCost: costs.L2, restoreCost: costs.L2,
+			relaunchCost: costs.L2, work: MessageLoggingBaseline(app), speed: opts.RecoverySpeedup}, model, scale)
 	case core.PartialRedundancy:
-		return withRate(newRedundancy(app, costs, model, 1.5, cfg.Nodes, scale)), nil
+		x = newRedundancy(app, costs, model, 1.5, cfg.Nodes, scale)
 	case core.FullRedundancy:
-		return withRate(newRedundancy(app, costs, model, 2.0, cfg.Nodes, scale)), nil
+		x = newRedundancy(app, costs, model, 2.0, cfg.Nodes, scale)
 	case core.InMemoryReplicatedCheckpoint:
-		return withRate(newReStore(app, costs, model, opts.ReStoreReplicas(), scale)), nil
+		// With no peers to hold the replicas (N_a <= k) ReStore is
+		// Checkpoint Restart exactly; otherwise its checkpoints and restores
+		// move to peer RAM, and only relaunches still read the PFS.
+		if k := opts.ReStoreReplicas(); app.Nodes > k {
+			pfs.level, pfs.degree = 2, k
+			pfs.ckptCost, pfs.restoreCost = ReplicatedCheckpointCost(costs, k), ReplicatedRestoreCost(costs)
+		}
+		x = newRollback(pfs, model, scale)
 	case core.LightweightReplication:
-		return withRate(newTeamReplication(app, costs, model, opts.TeamSyncPenalty, cfg.Nodes)), nil
+		x = newTeamReplication(app, costs, model, opts.TeamSyncPenalty, cfg.Nodes)
 	default:
 		return nil, fmt.Errorf("resilience: no executor for technique %v", t)
 	}
+	x.ckptRate = opts.CheckpointComputeRate
+	return x, nil
 }

@@ -68,29 +68,40 @@ type Spec struct {
 // for, bounding the work one job can queue.
 const maxScale = 100000
 
-// ParseSpec decodes and validates one JSON spec: exactly one object whose
-// keys are spelled exactly as Spec's JSON tags, none of them twice, and
-// nothing but whitespace after it. encoding/json alone would match keys
-// case-insensitively and let the last duplicate win, so a misspelled or
-// repeated parameter could silently run a different experiment; a second
-// concatenated spec must not be dropped either.
+// ParseSpec decodes (see DecodeStrict) and validates one JSON spec.
 func ParseSpec(r io.Reader) (Spec, error) {
 	var s Spec
-	fields := map[string]any{
+	if err := DecodeStrict(r, map[string]any{
 		"exhibit": &s.Exhibit, "trials": &s.Trials, "patterns": &s.Patterns,
 		"arrivals": &s.Arrivals, "seed": &s.Seed,
+	}); err != nil {
+		return Spec{}, fmt.Errorf("decode spec: %w", err)
 	}
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
+}
+
+// DecodeStrict decodes exactly one JSON object from r, each key into the
+// destination fields holds under it: every key spelled exactly as there,
+// none of them twice, and nothing but whitespace after the object.
+// encoding/json alone would match keys case-insensitively and let the
+// last duplicate win, so a misspelled or repeated parameter could
+// silently change what runs; a second concatenated value must not be
+// dropped either. Absent keys leave their destinations untouched.
+func DecodeStrict(r io.Reader, fields map[string]any) error {
 	dec := json.NewDecoder(r)
 	if tok, err := dec.Token(); err != nil {
-		return Spec{}, fmt.Errorf("decode spec: %w", err)
+		return err
 	} else if tok != json.Delim('{') {
-		return Spec{}, errors.New("decode spec: want a JSON object")
+		return errors.New("want a JSON object")
 	}
 	seen := map[string]bool{}
 	for dec.More() {
 		tok, err := dec.Token()
 		if err != nil {
-			return Spec{}, fmt.Errorf("decode spec: %w", err)
+			return err
 		}
 		key := tok.(string) // the decoder only yields strings in key position
 		dst, ok := fields[key]
@@ -98,28 +109,25 @@ func ParseSpec(r io.Reader) (Spec, error) {
 		case !ok:
 			for name := range fields {
 				if strings.EqualFold(key, name) {
-					return Spec{}, fmt.Errorf("decode spec: field %q must be spelled %q", key, name)
+					return fmt.Errorf("field %q must be spelled %q", key, name)
 				}
 			}
-			return Spec{}, fmt.Errorf("decode spec: unknown field %q", key)
+			return fmt.Errorf("unknown field %q", key)
 		case seen[key]:
-			return Spec{}, fmt.Errorf("decode spec: duplicate field %q", key)
+			return fmt.Errorf("duplicate field %q", key)
 		}
 		seen[key] = true
 		if err := dec.Decode(dst); err != nil {
-			return Spec{}, fmt.Errorf("decode spec: field %q: %w", key, err)
+			return fmt.Errorf("field %q: %w", key, err)
 		}
 	}
 	if _, err := dec.Token(); err != nil { // the closing brace
-		return Spec{}, fmt.Errorf("decode spec: %w", err)
+		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return Spec{}, errors.New("decode spec: trailing data after the JSON value")
+		return errors.New("trailing data after the JSON value")
 	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
+	return nil
 }
 
 // Validate checks the spec against the experiments registry and the
@@ -151,17 +159,19 @@ func (s Spec) Validate() error {
 }
 
 // Canonical returns the canonical serialization the cache key hashes:
-// every field in a fixed order, zero values spelled out. A scale field
-// equal to the exhibit's default, or one the exhibit does not read (its
-// default is 0), is written as 0, so a default spelled out, omitted, or an
-// unread field set all hash alike. The seed stays as given: a server may
-// run with a non-default seed.
+// every field in a fixed order, zero values spelled out. Scale fields are
+// first resolved as the registry runs them (Exhibit.Resolve), so trials
+// that buy the same whole antithetic pairs or probes hash alike. A
+// resolved field equal to the exhibit's default, or one the exhibit does
+// not read (its default is 0), is written as 0, so a default spelled out,
+// omitted, or an unread field set all hash alike. The seed stays as given:
+// a server may run with a non-default seed.
 func (s Spec) Canonical() string {
 	if ex, ok := experiments.Lookup(s.Exhibit); ok {
-		d := ex.Defaults
-		s.Trials = unlessDefault(s.Trials, d.Trials)
-		s.Patterns = unlessDefault(s.Patterns, d.Patterns)
-		s.Arrivals = unlessDefault(s.Arrivals, d.Arrivals)
+		d, r := ex.Defaults, ex.Resolve(s.Params())
+		s.Trials = unlessDefault(r.Trials, d.Trials)
+		s.Patterns = unlessDefault(r.Patterns, d.Patterns)
+		s.Arrivals = unlessDefault(r.Arrivals, d.Arrivals)
 	}
 	return fmt.Sprintf("exhibit=%s&trials=%d&patterns=%d&arrivals=%d&seed=%d",
 		s.Exhibit, s.Trials, s.Patterns, s.Arrivals, s.Seed)

@@ -57,6 +57,15 @@ func TestSpecKeySemanticEquality(t *testing.T) {
 		{Exhibit: "ext-selectors", Arrivals: 60}:                     {Exhibit: "ext-selectors"},
 		{Exhibit: "table2", Trials: 50, Seed: 7}:                     {Exhibit: "table2", Seed: 7},
 		{Exhibit: "ext-whatif", Trials: 3, Patterns: 4, Arrivals: 5}: {Exhibit: "ext-whatif"},
+		// Trials that buy the same whole antithetic pairs (ext-menu2) or
+		// probes (policy), at least one, are the same request.
+		{Exhibit: "ext-menu2", Trials: 201}: {Exhibit: "ext-menu2"},
+		{Exhibit: "ext-menu2", Trials: 1}:   {Exhibit: "ext-menu2", Trials: 2},
+		{Exhibit: "ext-menu2", Trials: 3}:   {Exhibit: "ext-menu2", Trials: 2},
+		{Exhibit: "policy", Trials: 201}:    {Exhibit: "policy"},
+		{Exhibit: "policy", Trials: 203}:    {Exhibit: "policy"},
+		{Exhibit: "policy", Trials: 1}:      {Exhibit: "policy", Trials: 4},
+		{Exhibit: "policy", Trials: 7}:      {Exhibit: "policy", Trials: 4},
 	}
 	for in, want := range same {
 		if in.Key() != want.Key() {

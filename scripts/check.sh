@@ -16,8 +16,9 @@
 #      disabled-hooks-allocation-free tests under -race)
 #   3. a fuzz smoke (10s per target) on the DES scheduler, the multilevel
 #      schedule search, the ReStore replica-loss bookkeeping, the
-#      workload pattern reader, the job-spec decoder (ParseSpec), and
-#      the mesh job-id parser (parseJobID)
+#      workload pattern reader, the job-spec decoder (ParseSpec), the
+#      mesh job-id parser (parseJobID), and the load-trace reader
+#      (ReadTrace, whose accepted traces must round-trip)
 #   4. the full conformance sweep (sim vs analytic, runtime invariants,
 #      metamorphic properties) over the seven-technique menu, run twice:
 #      plain Monte-Carlo and variance-reduced (-vr, antithetic paired) —
@@ -83,6 +84,7 @@ go test ./internal/resilience/ -run='^$' -fuzz='^FuzzReStoreReplicaLoss$' -fuzzt
 go test ./internal/workload/ -run='^$' -fuzz='^FuzzReadPattern$' -fuzztime="$FUZZTIME"
 go test ./internal/serve/ -run='^$' -fuzz='^FuzzParseSpec$' -fuzztime="$FUZZTIME"
 go test ./internal/mesh/ -run='^$' -fuzz='^FuzzParseJobID$' -fuzztime="$FUZZTIME"
+go test ./internal/load/ -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime="$FUZZTIME"
 
 echo "== conformance sweep (plain)"
 go run ./cmd/exacheck "$@" sweep
