@@ -1,252 +1,21 @@
-package exaresil
-
-// The benchmarks in this file regenerate every exhibit of the paper at
-// reduced statistical scale (benchmarks measure harness cost, not publish
-// study numbers — use cmd/exasim for full-fidelity runs). One benchmark
-// per table and figure, as the repository's reproduction contract:
-//
-//	go test -bench=. -benchmem
-//
-// BenchmarkFig1..Fig5 correspond to Figures 1-5; BenchmarkTable1/2 to the
-// tables; the Ablation benchmarks quantify the design choices called out
-// in DESIGN.md (multilevel pattern optimization, parallel recovery's
-// rework speedup).
+package exaresil_test
 
 import (
-	"fmt"
 	"testing"
 
-	"exaresil/internal/core"
-	"exaresil/internal/experiments"
-	"exaresil/internal/resilience"
-	"exaresil/internal/rng"
-	"exaresil/internal/units"
-	"exaresil/internal/workload"
+	"exaresil/internal/bench"
 )
 
-func benchConfig() experiments.Config {
-	cfg := experiments.Default()
-	return cfg
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if t := experiments.TableI(); t.Rows() == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TableII(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchScaling runs one reduced-trials scaling figure per iteration.
-func benchScaling(b *testing.B, class workload.Class, mtbf units.Duration) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, res, err := experiments.ScalingSpec{
-			Config: cfg,
-			Class:  class,
-			MTBF:   mtbf,
-			Trials: 10,
-		}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Points) == 0 {
-			b.Fatal("no data points")
-		}
-	}
-}
-
-func BenchmarkFig1(b *testing.B) { benchScaling(b, workload.A32, 0) }
-func BenchmarkFig2(b *testing.B) { benchScaling(b, workload.D64, 0) }
-func BenchmarkFig3(b *testing.B) {
-	benchScaling(b, workload.D64, units.Duration(2.5)*units.Year)
-}
-
-func BenchmarkFig4(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, res, err := experiments.ClusterSpec{
-			Config:   cfg,
-			Patterns: 2,
-			Arrivals: 30,
-		}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Cells) != 12 {
-			b.Fatalf("want 12 cells, got %d", len(res.Cells))
-		}
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, res, err := experiments.SelectionSpec{
-			Config:   cfg,
-			Patterns: 2,
-			Arrivals: 30,
-			Selection: SelectorOptions{
-				Trials:        4,
-				TimeSteps:     360,
-				SizeFractions: []float64{0.01, 0.25},
-			},
-		}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Cells) == 0 {
-			b.Fatal("no cells")
-		}
-	}
-}
-
-// BenchmarkAblationMultilevelPattern compares the optimized three-level
-// schedule against a degenerate all-PFS pattern at the same machinery,
-// quantifying what the level hierarchy buys (DESIGN.md §4.3).
-func BenchmarkAblationMultilevelPattern(b *testing.B) {
-	sim, err := New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app := App{Class: ClassC64, TimeSteps: 1440, Nodes: 60000}
-	for _, sub := range []struct {
-		name string
-		tech Technique
-	}{
-		{"multilevel", MultilevelCheckpoint},
-		{"single-level-pfs", CheckpointRestart},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			x, err := sim.Executor(sub.tech, app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := rng.New(1)
-			var eff float64
-			for i := 0; i < b.N; i++ {
-				res := x.Run(0, 1e9, src)
-				eff += res.Efficiency()
-			}
-			b.ReportMetric(eff/float64(b.N), "efficiency")
-		})
-	}
-}
-
-// BenchmarkAblationRecoverySpeedup sweeps Parallel Recovery's phi,
-// quantifying how much of its advantage comes from parallelized rework
-// versus cheap in-memory checkpoints.
-func BenchmarkAblationRecoverySpeedup(b *testing.B) {
-	app := workload.App{Class: workload.A32, TimeSteps: 1440, Nodes: 60000}
-	for _, phi := range []float64{1, 4, 8, 16} {
-		b.Run(fmt.Sprintf("phi=%g", phi), func(b *testing.B) {
-			sim, err := New(WithRecoverySpeedup(phi))
-			if err != nil {
-				b.Fatal(err)
-			}
-			x, err := sim.Executor(ParallelRecovery, app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := rng.New(1)
-			var eff float64
-			for i := 0; i < b.N; i++ {
-				eff += x.Run(0, 1e9, src).Efficiency()
-			}
-			b.ReportMetric(eff/float64(b.N), "efficiency")
-		})
-	}
-}
-
-// BenchmarkExecutorRun measures a single simulated execution per technique
-// at a quarter-machine size: the unit of work every study multiplies.
-func BenchmarkExecutorRun(b *testing.B) {
-	sim, err := New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app := App{Class: ClassC64, TimeSteps: 1440, Nodes: 30000}
-	for _, tech := range core.Techniques() {
-		b.Run(tech.String(), func(b *testing.B) {
-			x, err := sim.Executor(tech, app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := rng.New(1)
+// Benchmark runs every entry of the repository's benchmark table, the one
+// cmd/exabench records and gates on, as a sub-benchmark:
+//
+//	go test -run '^$' -bench . -benchmem
+//	go test -run '^$' -bench /fig4 .
+func Benchmark(b *testing.B) {
+	for _, e := range bench.Table() {
+		b.Run(e.Name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				x.Run(0, 1e9, src)
-			}
+			e.Fn(b)
 		})
-	}
-}
-
-// BenchmarkClusterRun measures one full cluster simulation (the unit of
-// Figures 4-5).
-func BenchmarkClusterRun(b *testing.B) {
-	sim, err := New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pattern := sim.GeneratePattern(PatternSpec{Arrivals: 100, FillSystem: true}, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunCluster(SlackBased, ParallelRecovery, pattern, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMultilevelOptimizer measures the schedule search's amortized
-// cost: the first 1000 distinct rate vectors pay the full grid search
-// (~150 us each), later iterations hit the memoization cache — the mix a
-// cluster study actually sees.
-func BenchmarkMultilevelOptimizer(b *testing.B) {
-	costs := resilience.Costs{
-		L1:  units.Duration(0.0033),
-		L2:  units.Duration(0.0133),
-		PFS: 17 * units.Minute,
-	}
-	for i := 0; i < b.N; i++ {
-		// Vary a rate slightly so the memoization cache misses and the
-		// search itself is measured.
-		rates := [3]units.Rate{
-			units.Rate(0.0148 + float64(i%1000)*1e-9),
-			0.0057,
-			0.0023,
-		}
-		if _, err := resilience.OptimizeMultilevel(costs, rates, resilience.DefaultMultilevelConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExactMarkovStretch measures the O(N) Markov-chain evaluation of
-// a multilevel schedule (pattern length 576, the optimizer's maximum).
-func BenchmarkExactMarkovStretch(b *testing.B) {
-	costs := resilience.Costs{
-		L1:  units.Duration(0.0033),
-		L2:  units.Duration(0.0133),
-		PFS: 17 * units.Minute,
-	}
-	rates := [3]units.Rate{0.0148, 0.0057, 0.0023}
-	sched := resilience.MultilevelSchedule{Interval: 1, L1PerL2: 24, L2PerL3: 24}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := sched.ExactStretch(costs, rates); v <= 1 {
-			b.Fatal("implausible stretch")
-		}
 	}
 }

@@ -1,4 +1,5 @@
-// Command exabench runs the repository's exhibit benchmarks through
+// Command exabench runs the repository's benchmark table (internal/bench,
+// the entries `go test -bench .` runs at the root) through
 // testing.Benchmark and writes a machine-readable summary so performance
 // regressions can be tracked between commits without parsing `go test
 // -bench` text output.
@@ -17,11 +18,10 @@
 //	-baseline FILE compare against a previous report: print benchstat-style
 //	               ns/op, B/op, and allocs/op deltas per benchmark and exit
 //	               non-zero if any benchmark regressed by more than 10% in
-//	               time or allocations
+//	               time or allocations, or if the report was recorded at
+//	               another GOMAXPROCS or Go version
 //
-// Each entry reports ns/op, bytes/op, and allocs/op for one exhibit at
-// the same reduced statistical scale as the root package's bench_test.go
-// (benchmarks measure harness cost, not paper numbers). The JSON schema:
+// Each entry reports ns/op, bytes/op, and allocs/op. The JSON schema:
 //
 //	{
 //	  "go_version": "go1.24.x",
@@ -40,23 +40,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"exaresil"
-	"exaresil/internal/analytic"
-	"exaresil/internal/core"
-	"exaresil/internal/experiments"
-	"exaresil/internal/obs"
-	"exaresil/internal/resilience"
-	"exaresil/internal/rng"
-	"exaresil/internal/selection"
-	"exaresil/internal/units"
-	"exaresil/internal/workload"
+	"exaresil/internal/bench"
 )
 
 // benchResult is one benchmark's summary line.
@@ -77,12 +68,6 @@ type benchReport struct {
 	Results    []benchResult `json:"results"`
 }
 
-// bench names one exhibit benchmark.
-type bench struct {
-	name string
-	fn   func(b *testing.B)
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "exabench: %v\n", err)
@@ -96,15 +81,15 @@ func run(args []string) error {
 	match := fs.String("run", "", "run only benchmarks whose name contains this substring")
 	list := fs.Bool("list", false, "list benchmark names and exit")
 	commit := fs.String("commit", "", "source revision to stamp into the report")
-	baseline := fs.String("baseline", "", "previous report to diff against (non-zero exit on >10% regression)")
+	baseline := fs.String("baseline", "", "previous report of the same width and Go version to diff against (non-zero exit on >10% regression)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	benches := exhibitBenches()
+	table := bench.Table()
 	if *list {
-		for _, b := range benches {
-			fmt.Println(b.name)
+		for _, e := range table {
+			fmt.Println(e.Name)
 		}
 		return nil
 	}
@@ -123,14 +108,14 @@ func run(args []string) error {
 		Commit:     *commit,
 		Date:       time.Now().UTC().Format(time.RFC3339),
 	}
-	for _, b := range benches {
-		if *match != "" && !strings.Contains(b.name, *match) {
+	for _, e := range table {
+		if *match != "" && !strings.Contains(e.Name, *match) {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "exabench: running %s...\n", b.name)
-		r := testing.Benchmark(b.fn)
+		fmt.Fprintf(os.Stderr, "exabench: running %s...\n", e.Name)
+		r := testing.Benchmark(e.Fn)
 		res := benchResult{
-			Name:        b.name,
+			Name:        e.Name,
 			Iterations:  r.N,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
@@ -138,7 +123,7 @@ func run(args []string) error {
 		}
 		report.Results = append(report.Results, res)
 		fmt.Printf("%-24s %12d ns/op %12d B/op %10d allocs/op\n",
-			b.name, int64(res.NsPerOp), res.BytesPerOp, res.AllocsPerOp)
+			e.Name, int64(res.NsPerOp), res.BytesPerOp, res.AllocsPerOp)
 	}
 	if len(report.Results) == 0 {
 		return fmt.Errorf("no benchmarks matched %q", *match)
@@ -159,7 +144,7 @@ func run(args []string) error {
 		return err
 	}
 	if base != nil {
-		return diffReports(base, report)
+		return diffReports(os.Stdout, base, &report)
 	}
 	return nil
 }
@@ -182,15 +167,22 @@ func readReport(path string) (*benchReport, error) {
 
 // regressionThreshold is the relative growth in ns/op or allocs/op beyond
 // which diffReports declares a regression. Timing on a shared machine is
-// noisy, so the gate is deliberately loose; allocation counts are
-// deterministic and the same threshold catches any real leak.
+// noisy, so the gate is deliberately loose; allocation counts repeat
+// within 2% at one width, so the same threshold catches any real leak.
 const regressionThreshold = 0.10
 
 // diffReports prints a benchstat-style delta table between a baseline
 // report and the current run, and returns an error if any benchmark
 // regressed by more than regressionThreshold in time or allocations.
-// Benchmarks present on only one side are reported but never gate.
-func diffReports(base *benchReport, cur benchReport) error {
+// Benchmarks present on only one side are reported but never gate. A
+// baseline recorded at another GOMAXPROCS or Go version is refused: an
+// exhibit entry clones one executor per worker, so its allocations scale
+// with the width.
+func diffReports(w io.Writer, base, cur *benchReport) error {
+	if base.GoMaxProcs != cur.GoMaxProcs || base.GoVersion != cur.GoVersion {
+		return fmt.Errorf("baseline was recorded at gomaxprocs %d with %s, this run at gomaxprocs %d with %s; "+
+			"compare reports of one width and toolchain", base.GoMaxProcs, base.GoVersion, cur.GoMaxProcs, cur.GoVersion)
+	}
 	old := make(map[string]benchResult, len(base.Results))
 	for _, r := range base.Results {
 		old[r.Name] = r
@@ -199,38 +191,43 @@ func diffReports(base *benchReport, cur benchReport) error {
 	if label == "" {
 		label = "baseline"
 	}
-	fmt.Printf("\nbenchmark deltas vs %s:\n", label)
-	fmt.Printf("%-24s %13s %13s %8s   %13s %13s %8s\n",
+	fmt.Fprintf(w, "\nbenchmark deltas vs %s:\n", label)
+	fmt.Fprintf(w, "%-24s %13s %13s %8s   %13s %13s %8s\n",
 		"benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
 	var regressed []string
 	for _, r := range cur.Results {
 		o, ok := old[r.Name]
 		if !ok {
-			fmt.Printf("%-24s %13s %13.0f %8s   %13s %13d %8s\n",
+			fmt.Fprintf(w, "%-24s %13s %13.0f %8s   %13s %13d %8s\n",
 				r.Name, "-", r.NsPerOp, "new", "-", r.AllocsPerOp, "new")
 			continue
 		}
+		delete(old, r.Name)
 		dt := relDelta(o.NsPerOp, r.NsPerOp)
 		da := relDelta(float64(o.AllocsPerOp), float64(r.AllocsPerOp))
-		fmt.Printf("%-24s %13.0f %13.0f %+7.1f%%   %13d %13d %+7.1f%%\n",
+		fmt.Fprintf(w, "%-24s %13.0f %13.0f %+7.1f%%   %13d %13d %+7.1f%%\n",
 			r.Name, o.NsPerOp, r.NsPerOp, 100*dt, o.AllocsPerOp, r.AllocsPerOp, 100*da)
 		if o.BytesPerOp != r.BytesPerOp {
-			fmt.Printf("%-24s %13d %13d %+7.1f%% B/op\n",
+			fmt.Fprintf(w, "%-24s %13d %13d %+7.1f%% B/op\n",
 				"", o.BytesPerOp, r.BytesPerOp, 100*relDelta(float64(o.BytesPerOp), float64(r.BytesPerOp)))
 		}
-		if dt > regressionThreshold || da > regressionThreshold {
-			regressed = append(regressed, r.Name)
+		if dt > regressionThreshold {
+			regressed = append(regressed, fmt.Sprintf("%s ns/op %+.0f%%", r.Name, 100*dt))
 		}
-		delete(old, r.Name)
+		if da > regressionThreshold {
+			regressed = append(regressed, fmt.Sprintf("%s allocs/op %+.0f%%", r.Name, 100*da))
+		}
 	}
-	for name := range old {
-		fmt.Printf("%-24s only in baseline\n", name)
+	for _, o := range base.Results {
+		if _, ok := old[o.Name]; ok {
+			fmt.Fprintf(w, "%-24s only in baseline\n", o.Name)
+		}
 	}
 	if len(regressed) > 0 {
 		return fmt.Errorf("regression beyond %.0f%% in: %s",
 			100*regressionThreshold, strings.Join(regressed, ", "))
 	}
-	fmt.Println("no regressions beyond the threshold")
+	fmt.Fprintln(w, "no regressions beyond the threshold")
 	return nil
 }
 
@@ -240,257 +237,4 @@ func relDelta(old, new float64) float64 {
 		return 0
 	}
 	return (new - old) / old
-}
-
-// exhibitBenches mirrors the root package's bench_test.go scales so the
-// JSON numbers are comparable with `go test -bench` runs. The exhibit
-// entries resolve through the shared experiments registry — the same
-// table cmd/exasim and internal/serve dispatch from — so a renamed or
-// removed exhibit fails here instead of silently dropping its benchmark.
-func exhibitBenches() []bench {
-	reduced := experiments.Params{Trials: 10, Patterns: 2, Arrivals: 30}
-	fig5Params := reduced
-	fig5Params.Selection = selection.Options{
-		Trials:        4,
-		TimeSteps:     360,
-		SizeFractions: []float64{0.01, 0.25},
-	}
-	// The _vr twins run the same grids in variance-reduced mode: antithetic
-	// pattern pairs for the cluster study, and for fig5 a selector built
-	// from one antithetic pair per arm under common random numbers
-	// (PairedTrials: 1, half the probe runs of the fig5 entry's Trials: 4).
-	// The delta against the plain entries is the cost side of the
-	// variance-reduction trade documented in DESIGN.md §11.
-	fig4VR := reduced
-	fig4VR.Paired = true
-	fig5VR := fig4VR
-	fig5VR.Selection = selection.Options{
-		PairedTrials:  1,
-		TimeSteps:     360,
-		SizeFractions: []float64{0.01, 0.25},
-	}
-	return []bench{
-		{"fig1", benchExhibit("fig1", reduced)},
-		{"fig2", benchExhibit("fig2", reduced)},
-		{"fig3", benchExhibit("fig3", reduced)},
-		{"fig4", benchExhibit("fig4", reduced)},
-		{"fig4_vr", benchExhibit("fig4", fig4VR)},
-		{"fig4_metrics", benchFig4Metrics},
-		{"fig4_resume", benchFig4Resume},
-		{"fig5", benchExhibit("fig5", fig5Params)},
-		{"fig5_vr", benchExhibit("fig5", fig5VR)},
-		{"batch_analytic", benchBatchAnalytic},
-		{"cluster_run", benchClusterRun},
-		{"executor_run", benchExecutorRun},
-		{"restore_run", benchReStoreRun},
-		{"teampi_run", benchTeamReplicationRun},
-		{"multilevel_optimizer", benchMultilevelOptimizer},
-	}
-}
-
-// benchExhibit benchmarks one registry exhibit at a reduced statistical
-// scale (benchmarks measure harness cost, not paper numbers).
-func benchExhibit(name string, p experiments.Params) func(b *testing.B) {
-	return func(b *testing.B) {
-		ex, ok := experiments.Lookup(name)
-		if !ok {
-			b.Fatalf("exhibit %q is not in the experiments registry", name)
-		}
-		cfg := experiments.Default()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t, _, err := ex.Run(cfg, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if t.Rows() == 0 {
-				b.Fatal("empty table")
-			}
-		}
-	}
-}
-
-// benchFig4Metrics is the fig4 bench with an obs registry attached: the
-// delta against fig4 is the enabled-metrics overhead, and fig4 itself (nil
-// registry, hooks compiled in) tracks the disabled overhead against the
-// pre-obs baseline.
-func benchFig4Metrics(b *testing.B) {
-	ex, ok := experiments.Lookup("fig4")
-	if !ok {
-		b.Fatal("fig4 is not in the experiments registry")
-	}
-	cfg := experiments.Default()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg.Obs = obs.NewRegistry()
-		t, _, err := ex.Run(cfg, experiments.Params{Patterns: 2, Arrivals: 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if t.Rows() == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// benchFig4Resume measures a checkpoint-resumed fig4 run: one fresh pass
-// captures every grid cell through the Progress hook, then the timed loop
-// replays runs with all but two cells restored. The delta against the
-// adjacent fig4 entry is what a near-complete resume saves — the service's
-// payoff for snapshotting interrupted jobs (DESIGN.md §10).
-func benchFig4Resume(b *testing.B) {
-	ex, ok := experiments.Lookup("fig4")
-	if !ok {
-		b.Fatal("fig4 is not in the experiments registry")
-	}
-	p := experiments.Params{Patterns: 2, Arrivals: 30}
-	cfg := experiments.Default()
-
-	var mu sync.Mutex
-	cells := map[int][]float64{}
-	cfg.Progress = &experiments.Progress{OnCell: func(cell int, values []float64) {
-		mu.Lock()
-		cells[cell] = values
-		mu.Unlock()
-	}}
-	if _, _, err := ex.Run(cfg, p); err != nil {
-		b.Fatal(err)
-	}
-	for cell := 0; cell < 2; cell++ { // leave a little real work in the loop
-		delete(cells, cell)
-	}
-	cfg.Progress = &experiments.Progress{Completed: cells}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, _, err := ex.Run(cfg, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if t.Rows() == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// benchBatchAnalytic measures the steady-state cost of the batch analytic
-// evaluator over the ext-whatif exhibit's grid shape (4 MTBFs x 7 sizes x
-// 7 techniques). The evaluator is built once outside the timed loop, as the
-// what-if service path reuses it, so the loop body is the pure column-pass
-// Eval — expected to report zero allocs/op (the allocation-freedom test in
-// internal/analytic pins that contract; this entry tracks its speed).
-func benchBatchAnalytic(b *testing.B) {
-	cfg := experiments.Default()
-	grid := analytic.Grid{
-		Machine:    cfg.Machine,
-		PMF:        cfg.SeverityPMF,
-		Resilience: cfg.Resilience,
-		Class:      workload.D64,
-		TimeSteps:  1440,
-		MTBFs: []units.Duration{
-			10 * units.Year, 5 * units.Year,
-			units.Duration(2.5) * units.Year, units.Year,
-		},
-		Techniques: core.Techniques(),
-	}
-	for _, frac := range experiments.DefaultScalingFractions() {
-		grid.Nodes = append(grid.Nodes, cfg.Machine.NodesForFraction(frac))
-	}
-	ev, err := analytic.NewEvaluator(grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev.Eval() // warm the multilevel stretch cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eff := ev.Eval()
-		if len(eff) != len(grid.MTBFs)*len(grid.Nodes)*len(grid.Techniques) {
-			b.Fatal("short efficiency buffer")
-		}
-	}
-}
-
-func benchClusterRun(b *testing.B) {
-	sim, err := exaresil.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pattern := sim.GeneratePattern(exaresil.PatternSpec{Arrivals: 100, FillSystem: true}, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunCluster(exaresil.SlackBased, exaresil.ParallelRecovery, pattern, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchExecutorRun(b *testing.B) {
-	sim, err := exaresil.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app := exaresil.App{Class: exaresil.ClassC64, TimeSteps: 1440, Nodes: 30000}
-	x, err := sim.Executor(exaresil.ParallelRecovery, app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Run(0, 1e9, src)
-	}
-}
-
-// benchReStoreRun and benchTeamReplicationRun mirror executor_run for the
-// post-2017 techniques, at the same class/size/horizon so the three entries
-// are directly comparable: the deltas are the per-run cost of the replica
-// bookkeeping (ReStore) and of the doubled footprint with repair-window
-// tracking (TeaMPI).
-func benchReStoreRun(b *testing.B) {
-	benchTechniqueRun(b, exaresil.InMemoryReplicatedCheckpoint)
-}
-
-func benchTeamReplicationRun(b *testing.B) {
-	benchTechniqueRun(b, exaresil.LightweightReplication)
-}
-
-func benchTechniqueRun(b *testing.B, tech exaresil.Technique) {
-	sim, err := exaresil.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	app := exaresil.App{Class: exaresil.ClassC64, TimeSteps: 1440, Nodes: 30000}
-	x, err := sim.Executor(tech, app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Run(0, 1e9, src)
-	}
-}
-
-func benchMultilevelOptimizer(b *testing.B) {
-	costs := resilience.Costs{
-		L1:  units.Duration(0.0033),
-		L2:  units.Duration(0.0133),
-		PFS: 17 * units.Minute,
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rates := [3]units.Rate{
-			units.Rate(0.0148 + float64(i%1000)*1e-9),
-			0.0057,
-			0.0023,
-		}
-		if _, err := resilience.OptimizeMultilevel(costs, rates, resilience.DefaultMultilevelConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

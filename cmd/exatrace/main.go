@@ -77,15 +77,22 @@ func run(args []string) error {
 	}
 
 	rec := &trace.Recorder{}
-	resilience.Observe(x, rec.Observe)
+	observed := resilience.Observe(x, rec.Observe)
 	horizon := units.Duration(100 * float64(app.Baseline()))
 	res := x.Run(0, horizon, rng.New(*seed))
 
 	fmt.Printf("%v executing %v\n\n", tech, app)
-	if err := rec.WriteTimeline(os.Stdout, *limit); err != nil {
-		return err
+	if observed {
+		if err := rec.WriteTimeline(os.Stdout, *limit); err != nil {
+			return err
+		}
+		fmt.Printf("\n%v\n", rec.Summarize())
+	} else {
+		// The Ideal baseline runs failure- and overhead-free: it has no
+		// timeline to draw, only its Result.
+		fmt.Printf("%v emits no trace events\n", tech)
 	}
-	fmt.Printf("\n%v\n%v\n", rec.Summarize(), res)
+	fmt.Println(res)
 
 	if *jsonl != "" {
 		f, err := os.Create(*jsonl)

@@ -10,35 +10,34 @@ import (
 	"exaresil/internal/core"
 )
 
-func silently(t *testing.T, f func() error) error {
+// output runs exatrace with args and returns what it printed.
+func output(t *testing.T, args ...string) (string, error) {
 	t.Helper()
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = devnull
-	defer func() {
-		os.Stdout = old
-		devnull.Close()
-	}()
-	return f()
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = old
+	out, rerr := os.ReadFile(f.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return string(out), err
 }
 
 func TestRunDefaults(t *testing.T) {
-	if err := silently(t, func() error {
-		return run([]string{"-steps", "120", "-fraction", "0.05"})
-	}); err != nil {
+	if _, err := output(t, "-steps", "120", "-fraction", "0.05"); err != nil {
 		t.Fatalf("default trace failed: %v", err)
 	}
 }
 
 func TestRunWritesJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	err := silently(t, func() error {
-		return run([]string{"-tech", "cr", "-steps", "120", "-fraction", "0.05", "-jsonl", path})
-	})
-	if err != nil {
+	if _, err := output(t, "-tech", "cr", "-steps", "120", "-fraction", "0.05", "-jsonl", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -61,7 +60,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-bogus"},
 	}
 	for _, args := range cases {
-		if err := silently(t, func() error { return run(args) }); err == nil {
+		if _, err := output(t, args...); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}
@@ -70,9 +69,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 func TestRunRejectsNonViable(t *testing.T) {
 	// Full redundancy at 75% of the machine cannot be placed: the tool
 	// should explain rather than trace nothing.
-	err := silently(t, func() error {
-		return run([]string{"-tech", "red2.0", "-fraction", "0.75", "-steps", "60"})
-	})
+	_, err := output(t, "-tech", "red2.0", "-fraction", "0.75", "-steps", "60")
 	if err == nil || !strings.Contains(err.Error(), "cannot run") {
 		t.Errorf("expected a cannot-run error, got %v", err)
 	}
@@ -89,10 +86,22 @@ func TestEveryListedTechniqueTraces(t *testing.T) {
 		}
 	}
 	for _, name := range names {
-		if err := silently(t, func() error {
-			return run([]string{"-tech", name, "-steps", "120", "-fraction", "0.05"})
-		}); err != nil {
+		if _, err := output(t, "-tech", name, "-steps", "120", "-fraction", "0.05"); err != nil {
 			t.Errorf("-tech %s: %v", name, err)
 		}
+	}
+}
+
+// TestIdealTraceIsNotIncomplete: the Ideal baseline emits no trace events,
+// so exatrace says so and prints its completed Result instead of a trace
+// summary of zero events that calls the run incomplete.
+func TestIdealTraceIsNotIncomplete(t *testing.T) {
+	out, err := output(t, "-tech", "ideal", "-steps", "60", "-fraction", "0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "incomplete") || !strings.Contains(out, "emits no trace events") ||
+		!strings.Contains(out, "Ideal: completed") {
+		t.Errorf("ideal trace output:\n%s", out)
 	}
 }

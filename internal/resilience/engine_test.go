@@ -408,43 +408,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func mustExecutorBench(b *testing.B, tech core.Technique, nodes int) Executor {
-	cfg := machine.Exascale()
-	model := defaultModel(cfg)
-	x, err := New(tech, testApp(workload.C64, nodes), cfg, model, DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return x
-}
-
-func BenchmarkCheckpointRestartRun(b *testing.B) {
-	x := mustExecutorBench(b, core.CheckpointRestart, 30000)
-	src := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Run(0, 1e9, src)
-	}
-}
-
-func BenchmarkMultilevelRun(b *testing.B) {
-	x := mustExecutorBench(b, core.MultilevelCheckpoint, 30000)
-	src := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Run(0, 1e9, src)
-	}
-}
-
-func BenchmarkParallelRecoveryRun(b *testing.B) {
-	x := mustExecutorBench(b, core.ParallelRecovery, 30000)
-	src := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Run(0, 1e9, src)
-	}
-}
-
 func TestIdealExecutor(t *testing.T) {
 	cfg := machine.Exascale()
 	model := defaultModel(cfg)

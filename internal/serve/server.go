@@ -176,9 +176,14 @@ func (e *StateConflictError) Error() string {
 
 // Submit admits one spec and returns the resulting job's view: a cache
 // hit is born done, an identical in-flight spec is joined, and otherwise
-// a fresh flight is queued. Errors: ErrDraining, ErrSaturated (pair with
-// RetryAfterSeconds), or a spec validation error from the admission path.
+// a fresh flight is queued. Errors: ErrDraining (a draining server admits
+// nothing, not even a cache hit or a join, so the mesh routes the spec to
+// a live replica), ErrSaturated (pair with RetryAfterSeconds), or a spec
+// validation error from the admission path.
 func (s *Server) Submit(spec Spec) (JobView, error) {
+	if s.draining.Load() {
+		return JobView{}, ErrDraining
+	}
 	// The retry loop covers one narrow race: acquire can join a flight
 	// whose last subscriber cancels before attach. Such a corpse will
 	// never settle, so the stillborn job is discarded and the submission

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -499,17 +500,12 @@ func TestDrainFinishesInflight(t *testing.T) {
 		drained <- srv.Drain(ctx)
 	}()
 
-	// Admission flips to 503 once the drain begins.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		code, _, _ := postSpec(t, ts, `{"exhibit":"fig5"}`)
-		if code == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("submissions were not refused during drain")
-		}
-		time.Sleep(2 * time.Millisecond)
+	// Admission is closed once the drain begins.
+	for !srv.Draining() {
+		runtime.Gosched()
+	}
+	if code, _, _ := postSpec(t, ts, `{"exhibit":"fig5"}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("submission during drain: HTTP %d, want 503", code)
 	}
 
 	r.unblock()
@@ -533,6 +529,45 @@ func TestDrainFinishesInflight(t *testing.T) {
 	}
 	if h.Status != "draining" {
 		t.Errorf("healthz status %q after drain, want draining", h.Status)
+	}
+}
+
+// TestDrainRefusesCachedAndInflight: a draining server refuses a spec whose
+// result is cached and a spec already in flight with 503, as it refuses a
+// fresh one, so a mesh passes either on to a live replica instead of
+// creating a job on a replica that is going away.
+func TestDrainRefusesCachedAndInflight(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	runner := func(_ context.Context, _ experiments.Config, s Spec) (*Result, error) {
+		if s.Exhibit == "fig2" { // fig1 settles at once; fig2 stays in flight
+			started <- struct{}{}
+			<-release
+		}
+		return &Result{CSV: []byte(s.Canonical() + "\n"), Digest: s.Key()}, nil
+	}
+	srv, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
+
+	_, cached, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
+	pollTerminal(t, ts, cached.ID)
+	_, inflight, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
+	<-started
+
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(context.Background()) }()
+	for !srv.Draining() {
+		runtime.Gosched()
+	}
+	for _, body := range []string{`{"exhibit":"fig1"}`, `{"exhibit":"fig2"}`} {
+		if code, v, _ := postSpec(t, ts, body); code != http.StatusServiceUnavailable {
+			t.Errorf("POST %s during drain: HTTP %d (cache %q), want 503", body, code, v.Cache)
+		}
+	}
+	close(release)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if v := pollTerminal(t, ts, inflight.ID); v.State != "done" {
+		t.Errorf("in-flight job ended %s after drain, want done", v.State)
 	}
 }
 

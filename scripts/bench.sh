@@ -1,16 +1,13 @@
 #!/usr/bin/env bash
-# bench.sh — the repository's performance gate.
+# bench.sh — the repository's benchmark recorder.
 #
-# Runs, in order:
-#   1. go vet over every package
-#   2. the tier-1 verification (build + full test suite)
-#   3. the race detector over the concurrency-bearing packages
-#   4. cmd/exabench, writing BENCH_results.json at the repo root, stamped
-#      with the current git commit and a UTC timestamp so every recorded
-#      run is attributable; the fig4 vs fig4_metrics pair in that file
-#      records the obs-layer overhead (disabled hooks vs an attached
-#      registry), and the fig4/fig5 vs fig4_vr/fig5_vr pairs record the
-#      variance-reduced modes (DESIGN.md §11)
+# Runs cmd/exabench over the benchmark table (internal/bench), writing
+# BENCH_results.json at the repo root, stamped with the current git commit,
+# a UTC timestamp, GOMAXPROCS and the Go version, so every recorded run is
+# attributable and `exabench -baseline` compares only like with like. The
+# fig4 vs fig4_metrics pair in that file records the obs-layer overhead
+# (disabled hooks vs an attached registry), and the fig4/fig5 vs
+# fig4_vr/fig5_vr pairs record the variance-reduced modes (DESIGN.md §11).
 #
 # The script fails loudly if exabench produced no results (an unmatched
 # -run filter, or a crash that left a stale file behind).
@@ -18,26 +15,10 @@
 # Usage: scripts/bench.sh [exabench flags...]
 # e.g.:  scripts/bench.sh -run fig4
 #
-# The correctness counterpart is scripts/check.sh (conformance sweep,
-# invariant checks, fuzz smoke, golden-exhibit digests).
+# Vet, the tests, the race detector and a one-iteration pass over every
+# benchmark entry run in scripts/check.sh, the correctness gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-echo "== go vet ./..."
-go vet ./...
-
-echo "== tier-1: go build ./... && go test ./..."
-go build ./...
-go test ./...
-
-echo "== race detector on concurrency-bearing packages"
-go test -race -count=1 \
-    ./internal/des/ \
-    ./internal/resilience/ \
-    ./internal/appsim/ \
-    ./internal/selection/ \
-    ./internal/experiments/ \
-    ./internal/cluster/
 
 echo "== exabench -> BENCH_results.json"
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)

@@ -7,32 +7,36 @@
 #      the docs can't drift — every cmd/ tool and internal/ package must
 #      be mentioned in README.md or DESIGN.md
 #   2. the race detector over the audit harness, the resilience
-#      executors, the cluster layer, the obs metrics package, the shared
+#      executors, the DES scheduler, the cluster layer, the trial workers
+#      and cell loop (appsim), the obs metrics package, the shared
 #      experiments registry, the service stack — serve, chaos injector,
 #      retrying client, workload generator — and the hot-path packages
 #      of the raw-speed passes: selection, analytic, rng (pins the
 #      seed-determinism, metrics-attachment-is-inert,
 #      single-flight/backpressure, checkpoint/resume, substream, and
 #      disabled-hooks-allocation-free tests under -race)
-#   3. a fuzz smoke (10s per target) on the DES scheduler, the multilevel
+#   3. every entry of the benchmark table (internal/bench) run once, so
+#      an entry that breaks fails here rather than in the next benchmark
+#      run
+#   4. a fuzz smoke (10s per target) on the DES scheduler, the multilevel
 #      schedule search, the ReStore replica-loss bookkeeping, the
 #      workload pattern reader, the job-spec decoder (ParseSpec), the
 #      mesh job-id parser (parseJobID), and the load-trace reader
 #      (ReadTrace, whose accepted traces must round-trip)
-#   4. the full conformance sweep (sim vs analytic, runtime invariants,
+#   5. the full conformance sweep (sim vs analytic, runtime invariants,
 #      metamorphic properties) over the seven-technique menu, run twice:
 #      plain Monte-Carlo and variance-reduced (-vr, antithetic paired) —
 #      exits non-zero on any violation
-#   5. the golden-exhibit digest comparison against results/golden/:
+#   6. the golden-exhibit digest comparison against results/golden/:
 #      fourteen reduced-size exhibits, among them fig1 and the five
 #      extension sweeps (ext-mtbf, -weibull, -tau, -semiblocking,
 #      -machines)
-#   6. the registry defaults against results/: exasim at its flag
+#   7. the registry defaults against results/: exasim at its flag
 #      defaults (each exhibit's registry row) regenerates the nine
 #      sub-second extension exhibits, and each CSV must equal its
 #      results/ copy byte for byte — a wrong default that exasim and the
 #      service share would pass every unit test but not this
-#   7. the five live scenarios of `exaload scenario all` (set
+#   8. the five live scenarios of `exaload scenario all` (set
 #      SOAK_REQUESTS=0 to skip them), each on a fresh exaserve that must
 #      drain on SIGTERM: serve (golden fig4 bytes, then a cache hit),
 #      chaos (zero wrong or failed results under fault injection, with
@@ -40,9 +44,10 @@
 #      same after a real replica failover), load (exaload gen, replay, run and sweep), and
 #      autoscale (the pool grows, shrinks back to the floor, and loses no
 #      jobs)
-#   8. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
-#      the exhibit benchmarks and fail on any >10% time or allocation
-#      regression against that report (cmd/exabench -baseline)
+#   9. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
+#      the benchmark table and fail on any >10% time or allocation
+#      regression against that report, which must have been recorded at
+#      this GOMAXPROCS and Go version (cmd/exabench -baseline)
 #
 # Usage: scripts/check.sh [exacheck flags...]
 # e.g.:  scripts/check.sh -quick
@@ -72,10 +77,13 @@ for dir in cmd/*/ internal/*/; do
 done
 [ -z "$UNDOCUMENTED" ] || { echo "undocumented in README.md/DESIGN.md:${UNDOCUMENTED}"; exit 1; }
 
-echo "== race detector on the audit harness, executors, cluster layer, machine model, metrics, registry, and service stack"
-go test -race -count=1 ./internal/check/ ./internal/resilience/ ./internal/cluster/... \
+echo "== race detector on the audit harness, executors, DES, cluster layer, trial workers, machine model, metrics, registry, and service stack"
+go test -race -count=1 ./internal/check/ ./internal/resilience/ ./internal/des/ ./internal/cluster/... ./internal/appsim/ \
 	./internal/machine/ ./internal/obs/... ./internal/experiments/ ./internal/serve/... ./internal/mesh/ ./internal/chaos/ \
 	./internal/serveclient/ ./internal/load/ ./internal/selection/ ./internal/analytic/ ./internal/rng/
+
+echo "== every benchmark table entry, once"
+go test -run '^$' -bench . -benchtime 1x .
 
 echo "== fuzz smoke (${FUZZTIME} per target)"
 go test ./internal/des/ -run='^$' -fuzz='^FuzzSimulatorPooledEquivalence$' -fuzztime="$FUZZTIME"
