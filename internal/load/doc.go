@@ -22,10 +22,10 @@
 //     never skipped.
 //   - Target (target.go) abstracts "something that serves arrivals":
 //     HTTPTarget paces wall-clock arrivals at a live exaserve or mesh,
-//     while Inproc (inproc.go) embeds a real serve.Server behind a gated
-//     stub runner and a virtual clock, making admission, single-flight,
-//     cache, and 429 outcomes — and the reported latencies — exactly
-//     reproducible.
+//     while Inproc (inproc.go) runs a real serve.Server on a
+//     serve.VirtualClock with a stub runner that takes virtual service
+//     time, making admission, single-flight, cache, and 429 outcomes —
+//     and the reported latencies — exactly reproducible.
 //   - Sweep (saturate.go) steps the arrival rate across a grid, measures
 //     p50/p95/p99 latency, throughput, reject rate, and cache hit rate
 //     per step, detects the knee (first step crossing the p99 or

@@ -52,3 +52,28 @@ func FuzzReadTrace(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadMetrics: ReadMetrics never panics, and no sum wraps: every
+// name{key="value"} sum covers a subset of the samples its bare name sums,
+// so it is never larger, however huge, negative or malformed the samples.
+func FuzzReadMetrics(f *testing.F) {
+	for _, seed := range []string{
+		"# TYPE c counter\nc{outcome=\"hit\",replica=\"0\"} 3\nc{outcome=\"miss\"} 2\nc 4\n",
+		"c 1e300\nc 1e300\nc{a=\"b\"} 18446744073709551615\n",
+		"c -5\nc NaN\nc +Inf\nc{} 1\n",
+		"c{a=1 2\nc} 3\n{a=\"b\"} 4\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		m, err := ReadMetrics(strings.NewReader(raw))
+		if err != nil {
+			return
+		}
+		for key, sum := range m {
+			if i := strings.IndexByte(key, '{'); i >= 0 && m[key[:i]] < sum {
+				t.Fatalf("%s sums to %d, more than its series %s's %d", key, sum, key[:i], m[key[:i]])
+			}
+		}
+	})
+}

@@ -114,8 +114,8 @@ func (r *Report) Knee() (Step, bool) {
 }
 
 // Sweep drives the target across the rate grid: each step generates a
-// fresh seed-derived arrival schedule at that rate, serves it, drains,
-// and differences the server-side counters. Knee detection runs over the
+// fresh seed-derived arrival schedule at that rate, serves it to the
+// end, and differences the server-side counters. Knee detection runs over the
 // finished grid: the knee is the first step whose p99 exceeds P99Budget
 // or whose reject rate exceeds RejectBudget.
 func Sweep(ctx context.Context, target Target, cfg SweepConfig) (*Report, error) {
@@ -141,9 +141,6 @@ func Sweep(ctx context.Context, target Target, cfg SweepConfig) (*Report, error)
 		samples, err := target.RunSchedule(ctx, arrivals)
 		if err != nil {
 			return nil, fmt.Errorf("sweep step %d (rate %v): %w", i+1, rate, err)
-		}
-		if err := target.Drain(ctx); err != nil {
-			return nil, fmt.Errorf("sweep step %d (rate %v): drain: %w", i+1, rate, err)
 		}
 		after, err := target.Counters()
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -39,12 +40,10 @@ type Counters struct {
 }
 
 // Target serves one arrival schedule and reports a sample per arrival, in
-// arrival order. Drain settles anything still in flight after a schedule;
-// Counters reports the cumulative server-side counters (before, between,
-// or after schedules).
+// arrival order, once every arrival has answered; Counters reports the
+// cumulative server-side counters (before, between, or after schedules).
 type Target interface {
 	RunSchedule(ctx context.Context, arrivals []Arrival) ([]Sample, error)
-	Drain(ctx context.Context) error
 	Counters() (Counters, error)
 }
 
@@ -115,10 +114,6 @@ func (t *HTTPTarget) RunSchedule(ctx context.Context, arrivals []Arrival) ([]Sam
 	wg.Wait()
 	return samples, ctx.Err()
 }
-
-// Drain is a no-op: RunSchedule already waits for every issued request to
-// answer before returning.
-func (t *HTTPTarget) Drain(context.Context) error { return nil }
 
 // Counters scrapes GET /metrics and sums the cache and rejection counters
 // across replica labels.
@@ -201,17 +196,25 @@ func Scrape(hc *http.Client, base string) (map[string]uint64, error) {
 // ReadMetrics sums a Prometheus text-format exposition (a GET /metrics
 // body): each series name maps to the sum of its samples, and each
 // name{key="value"} to the sum of the samples carrying that label.
-// Comments are skipped; unparsable or negative samples count zero.
+// Comments are skipped; unparsable, negative or NaN samples count zero,
+// and a sample or a sum past the largest uint64 saturates there.
 func ReadMetrics(r io.Reader) (map[string]uint64, error) {
 	m := map[string]uint64{}
+	add := func(key string, v uint64) {
+		if sum := m[key] + v; sum >= v {
+			m[key] = sum
+		} else {
+			m[key] = math.MaxUint64
+		}
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		if line := sc.Text(); line != "" && line[0] != '#' {
 			name, labels, v := parseSeries(line)
-			m[name] += v
+			add(name, v)
 			for k, lv := range labels {
-				m[fmt.Sprintf("%s{%s=%q}", name, k, lv)] += v
+				add(fmt.Sprintf("%s{%s=%q}", name, k, lv), v)
 			}
 		}
 	}
@@ -238,8 +241,11 @@ func parseSeries(line string) (string, map[string]string, uint64) {
 		name, rest = line[:i], line[i:]
 	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-	if err != nil || f < 0 {
+	switch {
+	case err != nil || !(f >= 0): // unparsable, negative or NaN
 		return name, labels, 0
+	case f >= math.MaxUint64: // rounds to 2^64, one past the largest uint64
+		return name, labels, math.MaxUint64
 	}
 	return name, labels, uint64(f)
 }

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"exaresil/internal/experiments"
 	"exaresil/internal/serve"
@@ -46,13 +45,9 @@ func TestWireConformance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = single.Drain(ctx)
-	})
+	t.Cleanup(func() { _ = single.Drain(context.Background()) })
 	scfg.Runner = runner(meshStarts)
-	c := newTestMesh(t, Config{Replicas: 2, Serve: scfg, HeartbeatTimeout: 30 * time.Second})
+	c := newTestMesh(t, Config{Replicas: 2, Serve: scfg})
 	t.Cleanup(func() { close(release) }) // runs before both drains
 
 	type surface struct {
@@ -77,12 +72,8 @@ func TestWireConformance(t *testing.T) {
 	}
 	for _, s := range surfaces {
 		done := submit(s.b, serve.Spec{Exhibit: "fig1"})
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			if v, _ := s.b.Job(done); v.State == "done" {
-				break
-			} else if time.Now().After(deadline) {
-				t.Fatalf("%s: fig1 job ended %s", s.name, v.State)
-			}
+		if v := awaitJob(t, s.b, done); v.State != "done" {
+			t.Fatalf("%s: fig1 job ended %s", s.name, v.State)
 		}
 		parked := submit(s.b, serve.Spec{Exhibit: "fig5", Seed: 1})
 		canceled := submit(s.b, serve.Spec{Exhibit: "fig5", Seed: 2})
@@ -109,13 +100,8 @@ func TestWireConformance(t *testing.T) {
 		// starts a parked run. The canceled job (seed 2) holds no worker.
 		untilSaturated()
 		for held := 0; held < s.workers; {
-			select {
-			case seed := <-s.started:
-				if seed != 2 {
-					held++
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("%s: %d of %d workers started a parked run", s.name, held, s.workers)
+			if seed := <-s.started; seed != 2 {
+				held++
 			}
 		}
 		untilSaturated()

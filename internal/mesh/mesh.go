@@ -34,7 +34,8 @@ type Config struct {
 	// Serve is the per-replica server template. The coordinator overrides
 	// JobIDPrefix (replica identity lives in job ids) and Obs (each
 	// replica gets its own registry so per-replica gauges don't clobber
-	// each other); everything else applies to every replica.
+	// each other); everything else applies to every replica. Its Clock
+	// (nil = the wall clock) is the heartbeat monitor's and admission's.
 	Serve serve.Config
 	// Admission is the fleet-level admission stage (nil = AlwaysAdmit).
 	Admission AdmissionPolicy
@@ -60,12 +61,11 @@ type replica struct {
 	reg *obs.Registry // per-replica metrics registry, stable across lives
 
 	// Guarded by Coordinator.mu.
-	gen      int
-	srv      *serve.Server
-	stopBeat chan struct{}
-	stopOnce *sync.Once
+	gen int
+	srv *serve.Server
 
 	alive    atomic.Bool
+	beating  atomic.Bool  // false once Kill stops the replica's heartbeat
 	lastBeat atomic.Int64 // unix nanos of the last heartbeat
 }
 
@@ -102,8 +102,8 @@ type Coordinator struct {
 
 	mux      *http.ServeMux
 	draining atomic.Bool
-	stopAll  chan struct{}
-	stopOnce sync.Once
+	tickMu   sync.Mutex
+	tick     serve.Timer // the monitor's pending tick, guarded by tickMu
 
 	// Mirrors of the headline counters, readable without a registry.
 	failovers    atomic.Uint64
@@ -111,8 +111,8 @@ type Coordinator struct {
 	handoffCells atomic.Uint64
 }
 
-// New builds the fleet, starts heartbeats and the failure monitor, and
-// returns a ready coordinator.
+// New builds the fleet, arms the heartbeat monitor, and returns a ready
+// coordinator.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
@@ -129,14 +129,16 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 5 * cfg.HeartbeatInterval
 	}
+	if cfg.Serve.Clock == nil {
+		cfg.Serve.Clock = serve.WallClock{}
+	}
 	c := &Coordinator{
 		cfg:      cfg,
 		m:        NewMetrics(cfg.Obs),
 		jobs:     make(map[string]trackedJob),
 		forwards: make(map[string]string),
-		stopAll:  make(chan struct{}),
 	}
-	now := time.Now().UnixNano()
+	now := c.cfg.Serve.Clock.Now().UnixNano()
 	for i := 0; i < cfg.Replicas; i++ {
 		var reg *obs.Registry
 		if cfg.Obs != nil {
@@ -146,18 +148,15 @@ func New(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mesh: replica %d: %w", i, err)
 		}
-		rep := &replica{idx: i, reg: reg, gen: 0, srv: srv,
-			stopBeat: make(chan struct{}), stopOnce: &sync.Once{}}
+		rep := &replica{idx: i, reg: reg, gen: 0, srv: srv}
 		rep.alive.Store(true)
+		rep.beating.Store(true)
 		rep.lastBeat.Store(now)
 		c.replicas = append(c.replicas, rep)
 		c.m.ReplicaUp(i).Set(1)
 		c.m.Routed(i).Add(0) // register the series before traffic
 	}
-	for _, rep := range c.replicas {
-		go c.heartbeat(rep, rep.stopBeat)
-	}
-	go c.monitor()
+	c.tick = c.cfg.Serve.Clock.AfterFunc(cfg.HeartbeatInterval, c.monitor)
 	c.routes()
 	return c, nil
 }
@@ -187,48 +186,33 @@ func (c *Coordinator) Alive(idx int) bool {
 	return c.replicas[idx].alive.Load()
 }
 
-// heartbeat stamps one replica's liveness every interval until its life
-// (or the coordinator) ends. The embedded replica is always reachable,
-// so the beat models the network heartbeat a distributed deployment
-// would send: killing the replica stops the beats, and death is then
-// *detected* by the monitor's staleness check rather than announced.
-func (c *Coordinator) heartbeat(rep *replica, stop chan struct{}) {
-	t := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-c.stopAll:
-			return
-		case <-t.C:
-			rep.lastBeat.Store(time.Now().UnixNano())
+// monitor is the heartbeat loop: every interval it stamps the beat of
+// each replica still beating, fails over every live replica whose last
+// beat is older than the timeout, and re-arms itself until Drain (which
+// also stops the pending tick). The embedded replica is always
+// reachable, so the beat models the network heartbeat a distributed
+// deployment would send: killing the replica stops its beats, and death
+// is then *detected* by staleness rather than announced.
+func (c *Coordinator) monitor() {
+	now := c.cfg.Serve.Clock.Now().UnixNano()
+	var dead []int
+	c.mu.RLock()
+	for _, rep := range c.replicas {
+		if rep.beating.Load() {
+			rep.lastBeat.Store(now)
+		}
+		if rep.alive.Load() && now-rep.lastBeat.Load() > int64(c.cfg.HeartbeatTimeout) {
+			dead = append(dead, rep.idx)
 		}
 	}
-}
-
-// monitor scans for stale heartbeats and fails replicas over.
-func (c *Coordinator) monitor() {
-	t := time.NewTicker(c.cfg.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stopAll:
-			return
-		case <-t.C:
-		}
-		now := time.Now().UnixNano()
-		var dead []int
-		c.mu.RLock()
-		for _, rep := range c.replicas {
-			if rep.alive.Load() && now-rep.lastBeat.Load() > int64(c.cfg.HeartbeatTimeout) {
-				dead = append(dead, rep.idx)
-			}
-		}
-		c.mu.RUnlock()
-		for _, idx := range dead {
-			c.failover(idx)
-		}
+	c.mu.RUnlock()
+	for _, idx := range dead {
+		c.failover(idx)
+	}
+	c.tickMu.Lock()
+	defer c.tickMu.Unlock()
+	if !c.draining.Load() {
+		c.tick = c.cfg.Serve.Clock.AfterFunc(c.cfg.HeartbeatInterval, c.monitor)
 	}
 }
 
@@ -243,9 +227,9 @@ func (c *Coordinator) Kill(idx int) error {
 	}
 	c.mu.RLock()
 	rep := c.replicas[idx]
-	srv, once := rep.srv, rep.stopOnce
+	srv := rep.srv
 	c.mu.RUnlock()
-	once.Do(func() { close(rep.stopBeat) })
+	rep.beating.Store(false)
 	srv.Kill()
 	return nil
 }
@@ -263,9 +247,8 @@ func (c *Coordinator) failover(idx int) {
 		return
 	}
 	deadGen, deadSrv := rep.gen, rep.srv
-	once := rep.stopOnce
 	c.mu.Unlock()
-	once.Do(func() { close(rep.stopBeat) })
+	rep.beating.Store(false)
 	c.failovers.Add(1)
 	c.m.Failovers.Inc()
 	c.m.ReplicaUp(idx).Set(0)
@@ -324,10 +307,6 @@ func (c *Coordinator) Revive(idx int) error {
 		return fmt.Errorf("mesh: revive replica %d: %w", idx, err)
 	}
 	rep.gen, rep.srv = gen, srv
-	rep.stopBeat = make(chan struct{})
-	rep.stopOnce = &sync.Once{}
-	rep.lastBeat.Store(time.Now().UnixNano())
-	beat := rep.stopBeat
 	var peers []*serve.Server
 	for _, other := range c.replicas {
 		if other.idx != idx && other.alive.Load() {
@@ -341,8 +320,9 @@ func (c *Coordinator) Revive(idx int) error {
 			srv.ImportSnapshot(key, cells)
 		}
 	}
+	rep.lastBeat.Store(c.cfg.Serve.Clock.Now().UnixNano())
+	rep.beating.Store(true)
 	rep.alive.Store(true)
-	go c.heartbeat(rep, beat)
 	c.m.Revivals.Inc()
 	c.m.ReplicaUp(idx).Set(1)
 	return nil
@@ -356,7 +336,7 @@ func (c *Coordinator) Submit(spec serve.Spec) (serve.JobView, error) {
 	if c.draining.Load() {
 		return serve.JobView{}, serve.ErrDraining
 	}
-	if ok, retry := c.cfg.Admission.Admit(time.Now()); !ok {
+	if ok, retry := c.cfg.Admission.Admit(c.cfg.Serve.Clock.Now()); !ok {
 		c.m.Rejected.Inc()
 		return serve.JobView{}, &serve.RejectedError{Policy: c.cfg.Admission.Name(), Wait: retry}
 	}
@@ -559,11 +539,13 @@ func (c *Coordinator) RetryAfterSeconds() int {
 	return best
 }
 
-// Drain closes mesh admission, stops the heartbeat/monitor machinery,
+// Drain closes mesh admission, stops the heartbeat monitor,
 // and drains every live replica (no in-flight job is dropped).
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.draining.Store(true)
-	c.stopOnce.Do(func() { close(c.stopAll) })
+	c.tickMu.Lock()
+	c.tick.Stop() // a pending tick would keep the drained fleet reachable
+	c.tickMu.Unlock()
 	c.mu.RLock()
 	reps := append([]*replica(nil), c.replicas...)
 	c.mu.RUnlock()

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,46 +36,45 @@ func goldenDigest(t *testing.T, name string) string {
 	return ""
 }
 
-// newTestMesh builds a coordinator and registers a bounded drain.
+// newTestMesh builds a coordinator and registers its drain. Unless the
+// template sets a clock, the mesh runs on a virtual clock the test never
+// advances: no heartbeat or monitor tick fires, and admission sees no
+// time pass. The mesh tests wait on channels and clock steps, never on
+// the wall clock; a wedged test is caught by go test's own -timeout.
 func newTestMesh(t *testing.T, cfg Config) *Coordinator {
 	t.Helper()
+	if cfg.Serve.Clock == nil {
+		cfg.Serve.Clock = serve.NewVirtualClock(time.Unix(0, 0).UTC())
+	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("mesh.New: %v", err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = c.Drain(ctx)
-	})
+	t.Cleanup(func() { _ = c.Drain(context.Background()) })
 	return c
 }
 
-// waitMeshDone polls the coordinator until id (following any forwards)
-// reaches the done state. During a failover window the id may 404 or
-// transiently read as failed on the dying replica — both resolve once
-// the forward to the rerouted job lands, so the poll only gives up at
-// the deadline.
-func waitMeshDone(t *testing.T, c *Coordinator, id string, timeout time.Duration) serve.JobView {
+// awaitJob waits on the done channel of the job id names on b — a lone
+// server, or the mesh through its forwards — and returns its settled view.
+func awaitJob(t *testing.T, b serve.Backend, id string) serve.JobView {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	var last serve.JobView
-	var seen bool
-	for time.Now().Before(deadline) {
-		view, ok := c.Job(id)
-		if ok {
-			last, seen = view, true
-			if view.State == "done" {
-				return view
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
+	srv, cur, ok := (*serve.Server)(nil), id, true
+	switch b := b.(type) {
+	case *serve.Server:
+		srv = b
+	case *Coordinator:
+		cur, srv, ok = b.resolve(id)
 	}
-	if !seen {
-		t.Fatalf("job %s never resolved before the deadline; mesh=%+v", id, c.MeshView())
+	var done <-chan struct{}
+	if ok {
+		done, ok = srv.JobDone(cur)
 	}
-	t.Fatalf("job %s did not reach done: resolved=%s state=%s err=%q mesh=%+v", id, last.ID, last.State, last.Error, c.MeshView())
-	return serve.JobView{}
+	if !ok {
+		t.Fatalf("job %s does not resolve", id)
+	}
+	<-done
+	v, _ := b.Job(id)
+	return v
 }
 
 // TestMeshByteIdenticalToSingleProcess: the tentpole invariant. Every
@@ -86,6 +86,7 @@ func TestMeshByteIdenticalToSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
 	}
+	t.Cleanup(func() { _ = single.Drain(context.Background()) })
 	c := newTestMesh(t, Config{Replicas: 3, Serve: serve.Config{Workers: 2, QueueDepth: 64}})
 
 	type pair struct {
@@ -106,15 +107,10 @@ func TestMeshByteIdenticalToSingleProcess(t *testing.T) {
 		pairs = append(pairs, pair{spec, mv.ID, sv.ID})
 	}
 	for _, p := range pairs {
-		mView := waitMeshDone(t, c, p.meshID, 60*time.Second)
-		deadline := time.Now().Add(60 * time.Second)
-		sView, _ := single.Job(p.singleID)
-		for sView.State != "done" && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-			sView, _ = single.Job(p.singleID)
-		}
-		if sView.State != "done" {
-			t.Fatalf("%s: single-process job stuck in %s", p.spec.Exhibit, sView.State)
+		mView := awaitJob(t, c, p.meshID)
+		sView := awaitJob(t, single, p.singleID)
+		if mView.State != "done" || sView.State != "done" {
+			t.Fatalf("%s: mesh job %s (%s), single-process job %s (%s)", p.spec.Exhibit, mView.State, mView.Error, sView.State, sView.Error)
 		}
 		if mView.Digest != sView.Digest {
 			t.Fatalf("%s: mesh digest %s != single-process digest %s", p.spec.Exhibit, mView.Digest, sView.Digest)
@@ -134,12 +130,13 @@ func TestMeshByteIdenticalToSingleProcess(t *testing.T) {
 }
 
 // TestMeshFailoverResumesGoldenFig5: kill the replica serving a spec
-// after its first recorded cell. The monitor must detect the death, hand
-// the checkpoint snapshot to a survivor, re-route the job, and the old
-// job id must (via forwarding) finish with the oracle's bytes —
-// byte-identity through a failover. Two inputs: the golden fig5 spec
-// (grid and probe cells) and fig1 at its default 200 trials (sweep
-// cells), whose oracle is results/fig1.csv.
+// after its first recorded cell, and step the mesh's clock past the
+// heartbeat timeout. The monitor must detect the death, hand the
+// checkpoint snapshot to a survivor, re-route the job, and the old job id
+// must (via forwarding) finish with the oracle's bytes — byte-identity
+// through a failover. Two inputs: the golden fig5 spec (grid and probe
+// cells) and fig1 at its default 200 trials (sweep cells), whose oracle
+// is results/fig1.csv.
 func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
 	fig1, err := os.ReadFile("../../results/fig1.csv")
 	if err != nil {
@@ -158,16 +155,26 @@ func TestMeshFailoverResumesGoldenFig5(t *testing.T) {
 }
 
 func failoverResumes(t *testing.T, spec serve.Spec, want string) {
-	// The timeout must be generous: under the race detector a busy
-	// runner can starve heartbeat tickers for well over 40ms, and a
-	// spurious failover of a *survivor* would leave no replica to re-route
-	// to. 3s keeps detection fast for the test while staying far above
-	// scheduler jitter.
+	// The first cell any replica records parks its runner until the
+	// replica dies, so the kill lands after exactly one checkpointed cell.
+	recorded := make(chan struct{})
+	var first sync.Once
+	runner := func(ctx context.Context, cfg experiments.Config, s serve.Spec) (*serve.Result, error) {
+		p, note := *cfg.Progress, cfg.Progress.OnCell
+		p.OnCell = func(cell int, values []float64) {
+			note(cell, values)
+			first.Do(func() { close(recorded); <-ctx.Done() })
+		}
+		cfg.Progress = &p
+		return serve.RunSpec(cfg, s)
+	}
+	clock := serve.NewVirtualClock(time.Unix(0, 0).UTC())
+	const interval, timeout = 25 * time.Millisecond, 3 * time.Second
 	c := newTestMesh(t, Config{
 		Replicas:          3,
-		Serve:             serve.Config{Workers: 1},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  3 * time.Second,
+		Serve:             serve.Config{Workers: 1, Runner: runner, Clock: clock},
+		HeartbeatInterval: interval,
+		HeartbeatTimeout:  timeout,
 	})
 	view, err := c.Submit(spec)
 	if err != nil {
@@ -179,25 +186,20 @@ func failoverResumes(t *testing.T, spec serve.Spec, want string) {
 	}
 	idx := owner.idx
 
-	// Wait for the serving replica to checkpoint at least one cell, then
-	// kill it mid-job. The poll is deliberately slack (10ms): under the
-	// race detector a hot poll loop slows the runner itself.
-	victim := c.replicas[idx].srv
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if cells := victim.ExportSnapshots()[spec.Key()]; len(cells) >= 1 {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Fatal("replica never recorded checkpoint cells")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// Kill the serving replica once it has checkpointed a cell. Its beats
+	// stop; one monitor period short of the timeout it is still alive, and
+	// the step past the timeout fails it over.
+	<-recorded
 	if err := c.Kill(idx); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
+	clock.Advance(timeout)
+	if !c.Alive(idx) {
+		t.Fatalf("replica %d failed over before its beats were %s stale", idx, timeout)
+	}
+	clock.Advance(interval)
 
-	final := waitMeshDone(t, c, view.ID, 180*time.Second)
+	final := awaitJob(t, c, view.ID)
 	if final.Digest != want {
 		t.Fatalf("post-failover digest %s != oracle %s", final.Digest, want)
 	}
@@ -343,7 +345,7 @@ func TestMeshMetricsMerged(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	waitMeshDone(t, c, view.ID, 60*time.Second)
+	awaitJob(t, c, view.ID)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -394,9 +396,7 @@ func TestMeshDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mesh.New: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := c.Drain(ctx); err != nil {
+	if err := c.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if _, err := c.Submit(serve.Spec{Exhibit: "fig1", Trials: 2}); err == nil {

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -648,6 +649,50 @@ func TestSemiBlockingSnapshotSemantics(t *testing.T) {
 			res.CheckpointTime + res.RestartTime
 		if math.Abs(float64(res.Makespan()-reconstructed)) > 1e-6 {
 			t.Fatalf("decomposition broke under failures: %v vs %v", res.Makespan(), reconstructed)
+		}
+	}
+}
+
+// TestConstructionBytesIndependentOfAppSize: building an executor and
+// cloning it allocates no more bytes for an app that fills the exascale
+// machine (half of it for TeaMPI's two teams) than for one on 1% of it,
+// for every technique but the two redundancy degrees, whose failedIn
+// array still holds a mark per node. Per-node state is paid per failure,
+// not per node.
+func TestConstructionBytesIndependentOfAppSize(t *testing.T) {
+	cfg := machine.Exascale()
+	model := defaultModel(cfg)
+	bytesPerBuild := func(tech core.Technique, nodes int) (uint64, Executor) {
+		app := workload.App{Class: workload.D64, TimeSteps: 1440, Nodes: nodes}
+		build := func() Executor {
+			x, err := New(tech, app, cfg, model, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.Clone()
+			return x
+		}
+		x := build() // the first build may warm caches that later ones reuse
+		const n = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n, x
+	}
+	for _, tech := range core.Techniques() {
+		if tech == core.PartialRedundancy || tech == core.FullRedundancy {
+			continue
+		}
+		small, x := bytesPerBuild(tech, cfg.NodesForFraction(0.01))
+		whole, y := bytesPerBuild(tech, cfg.Nodes*x.App().Nodes/x.PhysicalNodes())
+		if ok, why := y.Viable(); !ok || y.PhysicalNodes() != cfg.Nodes {
+			t.Fatalf("%v: the whole-machine app occupies %d of %d nodes (viable %v: %s)", tech, y.PhysicalNodes(), cfg.Nodes, ok, why)
+		}
+		if whole > small {
+			t.Errorf("%v: construction and Clone allocate %d B on the whole machine, %d B on 1%% of it", tech, whole, small)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package resilience
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"exaresil/internal/core"
 	"exaresil/internal/failures"
@@ -34,12 +35,18 @@ type teamReplication struct {
 	// repairWindow is how long a struck node's replacement spends
 	// re-syncing from its live twin before the pair is redundant again.
 	repairWindow units.Duration
-	// repairUntil holds, per physical node, the (run-relative) time its
-	// in-flight re-sync completes; an entry only counts if its generation
-	// mark equals gen. Bumping gen clears every mark in O(1).
-	repairUntil []units.Duration
-	repairIn    []uint64
-	gen         uint64
+	// repairs lists the re-syncs in flight, one per struck node, so their
+	// cost follows the failures, not the node count. Failure times only
+	// grow within a run: a re-sync whose window ended by the current
+	// failure can never matter again and is dropped then, and a relaunch
+	// or a new run clears the list.
+	repairs []repair
+}
+
+// repair is one node's re-sync, complete at the (run-relative) time until.
+type repair struct {
+	node  int
+	until units.Duration
 }
 
 // newTeamReplication builds the Lightweight Replication executor. Like full
@@ -52,9 +59,6 @@ func newTeamReplication(app workload.App, costs Costs, model *failures.Model, sy
 		syncPenalty:  syncPenalty,
 		phys:         phys,
 		repairWindow: costs.L2,
-		repairUntil:  make([]units.Duration, phys),
-		repairIn:     make([]uint64, phys),
-		gen:          1,
 	}
 	x := &executor{strat: s, model: model, phys: phys, viable: true}
 	if phys > machineNodes {
@@ -97,10 +101,12 @@ func (s *teamReplication) twinOf(phys int) int {
 	return phys - s.application.Nodes
 }
 
-// inRepair reports whether node's replacement is still re-syncing at the
-// (run-relative) time at.
-func (s *teamReplication) inRepair(node int, at units.Duration) bool {
-	return s.repairIn[node] == s.gen && s.repairUntil[node] > at
+// repairAt drops the re-syncs complete by the (run-relative) time at and
+// returns the index of node's, or -1 when its replacement is not
+// re-syncing.
+func (s *teamReplication) repairAt(node int, at units.Duration) int {
+	s.repairs = slices.DeleteFunc(s.repairs, func(r repair) bool { return r.until <= at })
+	return slices.IndexFunc(s.repairs, func(r repair) bool { return r.node == node })
 }
 
 // onFailure: transients are absorbed outright (memory intact, the process
@@ -114,18 +120,22 @@ func (s *teamReplication) onFailure(f failures.Failure, _ units.Duration) respon
 	case failures.SeverityTransient:
 		return response{}
 	case failures.SeverityNodeLoss:
-		if !s.inRepair(s.twinOf(f.Node), f.Time) {
+		if s.repairAt(s.twinOf(f.Node), f.Time) < 0 {
 			// The twin covers; the struck node re-syncs from it. A repeat
 			// failure on a node already in repair just restarts its window.
-			s.repairIn[f.Node] = s.gen
-			s.repairUntil[f.Node] = f.Time + s.repairWindow
+			r := repair{node: f.Node, until: f.Time + s.repairWindow}
+			if i := s.repairAt(f.Node, f.Time); i >= 0 {
+				s.repairs[i] = r
+			} else {
+				s.repairs = append(s.repairs, r)
+			}
 			return response{}
 		}
 	}
 	// Catastrophic, or a node loss whose twin was still re-syncing: the
 	// virtual node is gone. Relaunch from scratch (trace level 0, PFS
-	// re-provisioning cost) and clear the repair marks.
-	s.gen++
+	// re-provisioning cost) and clear the re-syncs.
+	s.repairs = s.repairs[:0]
 	return response{
 		rollback:     true,
 		restoreTo:    0,
@@ -136,15 +146,12 @@ func (s *teamReplication) onFailure(f failures.Failure, _ units.Duration) respon
 
 func (s *teamReplication) recoverySpeed() float64 { return 1 }
 
-func (s *teamReplication) reset() { s.gen++ }
+func (s *teamReplication) reset() { s.repairs = s.repairs[:0] }
 
-// clone deep-copies the per-node repair marks so concurrent runs do not
-// share state.
+// clone copies the re-syncs in flight so concurrent runs do not share
+// state.
 func (s *teamReplication) clone() strategy {
 	dup := *s
-	dup.repairUntil = make([]units.Duration, len(s.repairUntil))
-	copy(dup.repairUntil, s.repairUntil)
-	dup.repairIn = make([]uint64, len(s.repairIn))
-	copy(dup.repairIn, s.repairIn)
+	dup.repairs = slices.Clone(s.repairs)
 	return &dup
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -124,8 +123,9 @@ func (c AutoscaleConfig) clampWidth(workers int) int {
 const queueAlpha = 0.4
 
 // autoscaler owns the evaluation loop. All mutable state is touched only
-// from evaluate, which runs on a single goroutine (the ticker loop in
-// production, the test directly otherwise).
+// from evaluate, which runs from one tick at a time — each tick arms the
+// next only after evaluating — or from the test directly, whose clock
+// never ticks.
 type autoscaler struct {
 	s   *Server
 	cfg AutoscaleConfig
@@ -134,44 +134,24 @@ type autoscaler struct {
 	upStreak   int     // consecutive pressured samples
 	downStreak int     // consecutive idle samples
 	lastScale  time.Time
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
-// newAutoscaler wires an autoscaler to its server. Call run (usually on a
-// fresh goroutine) to start the ticker loop, halt to stop it.
+// newAutoscaler wires an autoscaler to its server and arms its first
+// tick.
 func newAutoscaler(s *Server, cfg AutoscaleConfig) *autoscaler {
-	return &autoscaler{
-		s:    s,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	a := &autoscaler{s: s, cfg: cfg}
+	s.cfg.Clock.AfterFunc(cfg.Interval, a.tick)
+	return a
 }
 
-// run evaluates every Interval until halt.
-func (a *autoscaler) run() {
-	defer close(a.done)
-	t := time.NewTicker(a.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case now := <-t.C:
-			a.evaluate(now)
-		}
+// tick evaluates once and re-arms itself one Interval later, until the
+// server drains or dies; a draining pool refuses width changes anyway,
+// so a tick racing Drain changes nothing.
+func (a *autoscaler) tick() {
+	if !a.s.draining.Load() {
+		a.evaluate(a.s.cfg.Clock.Now())
+		a.s.cfg.Clock.AfterFunc(a.cfg.Interval, a.tick)
 	}
-}
-
-// halt stops the ticker loop and waits for a mid-flight evaluation to
-// finish. Safe to call more than once; a pool already draining refuses
-// width changes anyway, so halt-vs-drain ordering is not load-bearing.
-func (a *autoscaler) halt() {
-	a.stopOnce.Do(func() { close(a.stop) })
-	<-a.done
 }
 
 // evaluate takes one autoscaling step at the given instant: fold the
@@ -189,9 +169,9 @@ func (a *autoscaler) evaluate(now time.Time) {
 		// The wait signal only moves when flights start; fold in a zero
 		// sample on empty-queue ticks so a stale spike cannot pin the
 		// pool wide after the burst that caused it ended.
-		a.s.noteQueueWait(0)
+		a.s.waitSecs.note(0)
 	}
-	wait := a.s.queueWaitSeconds()
+	wait := a.s.waitSecs.value()
 
 	m := a.s.m
 	m.AutoscaleWorkers.Set(int64(width))

@@ -8,43 +8,9 @@ import (
 )
 
 // The autoscaler tests drive the state machine deterministically: the
-// background ticker is parked on an hour-long interval and the test calls
-// evaluate directly with a synthetic clock, so every decision (and every
+// server runs on a virtual clock that never ticks, and the test calls
+// evaluate directly at chosen instants, so every decision (and every
 // suppressed one) is attributable to a specific sample.
-
-// hourly parks the background evaluator so tests own the clock.
-func hourly(ac AutoscaleConfig) *AutoscaleConfig {
-	ac.Interval = time.Hour
-	return &ac
-}
-
-// pollUntil spins until cond holds or the deadline passes.
-func pollUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// settleLocal polls the server's own store until the job is terminal.
-func settleLocal(t *testing.T, srv *Server, id string) JobView {
-	t.Helper()
-	var v JobView
-	pollUntil(t, "job "+id+" terminal", func() bool {
-		view, ok := srv.Job(id)
-		if !ok {
-			t.Fatalf("job %s vanished", id)
-		}
-		v = view
-		return v.State == "done" || v.State == "failed" || v.State == "canceled"
-	})
-	return v
-}
 
 // TestAutoscaleGrowShrinkCycle: sustained queue pressure grows the pool
 // to Max through the up-hysteresis window with cooldown suppression in
@@ -56,13 +22,14 @@ func TestAutoscaleGrowShrinkCycle(t *testing.T) {
 		Workers:    1,
 		QueueDepth: 8,
 		Runner:     r.run,
-		Autoscale: hourly(AutoscaleConfig{
+		Autoscale: &AutoscaleConfig{
 			Min: 1, Max: 3,
 			UpThreshold: 0.5, DownThreshold: 0.1,
 			UpWindow: 2, DownWindow: 2,
 			Cooldown:   time.Minute,
 			WaitBudget: time.Hour, // isolate the queue signal
-		}),
+		},
+		Clock: virtualClock(),
 	})
 	defer r.unblock()
 
@@ -74,9 +41,9 @@ func TestAutoscaleGrowShrinkCycle(t *testing.T) {
 		}
 		ids = append(ids, v.ID)
 	}
-	r.waitStart(t) // worker 0 is busy; the rest are queued
+	r.waitStart() // worker 0 is busy; the rest are queued
 
-	t0 := time.Now()
+	t0 := srv.cfg.Clock.Now()
 	at := func(d time.Duration) time.Time { return t0.Add(d) }
 
 	srv.scaler.evaluate(at(0)) // streak 1: no move yet (hysteresis)
@@ -121,7 +88,7 @@ func TestAutoscaleGrowShrinkCycle(t *testing.T) {
 	// down window walks the pool back to Min.
 	r.unblock()
 	for _, id := range ids {
-		if v := settleLocal(t, srv, id); v.State != "done" {
+		if v := awaitJob(t, srv, id); v.State != "done" {
 			t.Fatalf("job %s = %s, want done (autoscaling must not kill work)", id, v.State)
 		}
 	}
@@ -153,12 +120,13 @@ func TestAutoscaleShrinkBlockedByInflight(t *testing.T) {
 		Workers:    3,
 		QueueDepth: 12,
 		Runner:     r.run,
-		Autoscale: hourly(AutoscaleConfig{
+		Autoscale: &AutoscaleConfig{
 			Min: 1, Max: 3,
 			UpThreshold: 2, DownThreshold: 0.5,
 			UpWindow: 1, DownWindow: 1,
 			Cooldown: time.Nanosecond,
-		}),
+		},
+		Clock: virtualClock(),
 	})
 	defer r.unblock()
 
@@ -166,9 +134,9 @@ func TestAutoscaleShrinkBlockedByInflight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit A: %v", err)
 	}
-	r.waitStart(t)
+	r.waitStart()
 
-	t0 := time.Now()
+	t0 := srv.cfg.Clock.Now()
 	srv.scaler.evaluate(t0)                  // idle: shrink 3 -> 2
 	srv.scaler.evaluate(t0.Add(time.Minute)) // still idle: shrink 2 -> 1
 	if got := srv.pool.workers(); got != 1 {
@@ -192,7 +160,7 @@ func TestAutoscaleShrinkBlockedByInflight(t *testing.T) {
 
 	r.unblock()
 	for _, id := range []string{va.ID, vb.ID} {
-		if got := settleLocal(t, srv, id); got.State != "done" {
+		if got := awaitJob(t, srv, id); got.State != "done" {
 			t.Fatalf("job %s = %s, want done (shrink must not kill work)", id, got.State)
 		}
 	}
@@ -206,7 +174,8 @@ func TestAutoscaleMinEqualsMax(t *testing.T) {
 		Workers:    5, // clamped into [2, 2]
 		QueueDepth: 8,
 		Runner:     r.run,
-		Autoscale:  hourly(AutoscaleConfig{Min: 2, Max: 2, UpWindow: 1, DownWindow: 1}),
+		Autoscale:  &AutoscaleConfig{Min: 2, Max: 2, UpWindow: 1, DownWindow: 1},
+		Clock:      virtualClock(),
 	})
 	defer r.unblock()
 
@@ -218,7 +187,7 @@ func TestAutoscaleMinEqualsMax(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	t0 := time.Now()
+	t0 := srv.cfg.Clock.Now()
 	for i := 0; i < 5; i++ {
 		srv.scaler.evaluate(t0.Add(time.Duration(i) * time.Minute))
 	}
@@ -266,7 +235,7 @@ func TestAutoscaleWithDefaults(t *testing.T) {
 			t.Fatalf("WithDefaults not idempotent for %+v: %+v then %+v", ac, once, twice)
 		}
 	}
-	srv, _ := newTestServer(t, Config{Autoscale: hourly(AutoscaleConfig{Min: 2})})
+	srv, _ := newTestServer(t, Config{Autoscale: &AutoscaleConfig{Min: 2}, Clock: virtualClock()})
 	h := srv.Health()
 	if !h.Autoscale || h.MinWorkers != 2 || h.MaxWorkers != 8 || h.Workers != 2 {
 		t.Fatalf("health = %+v, want autoscale 2-8 workers at width 2", h)
@@ -281,13 +250,14 @@ func TestRetryAfterTracksActiveWidth(t *testing.T) {
 	srv, _ := newTestServer(t, Config{
 		Workers: 1,
 		Runner:  r.run,
-		Autoscale: hourly(AutoscaleConfig{
+		Autoscale: &AutoscaleConfig{
 			Min: 1, Max: 4,
-		}),
+		},
+		Clock: virtualClock(),
 	})
 	defer r.unblock()
 
-	srv.noteJobSeconds(10) // seed the execution EWMA: 10s per job
+	srv.execSecs.note(10) // seed the execution EWMA: 10s per job
 	if got := srv.RetryAfterSeconds(); got != 10 {
 		t.Fatalf("RetryAfter at width 1 = %d, want 10", got)
 	}
@@ -322,7 +292,7 @@ func TestCancelQueuedOnRetiringShard(t *testing.T) {
 		}
 		ids = append(ids, v.ID)
 		if seed <= 2 {
-			r.waitStart(t)
+			r.waitStart()
 		}
 	}
 	if got := srv.Queued(); got != 1 {
@@ -345,7 +315,7 @@ func TestCancelQueuedOnRetiringShard(t *testing.T) {
 
 	r.unblock()
 	for _, id := range ids[:2] {
-		if got := settleLocal(t, srv, id); got.State != "done" {
+		if got := awaitJob(t, srv, id); got.State != "done" {
 			t.Fatalf("running job %s = %s, want done", id, got.State)
 		}
 	}
@@ -369,14 +339,7 @@ func TestPoolShrinkDrainsBacklog(t *testing.T) {
 	defer close(release)
 
 	// releaseOne lets one executing flight finish.
-	releaseOne := func(what string) {
-		t.Helper()
-		select {
-		case release <- struct{}{}:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("no flight left to release for %s; backlog dropped", what)
-		}
-	}
+	releaseOne := func() { release <- struct{}{} }
 
 	// Two flights executing, two queued.
 	for _, k := range []string{"a", "b", "c", "d"} {
@@ -400,18 +363,13 @@ func TestPoolShrinkDrainsBacklog(t *testing.T) {
 
 	// a and b finish: the first worker done retires, the other pops the
 	// backlog alone, oldest first.
-	releaseOne("a")
-	releaseOne("b")
+	releaseOne()
+	releaseOne()
 	for _, want := range []string{"c", "d", "e"} {
-		select {
-		case k := <-started:
-			if k != want {
-				t.Fatalf("backlog started %s, want %s", k, want)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("backlog flight %s never started; dropped by shrink", want)
+		if k := <-started; k != want {
+			t.Fatalf("backlog started %s, want %s", k, want)
 		}
-		releaseOne(want)
+		releaseOne()
 	}
 
 	// Grow starts a fresh worker: two flights run at once again.
@@ -423,13 +381,8 @@ func TestPoolShrinkDrainsBacklog(t *testing.T) {
 			t.Fatalf("submit %s: %v", k, err)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-started:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%d of 2 flights started after grow; want both at once", i)
-		}
-	}
-	releaseOne("f")
-	releaseOne("g")
+	<-started
+	<-started // both at once: neither has been released yet
+	releaseOne()
+	releaseOne()
 }

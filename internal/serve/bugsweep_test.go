@@ -25,11 +25,11 @@ func TestRetryAfterColdStartFloor(t *testing.T) {
 	if got := srv.RetryAfterSeconds(); got != 1 {
 		t.Fatalf("cold-start RetryAfterSeconds = %d, want 1", got)
 	}
-	srv.noteJobSeconds(1e-9)
+	srv.execSecs.note(1e-9)
 	if got := srv.RetryAfterSeconds(); got != 1 {
 		t.Fatalf("tiny-sample RetryAfterSeconds = %d, want floor 1", got)
 	}
-	srv.noteJobSeconds(1e9)
+	srv.execSecs.note(1e9)
 	if got := srv.RetryAfterSeconds(); got != 120 {
 		t.Fatalf("huge-sample RetryAfterSeconds = %d, want clamp 120", got)
 	}
@@ -41,26 +41,26 @@ func TestRetryAfterColdStartFloor(t *testing.T) {
 // it and acquire evicts it in favor of a fresh flight. Before the fix a
 // submission landing in that window joined the corpse and hung forever.
 func TestDeadFlightReplacedOnAcquire(t *testing.T) {
-	now := time.Now()
+	now := time.Unix(0, 0)
 	c := newCache(8, NewMetrics(nil))
 	spec := Spec{Exhibit: "fig1", Trials: 3}
 
-	_, fl1, created, err := c.acquire(spec, admitAll)
+	_, fl1, created, err := c.acquire(spec, now, admitAll)
 	if err != nil || !created {
 		t.Fatalf("first acquire: created=%v err=%v", created, err)
 	}
-	fl1.attach(&Job{state: StateQueued}, now)
+	fl1.attach(queuedJob(), now)
 	if got := fl1.detach(); got != detachAborted {
 		t.Fatalf("detach = %v, want detachAborted", got)
 	}
 
 	// The cancel path's forget/discard have NOT run yet: this is the race
 	// window. Joining must be refused…
-	if got := fl1.attach(&Job{state: StateQueued}, now); got != attachDead {
+	if got := fl1.attach(queuedJob(), now); got != attachDead {
 		t.Fatalf("attach to aborted queued flight = %v, want attachDead", got)
 	}
 	// …and acquire must evict the corpse and lead a fresh flight.
-	_, fl2, created2, err := c.acquire(spec, admitAll)
+	_, fl2, created2, err := c.acquire(spec, now, admitAll)
 	if err != nil || !created2 {
 		t.Fatalf("acquire over dead flight: created=%v err=%v, want fresh flight", created2, err)
 	}
@@ -76,8 +76,8 @@ func TestDeadFlightReplacedOnAcquire(t *testing.T) {
 
 	// A killed *running* flight is not dead — its worker's ctx.Done path
 	// will settle it, so joining stays legal until then.
-	_, flRun, _, _ := c.acquire(Spec{Exhibit: "fig2"}, admitAll)
-	flRun.attach(&Job{state: StateQueued}, now)
+	_, flRun, _, _ := c.acquire(Spec{Exhibit: "fig2"}, now, admitAll)
+	flRun.attach(queuedJob(), now)
 	flRun.begin(func(error) {}, now)
 	if !flRun.kill() {
 		t.Fatal("kill of a running flight reported unhandled")
@@ -92,13 +92,13 @@ func TestDeadFlightReplacedOnAcquire(t *testing.T) {
 // with a fresh flight that completes normally.
 func TestSubmitSurvivesCancelRace(t *testing.T) {
 	br := newBlockingRunner(false)
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: br.run})
+	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: br.run})
 
 	vA, err := srv.Submit(Spec{Exhibit: "fig1", Trials: 1})
 	if err != nil {
 		t.Fatalf("submit A: %v", err)
 	}
-	br.waitStart(t) // A occupies the only worker
+	br.waitStart() // A occupies the only worker
 	specB := Spec{Exhibit: "fig1", Trials: 2}
 	vB, err := srv.Submit(specB)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestSubmitSurvivesCancelRace(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s missing", vB.ID)
 	}
-	jB.finish(StateCanceled, nil, "canceled by client", time.Now())
+	jB.finish(StateCanceled, nil, "canceled by client", time.Time{})
 	if got := jB.flight.detach(); got != detachAborted {
 		t.Fatalf("detach = %v, want detachAborted", got)
 	}
@@ -126,10 +126,10 @@ func TestSubmitSurvivesCancelRace(t *testing.T) {
 	}
 
 	br.unblock()
-	if done := pollTerminal(t, ts, vB2.ID); done.State != "done" {
+	if done := awaitJob(t, srv, vB2.ID); done.State != "done" {
 		t.Fatalf("resubmitted job ended %s: %s", done.State, done.Error)
 	}
-	if done := pollTerminal(t, ts, vA.ID); done.State != "done" {
+	if done := awaitJob(t, srv, vA.ID); done.State != "done" {
 		t.Fatalf("job A ended %s: %s", done.State, done.Error)
 	}
 }
@@ -138,14 +138,14 @@ func TestSubmitSurvivesCancelRace(t *testing.T) {
 // immediately, and cancels running ones through their execution context.
 func TestKillAbortsAllWork(t *testing.T) {
 	br := newBlockingRunner(true)
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: br.run})
+	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: br.run})
 	defer br.unblock()
 
 	vRun, err := srv.Submit(Spec{Exhibit: "fig1", Trials: 1})
 	if err != nil {
 		t.Fatalf("submit running: %v", err)
 	}
-	br.waitStart(t)
+	br.waitStart()
 	vQ, err := srv.Submit(Spec{Exhibit: "fig1", Trials: 2})
 	if err != nil {
 		t.Fatalf("submit queued: %v", err)
@@ -163,7 +163,7 @@ func TestKillAbortsAllWork(t *testing.T) {
 	}
 	// The running flight settles when its worker observes the canceled
 	// context.
-	if done := pollTerminal(t, ts, vRun.ID); done.State != "failed" {
+	if done := awaitJob(t, srv, vRun.ID); done.State != "failed" {
 		t.Fatalf("running job after Kill ended %s: %s", done.State, done.Error)
 	}
 	if !srv.Draining() {
@@ -181,7 +181,7 @@ func TestKillAbortsAllWork(t *testing.T) {
 func TestSnapshotExportImportHandoff(t *testing.T) {
 	spec := Spec{Exhibit: "fig4", Patterns: 2, Arrivals: 8}
 	crashed := false
-	srv1, ts1 := newTestServer(t, Config{
+	srv1, _ := newTestServer(t, Config{
 		Workers: 1,
 		CrashHook: func() (int, bool) {
 			if crashed {
@@ -195,7 +195,7 @@ func TestSnapshotExportImportHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit on srv1: %v", err)
 	}
-	if done := pollTerminal(t, ts1, v1.ID); done.State != "failed" {
+	if done := awaitJob(t, srv1, v1.ID); done.State != "failed" {
 		t.Fatalf("crashed job ended %s, want failed", done.State)
 	}
 
@@ -217,7 +217,7 @@ func TestSnapshotExportImportHandoff(t *testing.T) {
 	}
 	handoff[cellIdx][0] = orig
 
-	srv2, ts2 := newTestServer(t, Config{Workers: 1})
+	srv2, _ := newTestServer(t, Config{Workers: 1})
 	if n := srv2.ImportSnapshot(spec.Key(), handoff); n != len(handoff) {
 		t.Fatalf("import recorded %d cells, want %d", n, len(handoff))
 	}
@@ -225,7 +225,7 @@ func TestSnapshotExportImportHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit on srv2: %v", err)
 	}
-	if done := pollTerminal(t, ts2, v2.ID); done.State != "done" {
+	if done := awaitJob(t, srv2, v2.ID); done.State != "done" {
 		t.Fatalf("resumed job ended %s: %s", done.State, done.Error)
 	}
 	if got := srv2.m.SnapshotResumes.Value(); got != 1 {
@@ -259,13 +259,17 @@ func TestPoolCancelDrainStress(t *testing.T) {
 
 	const goroutines, perG = 8, 200
 	ids := make(chan string, goroutines*perG)
-	var wg sync.WaitGroup
+	var wg, begun sync.WaitGroup
+	begun.Add(goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perG; i++ {
+				if i == perG/10 {
+					begun.Done()
+				}
 				v, err := srv.Submit(Spec{Exhibit: "fig1", Trials: rnd.Intn(64) + 1})
 				if err != nil {
 					continue // ErrSaturated/ErrDraining are expected under the storm
@@ -278,13 +282,11 @@ func TestPoolCancelDrainStress(t *testing.T) {
 		}(g)
 	}
 
-	// Drain races the storm: submissions behind the drain get
-	// ErrDraining, cancels keep walking the queue while drain closes
-	// it.
-	time.Sleep(time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
+	// Drain races the storm once every submitter is a tenth of the way
+	// in: submissions behind the drain get ErrDraining, cancels keep
+	// walking the queue while drain closes it.
+	begun.Wait()
+	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatalf("drain under storm: %v", err)
 	}
 	wg.Wait()

@@ -22,8 +22,9 @@ type flight struct {
 	running  bool
 	finished bool
 	stop     context.CancelCauseFunc // cancels the execution context, set when running
+	state    State                   // the outcome, once finished
 	res      *Result
-	err      error
+	errMsg   string
 }
 
 // attachResult is the outcome of subscribing a job to a flight.
@@ -33,7 +34,7 @@ const (
 	// attachJoined: the job now shares the flight's eventual outcome.
 	attachJoined attachResult = iota
 	// attachSettled: the flight already finished (the execution outran the
-	// submitter); the caller finalizes the job from the flight's outcome.
+	// submitter), and attach finished the job with the flight's outcome.
 	attachSettled
 	// attachDead: every earlier subscriber canceled and the flight was
 	// aborted before this job could join. A dead flight never settles, so
@@ -47,6 +48,7 @@ func (f *flight) attach(j *Job, now time.Time) attachResult {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.finished {
+		j.finish(f.state, f.res, f.errMsg, now)
 		return attachSettled
 	}
 	if f.aborted && !f.running {
@@ -66,13 +68,6 @@ func (f *flight) dead() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.aborted && !f.running
-}
-
-// outcome reads the finished flight's result.
-func (f *flight) outcome() (*Result, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.res, f.err
 }
 
 // detach removes one canceled job from the flight's live count. It reports
@@ -153,7 +148,7 @@ func (f *flight) kill() (handled bool) {
 // keep their state). The first settle wins: a later one — a killed
 // flight racing its own worker's settle — must not overwrite
 // the recorded outcome that attach-settled submitters read.
-func (f *flight) settle(state State, res *Result, err error, errMsg string, now time.Time) int {
+func (f *flight) settle(state State, res *Result, errMsg string, now time.Time) int {
 	f.mu.Lock()
 	if f.finished {
 		f.mu.Unlock()
@@ -161,8 +156,7 @@ func (f *flight) settle(state State, res *Result, err error, errMsg string, now 
 	}
 	jobs := f.jobs
 	f.finished = true
-	f.res = res
-	f.err = err
+	f.state, f.res, f.errMsg = state, res, errMsg
 	f.mu.Unlock()
 	n := 0
 	for _, j := range jobs {
@@ -204,11 +198,12 @@ func newCache(cap int, m *Metrics) *Cache {
 }
 
 // acquire resolves a spec to a cached result, an existing flight to join,
-// or a freshly created flight this caller leads. Creation and admission
-// are atomic: admit runs under the cache lock (it must not block — the
-// pool's submit rejects rather than waits) and a rejected flight is
-// never inserted, so no other submitter can have joined it.
-func (c *Cache) acquire(spec Spec, admit func(*flight) error) (res *Result, fl *flight, created bool, err error) {
+// or a freshly created flight this caller leads, admitted at now.
+// Creation and admission are atomic: admit runs under the cache lock (it
+// must not block — the pool's submit rejects rather than waits) and a
+// rejected flight is never inserted, so no other submitter can have
+// joined it.
+func (c *Cache) acquire(spec Spec, now time.Time, admit func(*flight) error) (res *Result, fl *flight, created bool, err error) {
 	key := spec.Key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -235,7 +230,7 @@ func (c *Cache) acquire(spec Spec, admit func(*flight) error) (res *Result, fl *
 		}
 	}
 	c.m.CacheMisses.Inc()
-	fl = &flight{key: key, spec: spec, created: time.Now()}
+	fl = &flight{key: key, spec: spec, created: now}
 	if err := admit(fl); err != nil {
 		return nil, nil, false, err
 	}

@@ -54,8 +54,8 @@ func MountJobRoutes(mux *http.ServeMux, b Backend, wrap func(route string, h htt
 	mux.Handle("POST /v1/jobs", wrap("submit", api.submit))
 	mux.Handle("GET /v1/jobs/{id}", wrap("job", api.job))
 	mux.Handle("DELETE /v1/jobs/{id}", wrap("cancel", api.cancel))
-	mux.Handle("GET /v1/jobs/{id}/result", wrap("result", api.result))
-	mux.Handle("GET /v1/jobs/{id}/table", wrap("table", api.table))
+	mux.Handle("GET /v1/jobs/{id}/result", wrap("result", api.result(false)))
+	mux.Handle("GET /v1/jobs/{id}/table", wrap("table", api.result(true)))
 	mux.Handle("GET /v1/exhibits", wrap("exhibits", handleExhibits))
 }
 
@@ -87,10 +87,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 // histogram for one route label.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+		start := s.cfg.Clock.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
-		s.m.Request(route, rec.code, time.Since(start).Seconds())
+		s.m.Request(route, rec.code, s.cfg.Clock.Now().Sub(start).Seconds())
 	})
 }
 
@@ -181,27 +181,23 @@ func (a jobAPI) cancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // result serves the finished job's CSV bytes — byte-identical to
-// `exasim -csv` output for the same spec.
-func (a jobAPI) result(w http.ResponseWriter, r *http.Request) {
-	res, _, err := a.b.JobResult(r.PathValue("id"))
-	if err != nil {
-		writeJobError(w, r.PathValue("id"), err)
-		return
+// `exasim -csv` output for the same spec — or, as table, its rendered
+// ASCII table.
+func (a jobAPI) result(table bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		res, _, err := a.b.JobResult(r.PathValue("id"))
+		switch {
+		case err != nil:
+			writeJobError(w, r.PathValue("id"), err)
+		case table:
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			_, _ = fmt.Fprint(w, res.Text)
+		default:
+			w.Header().Set("Content-Type", "text/csv; charset=utf-8")
+			w.Header().Set("X-Exaresil-Digest", res.Digest)
+			_, _ = w.Write(res.CSV)
+		}
 	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	w.Header().Set("X-Exaresil-Digest", res.Digest)
-	_, _ = w.Write(res.CSV)
-}
-
-// table serves the finished job's rendered ASCII table.
-func (a jobAPI) table(w http.ResponseWriter, r *http.Request) {
-	res, _, err := a.b.JobResult(r.PathValue("id"))
-	if err != nil {
-		writeJobError(w, r.PathValue("id"), err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = fmt.Fprint(w, res.Text)
 }
 
 // writeJobError answers a refused job operation: 404 for an unknown id,

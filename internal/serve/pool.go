@@ -188,14 +188,19 @@ func (p *Pool) queued() int {
 	return len(p.items)
 }
 
-// drain stops admission and waits for every queued and running flight to
+// close stops admission; each worker exits once the queue is empty.
+func (p *Pool) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	p.cond.Broadcast()
+}
+
+// drain closes the pool and waits for every queued and running flight to
 // finish — no in-flight job is dropped. It fails only if ctx expires
 // first.
 func (p *Pool) drain(ctx context.Context) error {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	p.close()
 	done := make(chan struct{})
 	go func() {
 		p.wg.Wait()

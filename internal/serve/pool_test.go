@@ -97,7 +97,7 @@ func TestPoolDrainTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0)) // already expired
 	defer cancel()
 	if err := p.drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("drain: got %v, want DeadlineExceeded", err)
@@ -128,11 +128,7 @@ func TestPoolAdmitsWholeQueue(t *testing.T) {
 		}
 		admitted++
 		if admitted <= 4 {
-			select {
-			case <-started:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("flight %d admitted while a worker was free, but never started", admitted)
-			}
+			<-started // a worker was free: the flight starts
 		}
 	}
 	if admitted != 12 {
@@ -167,11 +163,7 @@ func TestPoolGrowStartsQueuedFlights(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		select {
-		case <-started:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("started %d of the 3 queued flights after growing to 4 workers", i)
-		}
+		<-started
 	}
 	if got := p.queued(); got != 0 {
 		t.Fatalf("queued = %d after growing, want 0", got)
@@ -229,9 +221,7 @@ func TestPoolElasticStress(t *testing.T) {
 	}()
 	wg.Wait()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if err := p.drain(ctx); err != nil {
+	if err := p.drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	total := 0

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,13 +43,14 @@ func simGoroutines() []string {
 
 // requireNoSimGoroutines fails when a simulation goroutine remains. A
 // trial worker that has just called WaitGroup.Done may still be on its
-// way out when its caller returns, so the check allows 250 ms for exits:
-// far less than the seconds an orphaned sweep keeps computing.
+// way out when its caller returns, so the check yields the processor up
+// to a thousand times for such exits: an orphaned sweep keeps computing
+// through all of them.
 func requireNoSimGoroutines(t *testing.T, when string) {
 	t.Helper()
 	gs := simGoroutines()
-	for deadline := time.Now().Add(250 * time.Millisecond); len(gs) > 0 && time.Now().Before(deadline); gs = simGoroutines() {
-		time.Sleep(time.Millisecond)
+	for i := 0; len(gs) > 0 && i < 1000; i, gs = i+1, simGoroutines() {
+		runtime.Gosched()
 	}
 	if len(gs) > 0 {
 		t.Fatalf("%s: %d simulation goroutines still running, first:\n%s", when, len(gs), gs[0])
@@ -67,7 +70,7 @@ func TestEveryExhibitResumesAfterCrash(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var crashes atomic.Int32
-			srv, ts := newTestServer(t, Config{
+			srv, _ := newTestServer(t, Config{
 				Workers: 1,
 				CrashHook: func() (int, bool) {
 					return 1, crashes.Add(1) == 1 // the first execution only
@@ -78,7 +81,7 @@ func TestEveryExhibitResumesAfterCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v := pollTerminal(t, ts, first.ID); v.State != "failed" || !strings.Contains(v.Error, "injected worker crash") {
+			if v := awaitJob(t, srv, first.ID); v.State != "failed" || !strings.Contains(v.Error, "injected worker crash") {
 				t.Fatalf("first attempt ended %s (%q), want failed by the injected crash", v.State, v.Error)
 			}
 			requireNoSimGoroutines(t, "after the crashed job settled")
@@ -90,7 +93,7 @@ func TestEveryExhibitResumesAfterCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			done := pollTerminal(t, ts, second.ID)
+			done := awaitJob(t, srv, second.ID)
 			if done.State != "done" {
 				t.Fatalf("resumed attempt ended %s: %s", done.State, done.Error)
 			}
@@ -111,13 +114,35 @@ func TestEveryExhibitResumesAfterCrash(t *testing.T) {
 	}
 }
 
+// observedRunner is the registry runner with three signals: started once
+// the execution begins (its timeout, if any, armed), firstCell when it
+// records its first cell, and returned once it has returned.
+func observedRunner() (run func(context.Context, experiments.Config, Spec) (*Result, error), started, firstCell, returned chan struct{}) {
+	started, firstCell, returned = make(chan struct{}, 8), make(chan struct{}, 8), make(chan struct{}, 8)
+	run = func(_ context.Context, cfg experiments.Config, s Spec) (*Result, error) {
+		defer func() { returned <- struct{}{} }()
+		started <- struct{}{}
+		p, note := *cfg.Progress, cfg.Progress.OnCell
+		var once sync.Once
+		p.OnCell = func(cell int, values []float64) {
+			note(cell, values)
+			once.Do(func() { firstCell <- struct{}{} })
+		}
+		cfg.Progress = &p
+		return RunSpec(cfg, s)
+	}
+	return run, started, firstCell, returned
+}
+
 // TestSweepStopsOnTimeoutAndCancel: a sweep stops within one cell of its
-// job's timeout or DELETE. Four ext-tau jobs at 400 trials on one worker
-// with a 50 ms timeout all fail, and once they have, no simulation is
-// left running; a DELETE'd job's simulation is gone once the worker is
-// idle again.
+// job's timeout or DELETE. Four ext-tau jobs at 400 trials on one worker,
+// each stepped past a 50 ms timeout once it starts, all fail, and once
+// they have, no simulation is left running; a DELETE'd job's simulation
+// is gone once its runner has returned.
 func TestSweepStopsOnTimeoutAndCancel(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, JobTimeout: 50 * time.Millisecond})
+	run, started, firstCell, returned := observedRunner()
+	clk := virtualClock()
+	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 8, JobTimeout: 50 * time.Millisecond, Runner: run, Clock: clk})
 	var ids []string
 	for seed := uint64(1); seed <= 4; seed++ {
 		v, err := srv.Submit(Spec{Exhibit: "ext-tau", Trials: 400, Seed: seed})
@@ -127,32 +152,27 @@ func TestSweepStopsOnTimeoutAndCancel(t *testing.T) {
 		ids = append(ids, v.ID)
 	}
 	for _, id := range ids {
-		if v := pollTerminal(t, ts, id); v.State != "failed" || !strings.Contains(v.Error, "timeout") {
+		<-started
+		clk.Advance(50 * time.Millisecond)
+		if v := awaitJob(t, srv, id); v.State != "failed" || !strings.Contains(v.Error, "timeout") {
 			t.Fatalf("job %s ended %s (%q), want failed by timeout", id, v.State, v.Error)
 		}
 	}
 	requireNoSimGoroutines(t, "after four timed-out jobs settled")
 
-	srv, ts = newTestServer(t, Config{Workers: 1})
+	run, _, firstCell, returned = observedRunner()
+	srv, ts := newTestServer(t, Config{Workers: 1, Runner: run})
 	spec := Spec{Exhibit: "ext-tau", Trials: 400, Seed: 5}
 	v, err := srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(30 * time.Second); len(srv.ExportSnapshots()[spec.Key()]) == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the sweep never recorded a cell")
-		}
-	}
+	<-firstCell
 	if code := cancelJob(t, ts, v.ID); code != http.StatusOK {
 		t.Fatalf("DELETE: HTTP %d", code)
 	}
-	for deadline := time.Now().Add(30 * time.Second); srv.Inflight() > 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the canceled sweep never returned")
-		}
-	}
-	requireNoSimGoroutines(t, "after the canceled job's worker went idle")
+	<-returned
+	requireNoSimGoroutines(t, "after the canceled job's runner returned")
 	if n := len(srv.ExportSnapshots()[spec.Key()]); n == 0 || n >= 15 {
 		t.Fatalf("the canceled sweep left %d of its 15 cells, want a strict subset", n)
 	}

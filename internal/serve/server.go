@@ -61,6 +61,10 @@ type Config struct {
 	// return within one cell — since the worker takes no other flight
 	// until it does.
 	Runner func(ctx context.Context, cfg experiments.Config, s Spec) (*Result, error)
+	// Clock is the time source of every stamp, timing, timeout and tick
+	// (nil = the wall clock). On a VirtualClock the server runs in stepped
+	// virtual time, as load.Inproc and the serve and mesh tests run it.
+	Clock Clock
 	// CrashHook, when non-nil, is consulted once per execution start;
 	// when it fires, the execution's context is canceled with a crash
 	// cause after that many further cells complete — a deterministic
@@ -85,9 +89,11 @@ type Server struct {
 	mux      *http.ServeMux
 	scaler   *autoscaler // nil unless cfg.Autoscale is set
 	draining atomic.Bool
-	inflight atomic.Int64  // flights currently executing on a worker
-	ewmaBits atomic.Uint64 // EWMA of execution seconds, for Retry-After
-	waitBits atomic.Uint64 // EWMA of queue-wait seconds, for the autoscaler
+	inflight atomic.Int64 // flights currently executing on a worker
+	execSecs ewma         // execution seconds, for Retry-After
+	// waitSecs is the admission-to-execution wait, the autoscaler's latency
+	// signal; empty-queue ticks fold in zeros, so a stale spike decays.
+	waitSecs ewma
 }
 
 // New validates the configuration, starts the worker pool, and returns a
@@ -107,6 +113,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := cfg.Experiments.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: experiments config: %w", err)
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = WallClock{}
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = func(_ context.Context, ecfg experiments.Config, s Spec) (*Result, error) {
@@ -135,7 +144,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Autoscale != nil {
 		s.m.AutoscaleWorkers.Set(int64(s.pool.workers()))
 		s.scaler = newAutoscaler(s, *cfg.Autoscale)
-		go s.scaler.run()
 	}
 	s.routes()
 	return s, nil
@@ -149,9 +157,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // expires.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.scaler != nil {
-		s.scaler.halt()
-	}
 	return s.pool.drain(ctx)
 }
 
@@ -191,8 +196,8 @@ func (s *Server) Submit(spec Spec) (JobView, error) {
 	// next pass leads a fresh flight. The bound is defensive; one retry
 	// suffices unless cancels keep winning the race.
 	for attempt := 0; ; attempt++ {
-		now := time.Now()
-		res, fl, created, err := s.cache.acquire(spec, s.pool.submit)
+		now := s.cfg.Clock.Now()
+		res, fl, created, err := s.cache.acquire(spec, now, s.pool.submit)
 		if err != nil {
 			return JobView{}, err
 		}
@@ -215,15 +220,12 @@ func (s *Server) Submit(spec Spec) (JobView, error) {
 			s.m.Submitted.Inc()
 			return j.View(), nil
 		case attachSettled:
-			// The flight finished between acquire and attach: settle from
-			// its outcome directly.
-			fres, ferr := fl.outcome()
-			if ferr != nil {
-				j.finish(StateFailed, nil, ferr.Error(), now)
-				s.m.JobsFailed.Inc()
-			} else {
-				j.finish(StateDone, fres, "", now)
+			// The flight finished between acquire and attach, which
+			// settled the job from its outcome.
+			if j.State() == StateDone {
 				s.m.JobsDone.Inc()
+			} else {
+				s.m.JobsFailed.Inc()
 			}
 			s.m.Submitted.Inc()
 			return j.View(), nil
@@ -256,7 +258,7 @@ func (s *Server) CancelJob(id string) (JobView, error) {
 	if !ok {
 		return JobView{}, ErrNoSuchJob
 	}
-	if !j.finish(StateCanceled, nil, "canceled by client", time.Now()) {
+	if !j.finish(StateCanceled, nil, "canceled by client", s.cfg.Clock.Now()) {
 		return j.View(), &StateConflictError{State: j.State()}
 	}
 	s.m.JobsCanceled.Inc()
@@ -288,6 +290,16 @@ func (s *Server) JobResult(id string) (*Result, JobView, error) {
 		return nil, j.View(), &StateConflictError{State: j.State()}
 	}
 	return res, j.View(), nil
+}
+
+// JobDone returns a channel that is closed once the job reaches a terminal
+// state, so a caller can wait for it to settle instead of polling.
+func (s *Server) JobDone(id string) (<-chan struct{}, bool) {
+	j, ok := s.store.get(id)
+	if !ok {
+		return nil, false
+	}
+	return j.done, true
 }
 
 // Queued reports the flights waiting in the queue.
@@ -323,16 +335,13 @@ func (s *Server) ImportSnapshot(key string, cells map[int][]float64) int {
 // every live flight is aborted — running ones through their execution
 // context, whose runner stops within one cell and settles the flight on
 // its worker; queued ones settled directly (no worker will ever reach an
-// aborted flight's settle path) — and the workers are reaped in the
-// background. Checkpoint snapshots survive so the coordinator can export
-// them; the Server itself stays readable (the mesh decides what "dead"
-// hides).
+// aborted flight's settle path) — and the pool closes, so each worker
+// exits once its runner returns. Checkpoint snapshots survive so the
+// coordinator can export them; the Server itself stays readable (the
+// mesh decides what "dead" hides).
 func (s *Server) Kill() {
 	s.draining.Store(true)
-	if s.scaler != nil {
-		s.scaler.halt()
-	}
-	now := time.Now()
+	now := s.cfg.Clock.Now()
 	for _, fl := range s.cache.liveFlights() {
 		if fl.kill() {
 			continue // running (settles when its runner returns) or already finished
@@ -341,14 +350,10 @@ func (s *Server) Kill() {
 		s.cache.forget(fl)
 		s.pool.discard(fl)
 		s.snaps.settle(fl.key)
-		n := fl.settle(StateFailed, nil, errKilled, "replica killed", now)
+		n := fl.settle(StateFailed, nil, "replica killed", now)
 		s.m.JobsFailed.Add(uint64(n))
 	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.pool.drain(ctx)
-	}()
+	s.pool.close()
 }
 
 // HealthView is the GET /healthz body and the per-replica health report
@@ -392,8 +397,12 @@ func (s *Server) Health() HealthView {
 	return h
 }
 
-// errCrash is the cancel cause of an injected worker crash (CrashHook).
-var errCrash = errors.New("serve: injected worker crash")
+// The cancel causes of an execution beyond Kill's errKilled: an injected
+// worker crash (CrashHook) and the per-job timeout (JobTimeout).
+var (
+	errCrash   = errors.New("serve: injected worker crash")
+	errTimeout = errors.New("serve: job timeout")
+)
 
 // execFlight runs one flight on a worker: it calls the runner on the
 // worker's goroutine and settles the flight from what the runner
@@ -410,19 +419,18 @@ var errCrash = errors.New("serve: injected worker crash")
 // snapshot (the result cache owns the spec now); failure, timeout,
 // crash, and cancel keep a non-empty one for the next attempt.
 func (s *Server) execFlight(fl *flight) {
-	now := time.Now()
+	now := s.cfg.Clock.Now()
 	ctx, cancelCause := context.WithCancelCause(context.Background())
 	defer cancelCause(context.Canceled)
-	if s.cfg.JobTimeout > 0 {
-		var cancelTimeout context.CancelFunc
-		ctx, cancelTimeout = context.WithTimeout(ctx, s.cfg.JobTimeout)
-		defer cancelTimeout()
-	}
 	if !fl.begin(cancelCause, now) {
 		return // every subscriber canceled while queued; already forgotten
 	}
+	if s.cfg.JobTimeout > 0 {
+		timeout := s.cfg.Clock.AfterFunc(s.cfg.JobTimeout, func() { cancelCause(errTimeout) })
+		defer timeout.Stop()
+	}
 	if !fl.created.IsZero() {
-		s.noteQueueWait(now.Sub(fl.created).Seconds())
+		s.waitSecs.note(now.Sub(fl.created).Seconds())
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -457,18 +465,18 @@ func (s *Server) execFlight(fl *flight) {
 		},
 	}
 
-	start := time.Now()
 	res, err := s.cfg.Runner(ctx, ecfg, fl.spec)
-	secs := time.Since(start).Seconds()
+	end := s.cfg.Clock.Now()
+	secs := end.Sub(now).Seconds()
 	s.m.JobSeconds.Observe(secs)
-	s.noteJobSeconds(secs)
+	s.execSecs.note(secs)
 	if ctx.Err() != nil {
 		err = context.Cause(ctx)
 	}
 	if err == nil {
 		s.cache.complete(fl, res)
 		s.snaps.drop(fl.key)
-		n := fl.settle(StateDone, res, nil, "", time.Now())
+		n := fl.settle(StateDone, res, "", end)
 		s.m.JobsDone.Add(uint64(n))
 		return
 	}
@@ -478,7 +486,7 @@ func (s *Server) execFlight(fl *flight) {
 	switch {
 	case errors.Is(err, errCrash):
 		msg = "injected worker crash; resubmit to resume from the last snapshot"
-	case errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, errTimeout):
 		msg = fmt.Sprintf("job timeout after %s", s.cfg.JobTimeout)
 	case errors.Is(err, errKilled):
 		msg = "replica killed"
@@ -487,51 +495,33 @@ func (s *Server) execFlight(fl *flight) {
 		// so this usually transitions nothing.
 		state, msg, count = StateCanceled, "canceled", s.m.JobsCanceled
 	}
-	count.Add(uint64(fl.settle(state, nil, err, msg, time.Now())))
+	count.Add(uint64(fl.settle(state, nil, msg, end)))
 }
 
-// noteJobSeconds folds one execution time into the EWMA behind
-// Retry-After.
-func (s *Server) noteJobSeconds(secs float64) {
-	noteEwma(&s.ewmaBits, secs)
-}
+// ewma is an exponentially weighted moving average (alpha 0.2; the first
+// sample seeds it) in an atomic word that any goroutine may fold or read.
+type ewma struct{ bits atomic.Uint64 }
 
-// noteQueueWait folds one admission-to-execution wait into the EWMA the
-// autoscaler reads as its latency signal. The autoscaler also folds in
-// zero samples on empty-queue ticks so the signal decays when no flight
-// is waiting.
-func (s *Server) noteQueueWait(secs float64) {
-	noteEwma(&s.waitBits, secs)
-}
-
-// queueWaitSeconds reads the queue-wait EWMA (0 before any sample).
-func (s *Server) queueWaitSeconds() float64 {
-	bits := s.waitBits.Load()
-	if bits == 0 {
-		return 0
-	}
-	v := math.Float64frombits(bits)
-	if math.IsNaN(v) || v < 0 {
-		return 0
-	}
-	return v
-}
-
-// noteEwma folds one sample into a float64 EWMA stored in an atomic word
-// (alpha 0.2; the first sample seeds the average).
-func noteEwma(bits *atomic.Uint64, sample float64) {
+func (e *ewma) note(sample float64) {
 	const alpha = 0.2
 	for {
-		old := bits.Load()
-		prev := math.Float64frombits(old)
+		old := e.bits.Load()
 		next := sample
 		if old != 0 {
-			next = (1-alpha)*prev + alpha*sample
+			next = (1-alpha)*math.Float64frombits(old) + alpha*sample
 		}
-		if bits.CompareAndSwap(old, math.Float64bits(next)) {
+		if e.bits.CompareAndSwap(old, math.Float64bits(next)) {
 			return
 		}
 	}
+}
+
+// value reads the average: 0 before any sample or for a negative one.
+func (e *ewma) value() float64 {
+	if v := math.Float64frombits(e.bits.Load()); v > 0 {
+		return v
+	}
+	return 0
 }
 
 // RetryAfterSeconds estimates when a rejected client should try again:
@@ -543,13 +533,9 @@ func noteEwma(bits *atomic.Uint64, sample float64) {
 // the pool's current width — a worker a shrink retired takes no more
 // flights, so crediting it would underestimate the wait.
 func (s *Server) RetryAfterSeconds() int {
-	bits := s.ewmaBits.Load()
-	if bits == 0 {
+	avg := s.execSecs.value()
+	if avg == 0 {
 		return 1 // cold start: no completed execution to pace by
-	}
-	avg := math.Float64frombits(bits)
-	if avg <= 0 || math.IsNaN(avg) {
-		avg = 1
 	}
 	est := int(math.Ceil(avg * float64(s.pool.queued()+1) / float64(s.pool.workers())))
 	if est < 1 {

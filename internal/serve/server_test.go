@@ -23,7 +23,9 @@ import (
 
 // newTestServer builds a server (registering a fresh obs registry when the
 // config has none) and mounts it on an httptest listener. Cleanup drains
-// with a bounded context so a wedged test fails instead of hanging.
+// it; the serve tests wait on channels and clock steps, never on the wall
+// clock, so a wedged test is caught by go test's own -timeout, which dumps
+// every goroutine.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Obs == nil {
@@ -36,14 +38,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Drain(ctx); err != nil {
+		if err := srv.Drain(context.Background()); err != nil {
 			t.Errorf("cleanup drain: %v", err)
 		}
 	})
 	return srv, ts
 }
+
+// virtualClock is a stepped clock for tests: it moves only when the test
+// advances it.
+func virtualClock() *VirtualClock { return NewVirtualClock(time.Unix(0, 0).UTC()) }
 
 // postSpec submits one raw JSON spec and decodes the job view on success.
 func postSpec(t *testing.T, ts *httptest.Server, body string) (int, JobView, http.Header) {
@@ -80,23 +84,16 @@ func getJob(t *testing.T, ts *httptest.Server, id string) (int, JobView) {
 	return resp.StatusCode, v
 }
 
-// pollTerminal waits until the job reaches a terminal state.
-func pollTerminal(t *testing.T, ts *httptest.Server, id string) JobView {
+// awaitJob waits on the job's done channel and returns its settled view.
+func awaitJob(t *testing.T, srv *Server, id string) JobView {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		code, v := getJob(t, ts, id)
-		if code != http.StatusOK {
-			t.Fatalf("poll %s: HTTP %d", id, code)
-		}
-		switch v.State {
-		case "done", "failed", "canceled":
-			return v
-		}
-		time.Sleep(2 * time.Millisecond)
+	done, ok := srv.JobDone(id)
+	if !ok {
+		t.Fatalf("no job %s", id)
 	}
-	t.Fatalf("job %s did not settle in time", id)
-	return JobView{}
+	<-done
+	v, _ := srv.Job(id)
+	return v
 }
 
 // cancelJob issues DELETE and returns the status code.
@@ -160,16 +157,7 @@ func (b *blockingRunner) run(ctx context.Context, _ experiments.Config, s Spec) 
 }
 
 // waitStart blocks until the runner reports one execution start.
-func (b *blockingRunner) waitStart(t *testing.T) string {
-	t.Helper()
-	select {
-	case c := <-b.started:
-		return c
-	case <-time.After(10 * time.Second):
-		t.Fatal("runner did not start in time")
-		return ""
-	}
-}
+func (b *blockingRunner) waitStart() string { return <-b.started }
 
 // TestServeMatchesDirectRun: a spec executed through the HTTP service
 // yields byte-identical CSV (and digest) to running the same spec directly
@@ -177,7 +165,7 @@ func (b *blockingRunner) waitStart(t *testing.T) string {
 // different numbers.
 func TestServeMatchesDirectRun(t *testing.T) {
 	cfg := experiments.Default()
-	_, ts := newTestServer(t, Config{Experiments: cfg, Workers: 2})
+	srv, ts := newTestServer(t, Config{Experiments: cfg, Workers: 2})
 	for _, raw := range []string{
 		`{"exhibit":"fig1","trials":2}`,
 		`{"exhibit":"fig4","patterns":2,"arrivals":8}`,
@@ -186,7 +174,7 @@ func TestServeMatchesDirectRun(t *testing.T) {
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %s: HTTP %d", raw, code)
 		}
-		done := pollTerminal(t, ts, v.ID)
+		done := awaitJob(t, srv, v.ID)
 		if done.State != "done" {
 			t.Fatalf("job for %s ended %s: %s", raw, done.State, done.Error)
 		}
@@ -225,7 +213,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	if code != http.StatusAccepted || first.Cache != CacheMiss {
 		t.Fatalf("leader submit: HTTP %d cache %q, want 202 miss", code, first.Cache)
 	}
-	r.waitStart(t)
+	r.waitStart()
 
 	ids := []string{first.ID}
 	for i := 0; i < 4; i++ {
@@ -239,7 +227,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	r.unblock()
 	wantDigest := Spec{Exhibit: "fig1", Trials: 3}.Key()
 	for _, id := range ids {
-		v := pollTerminal(t, ts, id)
+		v := awaitJob(t, srv, id)
 		if v.State != "done" || v.Digest != wantDigest {
 			t.Fatalf("job %s: state %s digest %s (%s)", id, v.State, v.Digest, v.Error)
 		}
@@ -279,7 +267,7 @@ func TestSaturationReturns429(t *testing.T) {
 	if codeA != http.StatusAccepted {
 		t.Fatalf("submit A: HTTP %d", codeA)
 	}
-	r.waitStart(t) // A occupies the worker; the queue slot is free
+	r.waitStart() // A occupies the worker; the queue slot is free
 	codeB, b, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
 	if codeB != http.StatusAccepted {
 		t.Fatalf("submit B: HTTP %d", codeB)
@@ -303,7 +291,7 @@ func TestSaturationReturns429(t *testing.T) {
 
 	r.unblock()
 	for _, id := range []string{a.ID, b.ID, join.ID} {
-		if v := pollTerminal(t, ts, id); v.State != "done" {
+		if v := awaitJob(t, srv, id); v.State != "done" {
 			t.Errorf("job %s ended %s after release", id, v.State)
 		}
 	}
@@ -318,13 +306,13 @@ func TestCancelQueuedJob(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: r.run})
 
 	_, a, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
-	r.waitStart(t)
+	r.waitStart()
 	_, b, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
 
 	if code := cancelJob(t, ts, b.ID); code != http.StatusOK {
 		t.Fatalf("cancel queued B: HTTP %d", code)
 	}
-	if v := pollTerminal(t, ts, b.ID); v.State != "canceled" {
+	if v := awaitJob(t, srv, b.ID); v.State != "canceled" {
 		t.Fatalf("B state %s, want canceled", v.State)
 	}
 	if code := cancelJob(t, ts, b.ID); code != http.StatusConflict {
@@ -335,7 +323,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 
 	r.unblock()
-	if v := pollTerminal(t, ts, a.ID); v.State != "done" {
+	if v := awaitJob(t, srv, a.ID); v.State != "done" {
 		t.Fatalf("A ended %s", v.State)
 	}
 	// Resubmit B's spec: the aborted flight must not be joinable.
@@ -343,7 +331,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if code != http.StatusAccepted || b2.Cache != CacheMiss {
 		t.Fatalf("resubmit after abort: HTTP %d cache %q, want 202 miss", code, b2.Cache)
 	}
-	if v := pollTerminal(t, ts, b2.ID); v.State != "done" {
+	if v := awaitJob(t, srv, b2.ID); v.State != "done" {
 		t.Fatalf("B2 ended %s: %s", v.State, v.Error)
 	}
 	if n := r.calls.Load(); n != 2 {
@@ -371,26 +359,15 @@ func heldRunner(r *blockingRunner) (run func(context.Context, experiments.Config
 	return run, stopped, hold
 }
 
-// waitStopped blocks until a held runner reports that its context ended.
-func waitStopped(t *testing.T, stopped chan string) string {
-	t.Helper()
-	select {
-	case ex := <-stopped:
-		return ex
-	case <-time.After(10 * time.Second):
-		t.Fatal("runner never saw its context end")
-		return ""
-	}
-}
-
-// requireNoStart fails if the runner starts another execution within a
-// short window: the worker must still be busy with the stopped one.
+// requireNoStart fails if the runner has started another execution: the
+// only worker must still be busy with the stopped one, so the next flight
+// waits in the queue.
 func requireNoStart(t *testing.T, r *blockingRunner, srv *Server) {
 	t.Helper()
 	select {
 	case c := <-r.started:
 		t.Fatalf("worker started %s before the stopped runner returned", c)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	if srv.Inflight() != 1 || srv.Queued() != 1 {
 		t.Fatalf("inflight %d queued %d, want 1 and 1 while the runner is held", srv.Inflight(), srv.Queued())
@@ -408,18 +385,18 @@ func TestCancelRunningJobWaitsForRunner(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Runner: run})
 
 	_, a, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
-	r.waitStart(t)
+	r.waitStart()
 	_, b, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
 	if code := cancelJob(t, ts, a.ID); code != http.StatusOK {
 		t.Fatalf("cancel running A: HTTP %d", code)
 	}
-	if v := pollTerminal(t, ts, a.ID); v.State != "canceled" {
+	if v := awaitJob(t, srv, a.ID); v.State != "canceled" {
 		t.Fatalf("A state %s, want canceled", v.State)
 	}
-	waitStopped(t, stopped)
+	<-stopped
 	requireNoStart(t, r, srv)
 	close(hold)
-	if c := r.waitStart(t); !strings.Contains(c, "fig2") {
+	if c := r.waitStart(); !strings.Contains(c, "fig2") {
 		t.Fatalf("after the runner returned the worker started %s, want B", c)
 	}
 
@@ -430,54 +407,46 @@ func TestCancelRunningJobWaitsForRunner(t *testing.T) {
 	}
 	r.unblock()
 	for _, id := range []string{b.ID, a2.ID} {
-		if v := pollTerminal(t, ts, id); v.State != "done" {
+		if v := awaitJob(t, srv, id); v.State != "done" {
 			t.Fatalf("%s ended %s: %s", id, v.State, v.Error)
 		}
 	}
 }
 
-// TestJobTimeout: an execution exceeding JobTimeout fails its job with a
-// timeout diagnostic once its runner has returned, and only then does
-// the worker take its next flight.
+// TestJobTimeout: an execution exceeding JobTimeout on the server's clock
+// fails its job with a timeout diagnostic once its runner has returned,
+// and only then does the worker take its next flight.
 func TestJobTimeout(t *testing.T) {
 	r := newBlockingRunner(true)
 	defer r.unblock()
 	run, stopped, hold := heldRunner(r)
-	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, JobTimeout: 25 * time.Millisecond, Runner: run})
+	clk := virtualClock()
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, JobTimeout: 25 * time.Millisecond, Runner: run, Clock: clk})
 
 	_, a, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
-	r.waitStart(t)
+	r.waitStart()
 	_, b, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
-	waitStopped(t, stopped)
+	clk.Advance(25 * time.Millisecond)
+	<-stopped
 	if _, v := getJob(t, ts, a.ID); v.State != "running" {
 		t.Fatalf("timed-out job is %s while its runner is held, want running", v.State)
 	}
 	requireNoStart(t, r, srv)
 	close(hold)
-	v := pollTerminal(t, ts, a.ID)
-	if v.State != "failed" || !strings.Contains(v.Error, "timeout") {
+	v := awaitJob(t, srv, a.ID)
+	if v.State != "failed" || !strings.Contains(v.Error, "timeout after 25ms") {
 		t.Fatalf("timed-out job: state %s error %q, want failed with timeout", v.State, v.Error)
 	}
-	if c := r.waitStart(t); !strings.Contains(c, "fig2") {
+	if c := r.waitStart(); !strings.Contains(c, "fig2") {
 		t.Fatalf("after the runner returned the worker started %s, want B", c)
 	}
 	if code, _, _ := fetchResult(t, ts, a.ID); code != http.StatusConflict {
 		t.Errorf("result of failed job: HTTP %d, want 409", code)
 	}
-	pollTerminal(t, ts, b.ID)
-}
-
-// waitCounter polls a metric until it reaches want.
-func waitCounter(t *testing.T, name string, read func() uint64, want uint64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if read() >= want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	clk.Advance(25 * time.Millisecond)
+	if v := awaitJob(t, srv, b.ID); v.State != "failed" {
+		t.Errorf("B, stepped past its own timeout, ended %s", v.State)
 	}
-	t.Fatalf("%s counter stuck at %d, want %d", name, read(), want)
 }
 
 // TestDrainFinishesInflight: draining stops admission with 503 while every
@@ -489,16 +458,12 @@ func TestDrainFinishesInflight(t *testing.T) {
 
 	_, a, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
 	_, b, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
-	r.waitStart(t)
-	r.waitStart(t)                                   // both workers busy
+	r.waitStart()
+	r.waitStart()                                    // both workers busy
 	_, c, _ := postSpec(t, ts, `{"exhibit":"fig3"}`) // queued behind one of them
 
 	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drained <- srv.Drain(ctx)
-	}()
+	go func() { drained <- srv.Drain(context.Background()) }()
 
 	// Admission is closed once the drain begins.
 	for !srv.Draining() {
@@ -513,7 +478,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	for _, id := range []string{a.ID, b.ID, c.ID} {
-		if v := pollTerminal(t, ts, id); v.State != "done" {
+		if v := awaitJob(t, srv, id); v.State != "done" {
 			t.Errorf("job %s ended %s after drain, want done (no drops)", id, v.State)
 		}
 	}
@@ -548,7 +513,7 @@ func TestDrainRefusesCachedAndInflight(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, Runner: runner})
 
 	_, cached, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
-	pollTerminal(t, ts, cached.ID)
+	awaitJob(t, srv, cached.ID)
 	_, inflight, _ := postSpec(t, ts, `{"exhibit":"fig2"}`)
 	<-started
 
@@ -566,7 +531,7 @@ func TestDrainRefusesCachedAndInflight(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if v := pollTerminal(t, ts, inflight.ID); v.State != "done" {
+	if v := awaitJob(t, srv, inflight.ID); v.State != "done" {
 		t.Errorf("in-flight job ended %s after drain, want done", v.State)
 	}
 }
@@ -576,10 +541,10 @@ func TestDrainRefusesCachedAndInflight(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	r := newBlockingRunner(false)
 	r.unblock() // never block: instant results
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: r.run})
+	srv, ts := newTestServer(t, Config{Workers: 1, Runner: r.run})
 
 	_, a, _ := postSpec(t, ts, `{"exhibit":"fig1"}`)
-	pollTerminal(t, ts, a.ID)
+	awaitJob(t, srv, a.ID)
 	postSpec(t, ts, `{"exhibit":"fig1"}`) // cache hit
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -622,7 +587,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestExhibitsAndErrors(t *testing.T) {
 	r := newBlockingRunner(false)
 	r.unblock()
-	_, ts := newTestServer(t, Config{Workers: 1, Runner: r.run})
+	srv, ts := newTestServer(t, Config{Workers: 1, Runner: r.run})
 
 	resp, err := http.Get(ts.URL + "/v1/exhibits")
 	if err != nil {
@@ -646,7 +611,7 @@ func TestExhibitsAndErrors(t *testing.T) {
 	if code, _, _ := fetchResult(t, ts, "j404"); code != http.StatusNotFound {
 		t.Errorf("result of unknown job: HTTP %d, want 404", code)
 	}
-	pollTerminal(t, ts, pending.ID)
+	awaitJob(t, srv, pending.ID)
 }
 
 // TestConcurrentLoad hammers the service from many clients with a small
@@ -657,7 +622,7 @@ func TestConcurrentLoad(t *testing.T) {
 	var calls atomic.Int32
 	runner := func(ctx context.Context, _ experiments.Config, s Spec) (*Result, error) {
 		calls.Add(1)
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 		return &Result{CSV: []byte(s.Canonical() + "\n"), Text: s.Canonical(), Digest: s.Key()}, nil
 	}
 	srv, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64, CacheSize: 16, StoreSize: 256, Runner: runner})
@@ -698,7 +663,7 @@ func TestConcurrentLoad(t *testing.T) {
 			continue // rejected with 429 under this small queue: acceptable
 		}
 		accepted++
-		v := pollTerminal(t, ts, r.id)
+		v := awaitJob(t, srv, r.id)
 		if v.State != "done" {
 			t.Errorf("job %s ended %s: %s", r.id, v.State, v.Error)
 		} else if v.Digest != r.digest {
@@ -727,7 +692,7 @@ func TestStoreEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		body := fmt.Sprintf(`{"exhibit":"fig1","trials":%d}`, i+1)
 		_, v, _ := postSpec(t, ts, body)
-		last = pollTerminal(t, ts, v.ID)
+		last = awaitJob(t, srv, v.ID)
 	}
 	if last.State != "done" {
 		t.Fatalf("last job ended %s", last.State)

@@ -1,6 +1,9 @@
 package serve
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // This file is the service's checkpoint store: the analogue of the
 // paper's first-level (in-memory) checkpoint tier, sitting in front of
@@ -117,22 +120,15 @@ func (ss *snapStore) settle(key string) {
 // revived one), mirroring ReStore's in-memory checkpoint scatter.
 func (ss *snapStore) export() map[string]map[int][]float64 {
 	ss.mu.Lock()
-	sns := make(map[string]*snapshot, len(ss.byKey))
+	defer ss.mu.Unlock()
+	out := make(map[string]map[int][]float64, len(ss.byKey))
 	for k, sn := range ss.byKey {
-		sns[k] = sn
-	}
-	ss.mu.Unlock()
-	out := make(map[string]map[int][]float64, len(sns))
-	for k, sn := range sns {
-		cells := sn.completed()
-		if len(cells) == 0 {
-			continue
+		if cells := sn.completed(); len(cells) > 0 { // a fresh map sharing the value slices
+			for cell, values := range cells {
+				cells[cell] = slices.Clone(values)
+			}
+			out[k] = cells
 		}
-		cp := make(map[int][]float64, len(cells))
-		for cell, values := range cells {
-			cp[cell] = append([]float64(nil), values...)
-		}
-		out[k] = cp
 	}
 	return out
 }

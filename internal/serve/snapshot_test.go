@@ -105,7 +105,7 @@ func TestCrashedJobResumesFromSnapshot(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	crashed := pollTerminal(t, ts, first.ID)
+	crashed := awaitJob(t, srv, first.ID)
 	if crashed.State != "failed" || !strings.Contains(crashed.Error, "injected worker crash") {
 		t.Fatalf("first attempt ended %s (%q), want failed by injected crash", crashed.State, crashed.Error)
 	}
@@ -120,7 +120,7 @@ func TestCrashedJobResumesFromSnapshot(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit: HTTP %d", code)
 	}
-	done := pollTerminal(t, ts, second.ID)
+	done := awaitJob(t, srv, second.ID)
 	if done.State != "done" {
 		t.Fatalf("resumed attempt ended %s: %s", done.State, done.Error)
 	}
@@ -174,14 +174,14 @@ func TestCrashedJobResumesFromSnapshot(t *testing.T) {
 func TestCancelQueuedJobFreesAdmissionSlot(t *testing.T) {
 	r := newBlockingRunner(false)
 	defer r.unblock()
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Runner: r.run})
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Runner: r.run})
 
 	// A occupies the sole worker; B occupies the sole queue slot.
 	code, _, _ := postSpec(t, ts, `{"exhibit":"fig1","trials":1}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit A: HTTP %d", code)
 	}
-	r.waitStart(t)
+	r.waitStart()
 	code, b, _ := postSpec(t, ts, `{"exhibit":"fig1","trials":2}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit B: HTTP %d", code)
@@ -206,7 +206,7 @@ func TestCancelQueuedJobFreesAdmissionSlot(t *testing.T) {
 	}
 
 	r.unblock()
-	if v := pollTerminal(t, ts, c.ID); v.State != "done" {
+	if v := awaitJob(t, srv, c.ID); v.State != "done" {
 		t.Fatalf("C ended %s: %s", v.State, v.Error)
 	}
 	// B stays canceled; its flight never ran.

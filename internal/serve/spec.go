@@ -26,7 +26,10 @@
 //
 // Server wires the pieces to the obs metrics registry and to the HTTP
 // codec (http.go), whose /v1 job routes run over any Backend — the mesh
-// coordinator mounts the same handlers. Config.CrashHook lets
+// coordinator mounts the same handlers. Every time it reads or schedules
+// goes through one Clock (clock.go): the wall clock, or a VirtualClock
+// that runs the server in stepped, deterministic time. Each job's done
+// channel (JobDone) closes when it settles. Config.CrashHook lets
 // internal/chaos inject deterministic mid-job worker crashes to prove the
 // resume path.
 package serve

@@ -59,13 +59,14 @@ const (
 	CacheJoined = "joined"
 )
 
-// Job is one submitted spec's lifecycle record. All fields are guarded by
-// mu; handlers read through View snapshots.
+// Job is one submitted spec's lifecycle record. The fields below mu are
+// guarded by it; handlers read through View snapshots.
 type Job struct {
 	id     string
 	spec   Spec
-	cache  string  // CacheMiss, CacheHit, or CacheJoined
-	flight *flight // nil for cache-hit jobs
+	cache  string        // CacheMiss, CacheHit, or CacheJoined
+	flight *flight       // nil for cache-hit jobs
+	done   chan struct{} // closed by finish
 
 	mu        sync.Mutex
 	state     State
@@ -90,8 +91,8 @@ func (j *Job) markRunning(at time.Time) {
 	}
 }
 
-// finish moves the job to a terminal state. It reports false when the job
-// already ended (a canceled job stays canceled even if its flight later
+// finish moves the job to a terminal state and closes its done channel.
+// It reports false when the job already ended (a canceled job stays canceled even if its flight later
 // produces a result).
 func (j *Job) finish(state State, res *Result, errMsg string, at time.Time) bool {
 	if !state.Terminal() {
@@ -106,6 +107,7 @@ func (j *Job) finish(state State, res *Result, errMsg string, at time.Time) bool
 	j.result = res
 	j.errMsg = errMsg
 	j.finished = at
+	close(j.done)
 	return true
 }
 
@@ -209,6 +211,7 @@ func (st *Store) newJob(spec Spec, cache string, fl *flight, now time.Time) *Job
 		spec:      spec,
 		cache:     cache,
 		flight:    fl,
+		done:      make(chan struct{}),
 		state:     StateQueued,
 		submitted: now,
 	}

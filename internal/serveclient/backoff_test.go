@@ -1,7 +1,9 @@
 package serveclient
 
 import (
+	"math"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,6 +78,10 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-3", 0},
 		{"soon", 0},
 		{"Wed, 21 Oct 2015 07:28:00 GMT", 0},
+		{"9223372036", 9223372036 * time.Second},
+		{"9223372037", math.MaxInt64}, // saturates instead of wrapping
+		{"99999999999999999999", math.MaxInt64},
+		{"-99999999999999999999", 0},
 	}
 	for _, tc := range cases {
 		h := http.Header{}
@@ -86,4 +92,31 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Fatalf("parseRetryAfter(%q) = %v, want %v", tc.header, got, tc.want)
 		}
 	}
+}
+
+// FuzzParseRetryAfter: whatever the header, the wait is never negative,
+// and appending a digit to a numeric header — a larger number — never
+// shortens it, however far past the largest Duration the number runs.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, seed := range []string{"", "2", " 7 ", "+5", "-3", "soon", "9223372036", "9223372037", "99999999999999999999"} {
+		f.Add(seed)
+	}
+	wait := func(v string) time.Duration {
+		h := http.Header{}
+		h.Set("Retry-After", v)
+		return parseRetryAfter(h)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		got := wait(v)
+		if got < 0 {
+			t.Fatalf("Retry-After %q: wait %v is negative", v, got)
+		}
+		digits := strings.TrimSpace(v)
+		if digits == "" || strings.Trim(digits, "0123456789") != "" {
+			return
+		}
+		if larger := wait(digits + "0"); larger < got {
+			t.Fatalf("Retry-After %q waits %v, but the larger %q only %v", v, got, digits+"0", larger)
+		}
+	})
 }

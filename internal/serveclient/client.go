@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -372,16 +373,16 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After header (the only
-// form exaserve emits); absent or unparsable headers yield 0, letting
-// the backoff schedule decide.
+// form exaserve emits); absent, unparsable or non-positive headers yield
+// 0, letting the backoff schedule decide. A wait longer than the largest
+// Duration saturates at it instead of wrapping.
 func parseRetryAfter(h http.Header) time.Duration {
-	v := h.Get("Retry-After")
-	if v == "" {
+	secs, err := strconv.ParseInt(strings.TrimSpace(h.Get("Retry-After")), 10, 64)
+	switch {
+	case secs <= 0 || (err != nil && !errors.Is(err, strconv.ErrRange)):
 		return 0
-	}
-	secs, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil || secs < 0 {
-		return 0
+	case secs > math.MaxInt64/int64(time.Second): // also an out-of-range positive header
+		return math.MaxInt64
 	}
 	return time.Duration(secs) * time.Second
 }

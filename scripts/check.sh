@@ -14,15 +14,21 @@
 #      of the raw-speed passes: selection, analytic, rng (pins the
 #      seed-determinism, metrics-attachment-is-inert,
 #      single-flight/backpressure, checkpoint/resume, substream, and
-#      disabled-hooks-allocation-free tests under -race)
+#      disabled-hooks-allocation-free tests under -race); the serving
+#      packages (serve, mesh, load, serveclient) race a second time at
+#      GOMAXPROCS=1, where their tests must hold with no parallelism
+#      at all, since they wait on channels and clock steps, not time
 #   3. every entry of the benchmark table (internal/bench) run once, so
 #      an entry that breaks fails here rather than in the next benchmark
 #      run
 #   4. a fuzz smoke (10s per target) on the DES scheduler, the multilevel
 #      schedule search, the ReStore replica-loss bookkeeping, the
 #      workload pattern reader, the job-spec decoder (ParseSpec), the
-#      mesh job-id parser (parseJobID), and the load-trace reader
-#      (ReadTrace, whose accepted traces must round-trip)
+#      mesh job-id parser (parseJobID), the load-trace reader
+#      (ReadTrace, whose accepted traces must round-trip), the client's
+#      Retry-After reader (parseRetryAfter: never negative, never shorter
+#      for a larger number), and the metrics reader (ReadMetrics: no sum
+#      wraps)
 #   5. the full conformance sweep (sim vs analytic, runtime invariants,
 #      metamorphic properties) over the seven-technique menu, run twice:
 #      plain Monte-Carlo and variance-reduced (-vr, antithetic paired) —
@@ -45,9 +51,10 @@
 #      autoscale (the pool grows, shrinks back to the floor, and loses no
 #      jobs)
 #   9. opt-in: with BENCH_BASELINE=path/to/BENCH_results.json set, rerun
-#      the benchmark table and fail on any >10% time or allocation
-#      regression against that report, which must have been recorded at
-#      this GOMAXPROCS and Go version (cmd/exabench -baseline)
+#      the benchmark table and fail on any >10% allocation regression, or
+#      >10% time regression that the median of five reruns confirms,
+#      against that report, which must have been recorded at this
+#      GOMAXPROCS and Go version (cmd/exabench -baseline)
 #
 # Usage: scripts/check.sh [exacheck flags...]
 # e.g.:  scripts/check.sh -quick
@@ -77,10 +84,11 @@ for dir in cmd/*/ internal/*/; do
 done
 [ -z "$UNDOCUMENTED" ] || { echo "undocumented in README.md/DESIGN.md:${UNDOCUMENTED}"; exit 1; }
 
-echo "== race detector on the audit harness, executors, DES, cluster layer, trial workers, machine model, metrics, registry, and service stack"
+echo "== race detector on the audit harness, executors, DES, cluster layer, trial workers, machine model, metrics, registry, and service stack (the service stack also at GOMAXPROCS=1)"
 go test -race -count=1 ./internal/check/ ./internal/resilience/ ./internal/des/ ./internal/cluster/... ./internal/appsim/ \
 	./internal/machine/ ./internal/obs/... ./internal/experiments/ ./internal/serve/... ./internal/mesh/ ./internal/chaos/ \
 	./internal/serveclient/ ./internal/load/ ./internal/selection/ ./internal/analytic/ ./internal/rng/
+GOMAXPROCS=1 go test -race -count=1 ./internal/serve/... ./internal/mesh/ ./internal/load/ ./internal/serveclient/
 
 echo "== every benchmark table entry, once"
 go test -run '^$' -bench . -benchtime 1x .
@@ -93,6 +101,8 @@ go test ./internal/workload/ -run='^$' -fuzz='^FuzzReadPattern$' -fuzztime="$FUZ
 go test ./internal/serve/ -run='^$' -fuzz='^FuzzParseSpec$' -fuzztime="$FUZZTIME"
 go test ./internal/mesh/ -run='^$' -fuzz='^FuzzParseJobID$' -fuzztime="$FUZZTIME"
 go test ./internal/load/ -run='^$' -fuzz='^FuzzReadTrace$' -fuzztime="$FUZZTIME"
+go test ./internal/serveclient/ -run='^$' -fuzz='^FuzzParseRetryAfter$' -fuzztime="$FUZZTIME"
+go test ./internal/load/ -run='^$' -fuzz='^FuzzReadMetrics$' -fuzztime="$FUZZTIME"
 
 echo "== conformance sweep (plain)"
 go run ./cmd/exacheck "$@" sweep
