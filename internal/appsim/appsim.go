@@ -128,9 +128,13 @@ func Run(spec TrialSpec) TrialStats {
 	results := make([]trialResult, spec.Trials)
 
 	// Each worker needs its own executor: strategies carry per-run state,
-	// and each executor owns a discrete-event simulator whose event pool
-	// stays warm across that worker's trials. Worker 0 reuses the caller's
-	// executor; the rest get clones.
+	// and an executor's first Run makes its resilience.Runtime (the engine,
+	// with its simulator and event pool), which stays warm across that
+	// worker's trials, on the worker's own goroutine. Worker 0 reuses the
+	// caller's executor; the rest get clones, which never share a Runtime.
+	// The clones' strategies are allocated here one after another, so a
+	// strategy written on every checkpoint is padded onto cache lines of
+	// its own (resilience's padded).
 	execs := make([]resilience.Executor, workers)
 	execs[0] = x
 	for w := 1; w < workers; w++ {

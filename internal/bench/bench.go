@@ -13,6 +13,7 @@ import (
 
 	"exaresil"
 	"exaresil/internal/analytic"
+	"exaresil/internal/appsim"
 	"exaresil/internal/core"
 	"exaresil/internal/experiments"
 	"exaresil/internal/obs"
@@ -70,6 +71,10 @@ func Table() []Entry {
 		{"batch_analytic", batchAnalytic},
 		{"cluster_run", clusterRun},
 		{"cr_run", executorRun(exaresil.CheckpointRestart, quarter)},
+		// trials_run is cr_run's executor under the Monte-Carlo harness on
+		// every worker: its ns/op against 200 cr_run ops is the trial
+		// path's parallel efficiency.
+		{"trials_run", trialsRun(exaresil.CheckpointRestart, quarter)},
 		{"multilevel_run", executorRun(exaresil.MultilevelCheckpoint, quarter)},
 		{"executor_run", executorRun(exaresil.ParallelRecovery, quarter)},
 		{"red1.5_run", executorRun(exaresil.PartialRedundancy, quarter)},
@@ -245,6 +250,28 @@ func executorRun(tech exaresil.Technique, app exaresil.App, opts ...exaresil.Opt
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			eff += x.Run(0, 1e9, src).Efficiency()
+		}
+		b.ReportMetric(eff/float64(b.N), "efficiency")
+	}
+}
+
+// trialsRun measures one 200-trial Monte-Carlo study of app under tech per
+// op, split across GOMAXPROCS workers (appsim's Workers: 0), and reports
+// the studies' mean efficiency as executorRun does.
+func trialsRun(tech exaresil.Technique, app exaresil.App) func(*testing.B) {
+	return func(b *testing.B) {
+		sim, err := exaresil.New()
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := sim.Executor(tech, app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var eff float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eff += appsim.Run(appsim.TrialSpec{Executor: x, Trials: 200, Seed: 1}).Efficiency.Mean
 		}
 		b.ReportMetric(eff/float64(b.N), "efficiency")
 	}

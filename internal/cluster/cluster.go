@@ -325,14 +325,14 @@ func (c *run) execute() (Metrics, error) {
 		return Metrics{}, c.err
 	}
 
-	m := Metrics{Total: len(c.jobs)}
+	m := Metrics{Total: len(c.jobs), Results: make([]AppResult, len(c.jobs))}
 	var wait stats.Accumulator
 	var eff stats.Accumulator
-	for _, j := range c.jobs {
+	for i, j := range c.jobs {
 		if !j.finished {
 			return Metrics{}, fmt.Errorf("cluster: job %d never resolved", j.app.ID)
 		}
-		m.Results = append(m.Results, j.result)
+		m.Results[i] = j.result
 		wait.Add(j.result.Waited().Minutes())
 		switch j.result.Outcome {
 		case OutcomeCompleted:

@@ -212,18 +212,16 @@ type Process struct {
 // randomness from src. A non-positive population yields a process that
 // never fires.
 func (m *Model) Process(nodes int, src *rng.Source) *Process {
-	rate := 0.0
-	if nodes > 0 {
-		rate = float64(m.Rate(nodes))
-	}
-	return &Process{model: m, nodes: nodes, rate: rate, src: src}
+	p := new(Process)
+	p.Reinit(m, nodes, src)
+	return p
 }
 
-// Reinit re-arms an existing process in place over a (possibly different)
-// model, population, and source, clearing the process clock. It is exactly
-// equivalent to replacing the process with m.Process(nodes, src), without
-// the allocation: the resilience engine reuses one Process across the
-// thousands of sequential runs of a study.
+// Reinit re-arms a process in place over a (possibly different) model,
+// population, and source, clearing the process clock; the zero Process
+// re-armed this way is m.Process(nodes, src). The resilience engine holds
+// one Process by value and re-arms it for each of the thousands of
+// sequential runs of a study.
 func (p *Process) Reinit(m *Model, nodes int, src *rng.Source) {
 	rate := 0.0
 	if nodes > 0 {

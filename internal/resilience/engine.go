@@ -100,11 +100,20 @@ const (
 // against triggers, measured in minutes.
 const workEpsilon = 1e-9
 
-// engine drives one run of a strategy on a discrete-event simulation.
-type engine struct {
-	sim     *des.Simulator
+// Runtime is the execution engine of one goroutine's runs: it drives each
+// run of an executor's strategy on a discrete-event simulation, and holds
+// its simulator and failure process by value, so the whole machinery is
+// one allocation. Its event pool and bound callbacks persist across runs,
+// so a warm Runtime runs without allocating. An executor makes its own on
+// its first Run; the cluster layer, which builds one executor per
+// application and runs them strictly sequentially, shares one through
+// AttachRuntime, which makes executor construction cheap. A Runtime is
+// single-goroutine like the executors themselves: never share one across
+// concurrent workers.
+type Runtime struct {
+	sim     des.Simulator
 	strat   strategy
-	proc    *failures.Process
+	proc    failures.Process
 	start   units.Duration
 	horizon units.Duration
 
@@ -147,7 +156,7 @@ type engine struct {
 }
 
 // emit forwards a trace event to the observer, if any.
-func (e *engine) emit(kind TraceKind, mutate func(*TraceEvent)) {
+func (e *Runtime) emit(kind TraceKind, mutate func(*TraceEvent)) {
 	if e.observer == nil {
 		return
 	}
@@ -161,7 +170,7 @@ func (e *engine) emit(kind TraceKind, mutate func(*TraceEvent)) {
 // bind creates the engine's shared event callbacks. Each captures the
 // engine pointer once; run reuses them for every subsequent execution, so
 // a steady-state run schedules events with zero closure allocations.
-func (e *engine) bind() {
+func (e *Runtime) bind() {
 	e.cbAppStart = func(*des.Simulator) {
 		e.emit(TraceStart, nil)
 		e.enterComputing()
@@ -172,31 +181,19 @@ func (e *engine) bind() {
 	e.cbFailure = func(*des.Simulator) { e.handleFailure(e.nextFailure) }
 }
 
-// run executes one simulation run of strat against a failure model,
-// reporting state transitions to obs when non-nil. sim may carry a warm
-// event pool from a previous run (the executor reuses one Simulator across
-// a worker's trials); it is Reset here, so any simulator — fresh or used —
-// produces the same run. The engine's own storage (bound callbacks, the
-// failure process) is likewise reused: every per-run field is
-// re-initialized below, so a warm engine and a zero one replay identically.
-func (e *engine) run(strat strategy, model *failures.Model, start, horizon units.Duration, src *rng.Source, ckptRate float64, obs Observer, sim *des.Simulator, tm *techMetrics) Result {
+// run executes one simulation run of x's strategy, reporting state
+// transitions to x's observer when non-nil. The simulator and the failure
+// process carry state from the previous run (a warm event pool, a drawn
+// clock); both are reset here, and every per-run field is re-initialized
+// below, so a warm Runtime and a fresh one replay identically.
+func (e *Runtime) run(x *executor, start, horizon units.Duration, src *rng.Source) Result {
 	if horizon <= start {
 		panic(fmt.Sprintf("resilience: horizon %v not after start %v", horizon, start))
 	}
-	if sim == nil {
-		sim = des.NewPooled()
-	}
-	sim.Reset()
+	strat := x.strat
+	e.sim.Reset()
 	strat.reset()
-	if e.cbAppStart == nil {
-		e.bind()
-	}
-	if e.proc == nil {
-		e.proc = model.Process(strat.physicalNodes(), src)
-	} else {
-		e.proc.Reinit(model, strat.physicalNodes(), src)
-	}
-	e.sim = sim
+	e.proc.Reinit(x.model, strat.physicalNodes(), src)
 	e.strat = strat
 	e.start = start
 	e.horizon = horizon
@@ -214,12 +211,12 @@ func (e *engine) run(strat strategy, model *failures.Model, start, horizon units
 	e.ckptLevel = 0
 	e.ckptCost = 0
 	e.ckptSaved = 0
-	e.ckptRate = ckptRate
+	e.ckptRate = x.ckptRate
 	e.nextFailure = failures.Failure{}
 	e.restoreLevel = 0
 	e.restartCost = 0
-	e.observer = obs
-	e.metrics = tm
+	e.observer = x.observer
+	e.metrics = x.metrics.forTechnique(strat.technique())
 	e.res = Result{
 		Technique:     strat.technique(),
 		Start:         start,
@@ -236,13 +233,13 @@ func (e *engine) run(strat strategy, model *failures.Model, start, horizon units
 		e.res.Completed = false
 		e.res.End = horizon
 	}
-	tm.observeRun(e.res)
+	e.metrics.observeRun(e.res)
 	return e.res
 }
 
 // scheduleNextFailure arms the next failure event, if it lands before the
 // horizon. Failure process times are relative to the run's start.
-func (e *engine) scheduleNextFailure() {
+func (e *Runtime) scheduleNextFailure() {
 	f, ok := e.proc.Next()
 	if !ok {
 		return
@@ -260,7 +257,7 @@ func (e *engine) scheduleNextFailure() {
 // enterComputing begins (or resumes) a computing segment, scheduling its
 // end at the earliest of: work complete, checkpoint trigger, or the
 // high-water mark where the recovery rate drops back to normal speed.
-func (e *engine) enterComputing() {
+func (e *Runtime) enterComputing() {
 	if e.done {
 		return
 	}
@@ -293,7 +290,7 @@ func (e *engine) enterComputing() {
 // state up to the present moment. Computing segments always accrue; with a
 // positive semi-blocking rate, checkpointing segments accrue too (at that
 // rate), overlapping work with the checkpoint write.
-func (e *engine) materialize() {
+func (e *Runtime) materialize() {
 	if e.phase == phaseRestarting {
 		return
 	}
@@ -316,7 +313,7 @@ func (e *engine) materialize() {
 }
 
 // segmentEnd fires when a computing segment reaches its scheduled boundary.
-func (e *engine) segmentEnd() {
+func (e *Runtime) segmentEnd() {
 	e.materialize()
 	switch {
 	case e.progress >= e.totalWork-workEpsilon:
@@ -334,7 +331,7 @@ func (e *engine) segmentEnd() {
 }
 
 // startCheckpoint begins a blocking checkpoint.
-func (e *engine) startCheckpoint() {
+func (e *Runtime) startCheckpoint() {
 	level, cost := e.strat.nextCheckpoint()
 	e.phase = phaseCheckpointing
 	e.phaseStart = e.sim.Now()
@@ -351,7 +348,7 @@ func (e *engine) startCheckpoint() {
 // checkpointEnd commits a completed checkpoint. The committed state is the
 // one captured when the checkpoint began: work overlapped with the write
 // (semi-blocking mode) is real progress but is not part of this snapshot.
-func (e *engine) checkpointEnd() {
+func (e *Runtime) checkpointEnd() {
 	e.materialize()
 	e.strat.onCheckpointDone(e.ckptLevel, e.ckptSaved)
 	e.res.Checkpoints[clampLevel(e.ckptLevel)]++
@@ -364,7 +361,7 @@ func (e *engine) checkpointEnd() {
 }
 
 // handleFailure reacts to a failure event.
-func (e *engine) handleFailure(f failures.Failure) {
+func (e *Runtime) handleFailure(f failures.Failure) {
 	defer e.scheduleNextFailure()
 	if e.done {
 		return
@@ -412,7 +409,7 @@ func (e *engine) handleFailure(f failures.Failure) {
 }
 
 // restartEnd fires when a restore completes and computation resumes.
-func (e *engine) restartEnd() {
+func (e *Runtime) restartEnd() {
 	e.res.RestartTime += e.restartCost
 	if e.restoreLevel == 0 {
 		e.res.RelaunchTime += e.restartCost

@@ -136,8 +136,8 @@ func (t *techMetrics) observeRun(res Result) {
 // parallel trial workers aggregate into one bundle.
 func (x *executor) SetMetrics(m *Metrics) {
 	x.metrics = m
-	if x.sim != nil {
-		x.sim.SetMetrics(m.desMetrics())
+	if x.rt != nil {
+		x.rt.sim.SetMetrics(m.desMetrics())
 	}
 }
 

@@ -28,7 +28,7 @@ type multilevel struct {
 // newMultilevel builds the Multilevel Checkpoint executor, optimizing the
 // checkpoint schedule for the application's failure rates.
 func newMultilevel(app workload.App, costs Costs, model *failures.Model, opts MultilevelConfig, periodScale float64) *executor {
-	s := &multilevel{application: app, costs: costs}
+	s := padded(multilevel{application: app, costs: costs})
 	x := &executor{strat: s, model: model, phys: app.Nodes, viable: true}
 	optimize := OptimizeMultilevel
 	if opts.UseExact {
@@ -129,7 +129,4 @@ func (s *multilevel) reset() {
 	s.has = [4]bool{}
 }
 
-func (s *multilevel) clone() strategy {
-	dup := *s
-	return &dup
-}
+func (s *multilevel) clone() strategy { return padded(*s) }

@@ -111,49 +111,48 @@ type executor struct {
 	observer Observer
 	metrics  *Metrics
 
-	// sim is the executor's private discrete-event simulator, created on
-	// first Run and reused (with its warm event pool) across sequential
-	// runs. Executors are single-goroutine by contract, and Clone gives
-	// each parallel worker its own executor — and thus its own simulator.
-	sim *des.Simulator
-
-	// eng is the executor's reusable execution engine: its bound event
-	// callbacks and failure-process storage persist across sequential
-	// runs (Clone deliberately leaves it zero — the callbacks capture the
-	// original's engine address).
-	eng engine
-
-	// rt, when non-nil, overrides sim and eng with machinery shared among
-	// several executors (see Runtime): the cluster layer builds one
-	// executor per application and runs them strictly sequentially, so
-	// one engine and one simulator can serve the whole run.
+	// rt is the engine the executor's runs execute on. The first Run
+	// makes it, on the goroutine that runs the executor, and later runs
+	// reuse it; Clone leaves it nil, so a parallel worker's clone makes
+	// its own. AttachRuntime sets it instead to a Runtime shared with
+	// other strictly sequential executors.
 	rt *Runtime
 }
 
-// Runtime bundles the execution machinery — a pooled simulator and a
-// reusable engine — that a group of strictly sequential executors can
-// share. Building one executor per application was dominated not by the
-// strategy math but by this machinery (bound callbacks, event pool,
-// failure-process storage); sharing it makes executor construction cheap.
-// A Runtime is single-goroutine like the executors themselves: never share
-// one across concurrent workers.
-type Runtime struct {
-	sim *des.Simulator
-	eng engine
+// cacheLinePad is one cache line of padding: 64 bytes, the line size of
+// amd64 and of most arm64 cores.
+type cacheLinePad [64]byte
+
+// paddedBox holds a value between two cacheLinePads.
+type paddedBox[T any] struct {
+	_ cacheLinePad
+	v T
+	_ cacheLinePad
 }
 
-// NewRuntime creates a shared runtime, attaching m's engine-simulator
-// series (nil m leaves the simulator uninstrumented).
+// padded returns a copy of v on cache lines of its own: the copy sits
+// between two cacheLinePads in one allocation, so no other heap object
+// shares a line with it, whatever its size and fields and wherever the
+// allocator puts it. appsim allocates the trial workers' strategies one
+// after another, and Go's allocator packs small objects side by side, so
+// a strategy that each worker writes on every checkpoint can need it: the
+// multilevel strategy ran a paper-scale cell about 1.6x slower on two
+// workers without it, while no other strategy measured a gain from it
+// (DESIGN.md §2.1).
+func padded[T any](v T) *T { return &(&paddedBox[T]{v: v}).v }
+
+// NewRuntime creates a runtime, attaching m's engine-simulator series (nil
+// m leaves the simulator uninstrumented).
 func NewRuntime(m *Metrics) *Runtime {
-	rt := &Runtime{sim: des.NewPooled()}
+	rt := &Runtime{sim: *des.NewPooled()}
 	rt.sim.SetMetrics(m.desMetrics())
+	rt.bind()
 	return rt
 }
 
-// AttachRuntime points the executor at shared machinery, reporting whether
+// AttachRuntime points the executor at a shared Runtime, reporting whether
 // the executor supports it (the Ideal executor does not — it never
-// simulates). Attach before the first Run; the executor then schedules all
-// its runs on the runtime's simulator and engine.
+// simulates). The executor then schedules all its runs on rt.
 func AttachRuntime(x Executor, rt *Runtime) bool {
 	e, ok := x.(*executor)
 	if ok {
@@ -201,16 +200,10 @@ func (x *executor) Run(start, horizon units.Duration, src *rng.Source) Result {
 			EffectiveWork: x.strat.effectiveWork(),
 		}
 	}
-	if x.rt != nil {
-		return x.rt.eng.run(x.strat, x.model, start, horizon, src, x.ckptRate, x.observer, x.rt.sim,
-			x.metrics.forTechnique(x.strat.technique()))
+	if x.rt == nil {
+		x.rt = NewRuntime(x.metrics)
 	}
-	if x.sim == nil {
-		x.sim = des.NewPooled()
-		x.sim.SetMetrics(x.metrics.desMetrics())
-	}
-	return x.eng.run(x.strat, x.model, start, horizon, src, x.ckptRate, x.observer, x.sim,
-		x.metrics.forTechnique(x.strat.technique()))
+	return x.rt.run(x, start, horizon, src)
 }
 
 // New constructs the executor for technique t running app on the machine
