@@ -13,9 +13,9 @@
 //
 // gen writes a seed-deterministic arrival stream as a JSONL trace without
 // touching any server. run generates and serves a stream open-loop
-// against a live endpoint, reporting latency percentiles from client-side
-// histograms. replay re-issues a recorded (or generated) trace verbatim
-// or time-scaled. sweep steps the arrival rate across a grid, measures
+// against a live endpoint, reporting nearest-rank latency percentiles over
+// its samples, each timed from its arrival's due time. replay re-issues a
+// recorded (or generated) trace verbatim or time-scaled. sweep steps the arrival rate across a grid, measures
 // latency/throughput/429s/cache hit rate per step, detects the knee, and
 // emits a capacity-planning report (CSV plus text summary); with -inproc
 // the sweep runs against a deterministic in-process exaserve and is
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"exaresil/internal/load"
-	"exaresil/internal/obs"
 	"exaresil/internal/serveclient"
 )
 
@@ -192,18 +191,16 @@ func addHTTPFlags(fs *flag.FlagSet) httpFlags {
 	}
 }
 
-func (h httpFlags) target(reg *obs.Registry) *load.HTTPTarget {
+func (h httpFlags) target() *load.HTTPTarget {
 	return &load.HTTPTarget{
 		Client: serveclient.New(*h.addr, serveclient.Options{}),
 		Base:   strings.TrimRight(strings.Split(*h.addr, ",")[0], "/"),
 		Speed:  *h.speed,
-		Latency: reg.Histogram("exaload_client_latency_seconds",
-			"client-side submit-to-terminal latency", obs.LatencyBuckets),
 	}
 }
 
 // serveStream plays arrivals at a live target and reports the outcome
-// tallies plus client-histogram percentiles.
+// tallies plus the sweep's latency percentiles over the samples.
 func serveStream(ctx context.Context, stdout io.Writer, target *load.HTTPTarget, arrivals []load.Arrival,
 	seed uint64, note, record string) error {
 	start := time.Now()
@@ -212,23 +209,12 @@ func serveStream(ctx context.Context, stdout io.Writer, target *load.HTTPTarget,
 		return err
 	}
 	elapsed := time.Since(start)
-	var ok, rejected, errs int
-	for _, s := range samples {
-		switch s.Class {
-		case load.OutcomeOK:
-			ok++
-		case load.OutcomeRejected:
-			rejected++
-		default:
-			errs++
-		}
-	}
-	h := target.Latency
+	st := load.Tally(samples)
 	fmt.Fprintf(stdout, "exaload: %d arrivals in %s: %d ok, %d rejected, %d errors\n",
-		len(samples), elapsed.Round(time.Millisecond), ok, rejected, errs)
-	if h.Count() > 0 {
-		fmt.Fprintf(stdout, "exaload: client-side latency (histogram estimate): p50 %.3fs  p95 %.3fs  p99 %.3fs\n",
-			load.HistQuantile(h, 0.50), load.HistQuantile(h, 0.95), load.HistQuantile(h, 0.99))
+		st.Offered, elapsed.Round(time.Millisecond), st.OK, st.Rejected, st.Errors)
+	if st.OK > 0 {
+		fmt.Fprintf(stdout, "exaload: latency from due time: p50 %.3fs  p95 %.3fs  p99 %.3fs\n",
+			st.P50, st.P95, st.P99)
 	}
 	if c, err := target.Counters(); err == nil {
 		fmt.Fprintf(stdout, "exaload: server cache counters: %d hits, %d joined, %d misses; %d rejects\n",
@@ -249,8 +235,8 @@ func serveStream(ctx context.Context, stdout io.Writer, target *load.HTTPTarget,
 		}
 		fmt.Fprintf(os.Stderr, "exaload: recorded %d events to %s\n", len(samples), record)
 	}
-	if errs > 0 {
-		return fmt.Errorf("%d requests errored", errs)
+	if st.Errors > 0 {
+		return fmt.Errorf("%d requests errored", st.Errors)
 	}
 	return nil
 }
@@ -277,7 +263,7 @@ func runRun(ctx context.Context, argv []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(os.Stderr, "exaload: serving %d arrivals over %ss against %s\n",
 		len(arrivals), strconv.FormatFloat(gs.Profile.Duration(), 'g', -1, 64), *h.addr)
-	return serveStream(ctx, stdout, h.target(obs.NewRegistry()), arrivals, gs.Seed, "profile="+*g.profile, *record)
+	return serveStream(ctx, stdout, h.target(), arrivals, gs.Seed, "profile="+*g.profile, *record)
 }
 
 // runReplay re-issues a trace.
@@ -306,7 +292,7 @@ func runReplay(ctx context.Context, argv []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(os.Stderr, "exaload: replaying %d events (seed %d, %q) at %gx against %s\n",
 		len(trace.Events), trace.Seed, trace.Note, *h.speed, *h.addr)
-	return serveStream(ctx, stdout, h.target(obs.NewRegistry()), trace.Arrivals(), trace.Seed,
+	return serveStream(ctx, stdout, h.target(), trace.Arrivals(), trace.Seed,
 		"replay of "+*tracePath, *record)
 }
 
@@ -373,7 +359,7 @@ func runSweep(ctx context.Context, argv []string, stdout io.Writer) error {
 		defer t.Close()
 		target = t
 	} else {
-		target = (httpFlags{addr: addr, speed: new(float64)}).target(obs.NewRegistry())
+		target = (httpFlags{addr: addr, speed: new(float64)}).target()
 	}
 
 	rep, err := load.Sweep(ctx, target, cfg)

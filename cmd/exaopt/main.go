@@ -85,32 +85,18 @@ func run(args []string) error {
 	}
 
 	sched, err := resilience.OptimizeMultilevel(costs,
-		levelRates(model, app.Nodes), resilience.DefaultMultilevelConfig())
+		model.SeverityRates(app.Nodes), resilience.DefaultMultilevelConfig())
 	if err != nil {
 		t.AddRow("multilevel schedule", fmt.Sprintf("infeasible: %v", err))
 	} else {
 		t.AddRow("multilevel base interval", sched.Interval.String())
 		t.AddRow("multilevel pattern", fmt.Sprintf("L2 every %d, L3 every %d checkpoints",
 			sched.L1PerL2, sched.L1PerL2*sched.L2PerL3))
-		stretch := sched.ExpectedStretch(costs, levelRates(model, app.Nodes))
+		stretch := sched.ExpectedStretch(costs, model.SeverityRates(app.Nodes))
 		if !math.IsInf(stretch, 1) {
 			t.AddRow("multilevel expected stretch", fmt.Sprintf("%.4f", stretch))
 		}
 	}
 	t.Render(os.Stdout)
 	return nil
-}
-
-// levelRates splits the application failure rate by severity level.
-func levelRates(model *failures.Model, nodes int) [3]units.Rate {
-	pmf := model.PMF()
-	total := 0.0
-	for _, w := range pmf {
-		total += w
-	}
-	var out [3]units.Rate
-	for i, w := range pmf {
-		out[i] = units.Rate(float64(model.Rate(nodes)) * w / total)
-	}
-	return out
 }

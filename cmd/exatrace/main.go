@@ -77,12 +77,13 @@ func run(args []string) error {
 	}
 
 	rec := &trace.Recorder{}
-	observed := resilience.Observe(x, rec.Observe)
+	rt := resilience.NewRuntime(nil)
+	rt.Observer = rec.Observe
 	horizon := units.Duration(100 * float64(app.Baseline()))
-	res := x.Run(0, horizon, rng.New(*seed))
+	res := rt.Run(x, 0, horizon, rng.New(*seed))
 
 	fmt.Printf("%v executing %v\n\n", tech, app)
-	if observed {
+	if rec.Len() > 0 {
 		if err := rec.WriteTimeline(os.Stdout, *limit); err != nil {
 			return err
 		}

@@ -39,7 +39,8 @@ type (
 	Technique = core.Technique
 	// Scheduler identifies a resource-management heuristic.
 	Scheduler = core.Scheduler
-	// Executor simulates one application under one technique.
+	// Executor is the read-only description of one application under
+	// one technique; RunApp, TraceApp and Study run it.
 	Executor = resilience.Executor
 	// Result is one simulated execution's outcome.
 	Result = resilience.Result
@@ -209,7 +210,7 @@ func New(opts ...Option) (*Simulation, error) {
 func (s *Simulation) Machine() Machine { return s.machine }
 
 // Executor builds the executor for one (technique, application) pair.
-func (s *Simulation) Executor(t Technique, app App) (Executor, error) {
+func (s *Simulation) Executor(t Technique, app App) (*Executor, error) {
 	return resilience.New(t, app, s.machine, s.model, s.resCfg)
 }
 
@@ -217,12 +218,21 @@ func (s *Simulation) Executor(t Technique, app App) (Executor, error) {
 // at time zero, with randomness drawn from seed. The run is abandoned
 // (Result.Completed false) if it exceeds 100x the baseline execution time.
 func (s *Simulation) RunApp(t Technique, app App, seed uint64) (Result, error) {
+	return s.TraceApp(t, app, seed, nil)
+}
+
+// TraceApp is RunApp reporting each state transition of the run to obs
+// (nil observes nothing). The Ideal baseline and blocked runs emit no
+// events.
+func (s *Simulation) TraceApp(t Technique, app App, seed uint64, obs func(TraceEvent)) (Result, error) {
 	x, err := s.Executor(t, app)
 	if err != nil {
 		return Result{}, err
 	}
+	rt := resilience.NewRuntime(nil)
+	rt.Observer = obs
 	horizon := Duration(appsim.DefaultHorizonFactor * float64(app.Baseline()))
-	return x.Run(0, horizon, rng.New(seed)), nil
+	return rt.Run(x, 0, horizon, rng.New(seed)), nil
 }
 
 // Study runs a Monte-Carlo study: trials independent executions of app

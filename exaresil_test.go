@@ -159,18 +159,22 @@ func TestExtensionFacade(t *testing.T) {
 		t.Errorf("predicted efficiency %v implausible", predicted)
 	}
 
-	// Energy accounting through the facade.
+	// Energy accounting through the facade, on a traced run that must
+	// replay RunApp's result exactly.
 	x, err := sim.Executor(CheckpointRestart, app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &TraceRecorder{}
-	if !ObserveExecutor(x, rec.Observe) {
-		t.Error("CR executor should support observation")
-	}
-	res, err := sim.RunApp(CheckpointRestart, app, 5)
+	res, err := sim.TraceApp(CheckpointRestart, app, 5, rec.Observe)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rec.Len() == 0 {
+		t.Error("traced CR run recorded no events")
+	}
+	if plain, err := sim.RunApp(CheckpointRestart, app, 5); err != nil || plain != res {
+		t.Errorf("RunApp gave %+v (%v), TraceApp %+v", plain, err, res)
 	}
 	eb, err := sim.EnergyOf(res, x.PhysicalNodes(), DefaultPowerModel())
 	if err != nil {

@@ -78,18 +78,11 @@ func (s *Simulation) RunClusterWithChooser(sch Scheduler, choose func(App) Techn
 type (
 	// TraceEvent is one observed state transition of a simulated run.
 	TraceEvent = resilience.TraceEvent
-	// TraceRecorder accumulates trace events; attach with ObserveExecutor.
+	// TraceRecorder accumulates trace events; pass its Observe to TraceApp.
 	TraceRecorder = trace.Recorder
 	// TraceSummary aggregates a recorded trace.
 	TraceSummary = trace.Summary
 )
-
-// ObserveExecutor attaches an observer to an executor's future runs,
-// reporting whether the executor supports observation (the Ideal baseline
-// does not — it has no events).
-func ObserveExecutor(x Executor, obs func(TraceEvent)) bool {
-	return resilience.Observe(x, obs)
-}
 
 // WithSemiBlockingCheckpoints is a Simulation option enabling the
 // semi-blocking checkpoint extension: applications keep computing at the

@@ -161,7 +161,7 @@ func exactPeriodicEfficiency(stretch float64, checkpoint, restart units.Duration
 // 2.5-year component MTBF it overstates multilevel efficiency by roughly
 // two-fold against the simulator.
 func multilevelEfficiency(app workload.App, costs resilience.Costs, model *failures.Model, opts resilience.Config) (float64, error) {
-	rates := severityRates(model, app.Nodes)
+	rates := model.SeverityRates(app.Nodes)
 	sched, err := resilience.OptimizeMultilevel(costs, rates, opts.Multilevel)
 	if err != nil {
 		// No feasible schedule: the technique cannot make progress.
@@ -348,21 +348,6 @@ func teamReplicationEfficiency(app workload.App, cfg machine.Config, costs resil
 		float64(phys)*(lambdaNode*p2)*(lambdaNode*p2)*w
 	m0 := resilience.TeamReplicationBaseline(app, sync).Minutes()
 	return relaunchRenewalEfficiency(app.Baseline().Minutes(), m0, lambdaD, costs.PFS.Minutes())
-}
-
-// severityRates splits an application's failure rate across the severity
-// levels of the model's PMF.
-func severityRates(model *failures.Model, nodes int) [3]units.Rate {
-	pmf := model.PMF()
-	total := 0.0
-	for _, w := range pmf {
-		total += w
-	}
-	var out [3]units.Rate
-	for i, w := range pmf {
-		out[i] = units.Rate(float64(model.Rate(nodes)) * w / total)
-	}
-	return out
 }
 
 func clamp01(v float64) float64 {

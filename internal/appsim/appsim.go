@@ -32,7 +32,10 @@ const DefaultHorizonFactor = 100
 // TrialSpec describes a Monte-Carlo study of one executor.
 type TrialSpec struct {
 	// Executor is the (application, technique) pair under study.
-	Executor resilience.Executor
+	Executor *resilience.Executor
+	// Metrics, when non-nil, receives every trial's run: each worker's
+	// Runtime records into it.
+	Metrics *resilience.Metrics
 	// Trials is the number of independent executions (the paper uses 200
 	// for the scaling studies).
 	Trials int
@@ -127,32 +130,23 @@ func Run(spec TrialSpec) TrialStats {
 	}
 	results := make([]trialResult, spec.Trials)
 
-	// Each worker needs its own executor: strategies carry per-run state,
-	// and an executor's first Run makes its resilience.Runtime (the engine,
-	// with its simulator and event pool), which stays warm across that
-	// worker's trials, on the worker's own goroutine. Worker 0 reuses the
-	// caller's executor; the rest get clones, which never share a Runtime.
-	// The clones' strategies are allocated here one after another, so a
-	// strategy written on every checkpoint is padded onto cache lines of
-	// its own (resilience's padded).
-	execs := make([]resilience.Executor, workers)
-	execs[0] = x
-	for w := 1; w < workers; w++ {
-		execs[w] = x.Clone()
-	}
-
-	// Trials are handed out by an atomic counter: one add per trial
-	// instead of a channel send/recv pair, and no dispatcher goroutine.
+	// The executor is read-only, so every worker runs it; what a run
+	// writes lives in the worker's resilience.Runtime (the engine, with its
+	// simulator, event pool and run state), made on the worker's own
+	// goroutine and warm across that worker's trials. Trials are handed
+	// out by an atomic counter: one add per trial instead of a channel
+	// send/recv pair, and no dispatcher goroutine.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(x resilience.Executor) {
+		go func() {
 			defer wg.Done()
+			rt := resilience.NewRuntime(spec.Metrics)
 			// One scratch source per worker, re-seeded in place for each
 			// trial: the same streams rng.Stream/SubStream would allocate,
-			// without the per-trial allocation. Executors only read the
-			// source inside Run, so sequential trials may share it.
+			// without the per-trial allocation. A run only reads the source
+			// inside Runtime.Run, so sequential trials may share it.
 			var src rng.Source
 			for {
 				trial := next.Add(1) - 1
@@ -166,7 +160,7 @@ func Run(spec TrialSpec) TrialStats {
 				} else {
 					src.SetStream(spec.Seed, uint64(trial))
 				}
-				res := x.Run(0, horizon, &src)
+				res := rt.Run(x, 0, horizon, &src)
 				results[trial] = trialResult{
 					eff:       res.Efficiency(),
 					failures:  float64(res.Failures),
@@ -176,7 +170,7 @@ func Run(spec TrialSpec) TrialStats {
 					completed: res.Completed,
 				}
 			}
-		}(execs[w])
+		}()
 	}
 	wg.Wait()
 

@@ -13,7 +13,7 @@ import (
 	"exaresil/internal/workload"
 )
 
-func executor(t *testing.T, tech core.Technique, class workload.Class, nodes int) resilience.Executor {
+func executor(t *testing.T, tech core.Technique, class workload.Class, nodes int) *resilience.Executor {
 	t.Helper()
 	cfg := machine.Exascale()
 	model := failures.MustModel(cfg.MTBF, failures.DefaultSeverityPMF())
@@ -129,12 +129,13 @@ func TestAntitheticOddTrialsLeaveLastUnpaired(t *testing.T) {
 	}
 
 	horizon := units.Duration(DefaultHorizonFactor * float64(x.App().Baseline()))
+	rt := resilience.NewRuntime(nil)
 	var eff stats.Accumulator
 	var src rng.Source
 	for trial := 0; trial < 5; trial++ {
 		src.SetSubStream(3, 9, uint64(trial)/2)
 		src.SetMirror(trial%2 == 1)
-		eff.Add(x.Run(0, horizon, &src).Efficiency())
+		eff.Add(rt.Run(x, 0, horizon, &src).Efficiency())
 	}
 	if want := eff.Summarize(); got.Efficiency != want {
 		t.Errorf("odd antithetic study %+v differs from manual replay %+v", got.Efficiency, want)
@@ -150,15 +151,15 @@ func TestAntitheticOddTrialsLeaveLastUnpaired(t *testing.T) {
 
 func TestAntitheticSharesDrawsAcrossExecutors(t *testing.T) {
 	// Common random numbers: two studies passing the same (Seed, Cell)
-	// must hand their executors identical failure draws, so running the
-	// same executor twice under different spec copies replays exactly.
+	// must hand their executors identical failure draws, so two executors
+	// of the same cell replay exactly.
 	x := executor(t, core.MultilevelCheckpoint, workload.D64, 12000)
 	a := Run(TrialSpec{Executor: x, Trials: 6, Seed: 21, Cell: 4, Antithetic: true})
-	b := Run(TrialSpec{Executor: x.Clone(), Trials: 6, Seed: 21, Cell: 4, Antithetic: true})
+	b := Run(TrialSpec{Executor: executor(t, core.MultilevelCheckpoint, workload.D64, 12000), Trials: 6, Seed: 21, Cell: 4, Antithetic: true})
 	if a != b {
 		t.Errorf("same (Seed, Cell) studies differ:\n first: %+v\n second: %+v", a, b)
 	}
-	c := Run(TrialSpec{Executor: x.Clone(), Trials: 6, Seed: 21, Cell: 5, Antithetic: true})
+	c := Run(TrialSpec{Executor: x, Trials: 6, Seed: 21, Cell: 5, Antithetic: true})
 	if a == c {
 		t.Error("distinct cells produced identical studies; substreams are not cell-keyed")
 	}

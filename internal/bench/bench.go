@@ -245,11 +245,12 @@ func executorRun(tech exaresil.Technique, app exaresil.App, opts ...exaresil.Opt
 		if err != nil {
 			b.Fatal(err)
 		}
+		rt := resilience.NewRuntime(nil)
 		src := rng.New(1)
 		var eff float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eff += x.Run(0, 1e9, src).Efficiency()
+			eff += rt.Run(x, 0, 1e9, src).Efficiency()
 		}
 		b.ReportMetric(eff/float64(b.N), "efficiency")
 	}

@@ -27,12 +27,11 @@ func TestCheckerAcceptsRealTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewChecker(x)
-		if !resilience.Observe(x, c.Observe) {
-			t.Fatalf("%v executor rejected the observer", tech)
-		}
+		rt := resilience.NewRuntime(nil)
+		rt.Observer = c.Observe
 		for trial := uint64(0); trial < 8; trial++ {
 			c.BeginRun("trial")
-			res := x.Run(0, units.Duration(float64(app.Baseline())*100), rng.Stream(7, trial))
+			res := rt.Run(x, 0, units.Duration(float64(app.Baseline())*100), rng.Stream(7, trial))
 			c.FinishRun(res)
 		}
 		for _, v := range c.Violations() {
@@ -52,9 +51,10 @@ func TestCheckerAcceptsTruncatedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewChecker(x)
-	resilience.Observe(x, c.Observe)
+	rt := resilience.NewRuntime(nil)
+	rt.Observer = c.Observe
 	c.BeginRun("truncated")
-	res := x.Run(0, units.Duration(float64(app.Baseline())*3), rng.New(1))
+	res := rt.Run(x, 0, units.Duration(float64(app.Baseline())*3), rng.New(1))
 	if res.Completed {
 		t.Fatal("expected a truncated run at exascale/2.5y")
 	}
@@ -188,9 +188,10 @@ func TestCheckerFlagsResultMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewChecker(x)
-	resilience.Observe(x, c.Observe)
+	rt := resilience.NewRuntime(nil)
+	rt.Observer = c.Observe
 	c.BeginRun("doctored")
-	res := x.Run(0, units.Duration(float64(app.Baseline())*100), rng.New(3))
+	res := rt.Run(x, 0, units.Duration(float64(app.Baseline())*100), rng.New(3))
 	doctored := res
 	doctored.Failures++
 	doctored.Checkpoints[3]++

@@ -392,8 +392,8 @@ func (s Sweep) runCell(spec cellSpec, index uint64, rm *resilience.Metrics) (Cel
 	cell.Viable, _ = x.Viable()
 
 	checker := NewChecker(x)
-	resilience.Observe(x, checker.Observe)
-	resilience.Instrument(x, rm)
+	rt := resilience.NewRuntime(rm)
+	rt.Observer = checker.Observe
 	horizon := units.Duration(float64(app.Baseline()) * 100)
 	var eff stats.Accumulator
 	var totals phaseTotals
@@ -407,7 +407,7 @@ func (s Sweep) runCell(spec cellSpec, index uint64, rm *resilience.Metrics) (Cel
 			src.SetStream(s.Seed^(index*0x9e3779b97f4a7c15), uint64(trial))
 		}
 		checker.BeginRun(fmt.Sprintf("%s trial %d", cell.Label(), trial))
-		res := x.Run(0, horizon, &src)
+		res := rt.Run(x, 0, horizon, &src)
 		checker.FinishRun(res)
 		eff.Add(res.Efficiency())
 		if res.Blocked == "" {

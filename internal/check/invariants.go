@@ -51,9 +51,10 @@ func (v Violation) String() string {
 }
 
 // Checker validates a single executor's traces against the engine's
-// contract. Attach via resilience.Observe, call BeginRun before each run
-// and FinishRun after it with the run's Result. The checker accumulates
-// violations across runs; it never stops a simulation.
+// contract. Make Observe the Observer of the Runtime that runs the
+// executor, call BeginRun before each run and FinishRun after it with the
+// run's Result. The checker accumulates violations across runs; it never
+// stops a simulation.
 type Checker struct {
 	tech core.Technique
 	// levels is the technique whose table row bounds checkpoint levels.
@@ -125,7 +126,7 @@ func (c *Checker) RunSeverities() [4]int { return c.severities }
 // NewChecker builds a checker for the given executor's runs. The run's
 // effective-work total (a pure function of the strategy, reported by every
 // Result) is supplied per run via BeginRun.
-func NewChecker(x resilience.Executor) *Checker {
+func NewChecker(x *resilience.Executor) *Checker {
 	c := &Checker{
 		tech:       x.Technique(),
 		levels:     x.Technique(),

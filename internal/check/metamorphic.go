@@ -107,7 +107,7 @@ func (s Sweep) checkMuScaling() []string {
 			if err != nil {
 				return resilience.Result{}, err
 			}
-			return x.Run(0, units.Duration(float64(app.Baseline())*10), rng.New(s.Seed)), nil
+			return resilience.NewRuntime(nil).Run(x, 0, units.Duration(float64(app.Baseline())*10), rng.New(s.Seed)), nil
 		}
 
 		res, err := probe(core.ParallelRecovery)
@@ -237,10 +237,11 @@ func (s Sweep) checkReplicaDegreeOrdering() []string {
 		return append(fails, fmt.Sprintf("replica-degree: %v", err))
 	}
 	horizon := units.Duration(float64(small.Baseline()) * 100)
+	rt := resilience.NewRuntime(nil)
 	for trial := 0; trial < 3; trial++ {
 		seed := s.Seed + uint64(trial)
-		a := degen.Run(0, horizon, rng.New(seed))
-		b := cr.Run(0, horizon, rng.New(seed))
+		a := rt.Run(degen, 0, horizon, rng.New(seed))
+		b := rt.Run(cr, 0, horizon, rng.New(seed))
 		a.Technique = b.Technique // the label is the only permitted difference
 		if a != b {
 			fails = append(fails, fmt.Sprintf(

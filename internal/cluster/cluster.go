@@ -171,7 +171,7 @@ func (m Metrics) DroppedPct() float64 {
 type job struct {
 	app         workload.App
 	tech        core.Technique
-	exec        resilience.Executor
+	exec        *resilience.Executor
 	phys        int // physical nodes when running
 	arrived     bool
 	started     bool
@@ -242,7 +242,9 @@ func Run(spec Spec) (Metrics, error) {
 		free:    spec.Machine.Nodes,
 		sim:     des.NewPooled(),
 		m:       newClusterMetrics(spec.Obs),
-		rm:      resilience.NewMetrics(spec.Obs),
+		// All of a run's executors fire strictly sequentially inside the
+		// cluster's event loop, so they share one Runtime.
+		runtime: resilience.NewRuntime(resilience.NewMetrics(spec.Obs)),
 	}
 	for _, cls := range classes {
 		c.m.observeClassFree(cls.class.Name, cls.free)
@@ -271,8 +273,7 @@ type run struct {
 	peak    int
 	err     error
 	m       *clusterMetrics
-	rm      *resilience.Metrics
-	runtime *resilience.Runtime // engine+simulator shared by all executors
+	runtime *resilience.Runtime // the engine every executor of the run runs on
 
 	// mappingCb is the shared mapping-event callback, bound once.
 	mappingCb des.Callback
@@ -476,7 +477,7 @@ func (c *run) mapEvent() {
 			return
 		}
 		var cls *classState
-		var clsExec resilience.Executor
+		var clsExec *resilience.Executor
 		if c.classes != nil {
 			cls, clsExec = c.placeClass(j)
 			if c.err != nil {
@@ -518,13 +519,6 @@ func (c *run) prepare(j *job) error {
 	}
 	j.exec = exec
 	j.phys = exec.PhysicalNodes()
-	resilience.Instrument(exec, c.rm)
-	// All of a run's executors fire strictly sequentially inside the
-	// cluster's event loop, so they share one engine and simulator.
-	if c.runtime == nil {
-		c.runtime = resilience.NewRuntime(c.rm)
-	}
-	resilience.AttachRuntime(exec, c.runtime)
 	return nil
 }
 
@@ -547,7 +541,7 @@ func (c *run) fitsAnyClass(phys int) bool {
 // heterogeneous machine cls is the hosting class and clsExec the executor
 // built against it (both nil for homogeneous runs, where j.exec runs on
 // the base machine).
-func (c *run) start(j *job, cls *classState, clsExec resilience.Executor, now units.Duration) {
+func (c *run) start(j *job, cls *classState, clsExec *resilience.Executor, now units.Duration) {
 	c.noteUtilization()
 	c.free -= j.phys
 	if cls != nil {
@@ -588,8 +582,8 @@ func (c *run) start(j *job, cls *classState, clsExec resilience.Executor, now un
 	}
 
 	// The per-job stream is re-seeded into a run-owned scratch source:
-	// identical draws to rng.Stream(seed, ID+1), no allocation. Executors
-	// only read the source inside Run, so sequential jobs may share it.
+	// identical draws to rng.Stream(seed, ID+1), no allocation. A run only
+	// reads the source inside Runtime.Run, so sequential jobs may share it.
 	exec := j.exec
 	class := ""
 	if clsExec != nil {
@@ -598,7 +592,7 @@ func (c *run) start(j *job, cls *classState, clsExec resilience.Executor, now un
 	}
 	c.jobSrc.SetStream(c.spec.Seed, uint64(j.app.ID)+1)
 	c.jobSrc.SetMirror(c.spec.Mirror)
-	res := exec.Run(now, horizon, &c.jobSrc)
+	res := c.runtime.Run(exec, now, horizon, &c.jobSrc)
 	end := res.End
 	outcome := OutcomeCompleted
 	if !res.Completed {

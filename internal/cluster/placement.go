@@ -107,7 +107,7 @@ func scaleApp(app workload.App, speed float64) workload.App {
 // job's physical footprint — the job stays queued even though aggregate
 // free capacity admitted it (fragmentation), and the next mapping event
 // retries.
-func (c *run) placeClass(j *job) (*classState, resilience.Executor) {
+func (c *run) placeClass(j *job) (*classState, *resilience.Executor) {
 	best := -1
 	for i, cls := range c.classes {
 		if cls.free < j.phys {
@@ -152,7 +152,5 @@ func (c *run) placeClass(j *job) (*classState, resilience.Executor) {
 	if ok, _ := exec.Viable(); !ok {
 		return nil, nil
 	}
-	resilience.Instrument(exec, c.rm)
-	resilience.AttachRuntime(exec, c.runtime)
 	return cls, exec
 }

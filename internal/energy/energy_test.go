@@ -151,10 +151,11 @@ func TestEnergyAdvantageOfParallelRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rt := resilience.NewRuntime(nil)
 		var sum float64
 		const trials = 12
 		for seed := uint64(0); seed < trials; seed++ {
-			res := x.Run(0, 1e8, rng.New(seed))
+			res := rt.Run(x, 0, 1e8, rng.New(seed))
 			if !res.Completed {
 				t.Fatalf("%v run incomplete", tech)
 			}

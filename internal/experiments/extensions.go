@@ -102,11 +102,11 @@ func (s EnergySpec) Run() (*report.Table, EnergyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		resilience.Instrument(x, rm)
+		rt := resilience.NewRuntime(rm)
 		horizon := units.Duration(appsim.DefaultHorizonFactor * float64(app.Baseline()))
 		var total, overhead stats.Accumulator
 		for trial := 0; trial < s.Trials; trial++ {
-			res := x.Run(0, horizon, rng.Stream(s.Seed^uint64(ti+1)*0x2545f4914f6cdd1d, uint64(trial)))
+			res := rt.Run(x, 0, horizon, rng.Stream(s.Seed^uint64(ti+1)*0x2545f4914f6cdd1d, uint64(trial)))
 			if !res.Completed {
 				continue
 			}

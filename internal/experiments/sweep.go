@@ -75,8 +75,7 @@ func (c Config) sweep(t *report.Table, rows []sweepRow, techniques []core.Techni
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %v at %s: %w", techniques[ti], r.labels[0], err)
 		}
-		resilience.Instrument(x, rm)
-		st := appsim.Run(appsim.TrialSpec{Executor: x, Trials: trials, Seed: seed(ti), Workers: workers})
+		st := appsim.Run(appsim.TrialSpec{Executor: x, Metrics: rm, Trials: trials, Seed: seed(ti), Workers: workers})
 		return append(summaryValues(st.Efficiency), st.CompletionRate), nil
 	})
 	if err != nil {

@@ -181,19 +181,21 @@ func (m *Model) Rate(nodes int) units.Rate {
 	return units.Rate(float64(nodes) / float64(m.mtbf))
 }
 
-// SeverityRate reports the arrival rate of failures at severity s or worse
-// for a population of nodes. Multilevel checkpoint interval optimization
-// uses these partial rates.
-func (m *Model) SeverityRate(nodes int, atLeast Severity) units.Rate {
+// SeverityRates splits the aggregate failure rate of a population of
+// nodes across the severity levels in proportion to the PMF: entry j-1 is
+// lambda_Lj of Section III-E, the rate of failures of severity exactly j.
+// The multilevel schedule optimizer and the analytic model read these.
+func (m *Model) SeverityRates(nodes int) [NumSeverities]units.Rate {
 	total := 0.0
 	for _, w := range m.pmf {
 		total += w
 	}
-	mass := 0.0
-	for i := int(atLeast) - 1; i < NumSeverities; i++ {
-		mass += m.pmf[i]
+	full := float64(m.Rate(nodes))
+	var rates [NumSeverities]units.Rate
+	for i, w := range m.pmf {
+		rates[i] = units.Rate(full * w / total)
 	}
-	return units.Rate(float64(m.Rate(nodes)) * mass / total)
+	return rates
 }
 
 // Process generates the failure sequence experienced by a fixed population

@@ -40,21 +40,24 @@ func TestRateMatchesEq2(t *testing.T) {
 	}
 }
 
+// TestSeverityRate: SeverityRates splits the population's failure rate
+// across the severity levels in proportion to the PMF, normalized so the
+// levels sum to the whole rate even for an unnormalized PMF.
 func TestSeverityRate(t *testing.T) {
-	m := MustModel(10*units.Year, SeverityPMF{0.65, 0.25, 0.10})
-	full := float64(m.Rate(1000))
-	cases := []struct {
-		atLeast Severity
-		frac    float64
-	}{
-		{SeverityTransient, 1.0},
-		{SeverityNodeLoss, 0.35},
-		{SeverityCatastrophic, 0.10},
-	}
-	for _, tc := range cases {
-		got := float64(m.SeverityRate(1000, tc.atLeast))
-		if math.Abs(got-full*tc.frac) > 1e-15 {
-			t.Errorf("SeverityRate(>=%v) = %v, want %v", tc.atLeast, got, full*tc.frac)
+	for _, pmf := range []SeverityPMF{{0.65, 0.25, 0.10}, {6.5, 2.5, 1.0}} {
+		m := MustModel(10*units.Year, pmf)
+		full := float64(m.Rate(1000))
+		rates := m.SeverityRates(1000)
+		sum := 0.0
+		for i, frac := range []float64{0.65, 0.25, 0.10} {
+			got := float64(rates[i])
+			if math.Abs(got-full*frac) > 1e-15 {
+				t.Errorf("pmf %v: severity %d rate %v, want %v", pmf, i+1, got, full*frac)
+			}
+			sum += got
+		}
+		if math.Abs(sum-full) > 1e-15 {
+			t.Errorf("pmf %v: severity rates sum to %v, want the whole rate %v", pmf, sum, full)
 		}
 	}
 }

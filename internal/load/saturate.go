@@ -169,15 +169,11 @@ func Sweep(ctx context.Context, target Target, cfg SweepConfig) (*Report, error)
 	return rep, nil
 }
 
-// measureStep folds one step's samples and counter deltas into a Step.
-func measureStep(rate, stepDur float64, samples []Sample, before, after Counters) Step {
-	st := Step{
-		Rate:        rate,
-		Offered:     len(samples),
-		CacheHits:   after.CacheHits - before.CacheHits,
-		CacheJoined: after.CacheJoined - before.CacheJoined,
-		CacheMisses: after.CacheMisses - before.CacheMisses,
-	}
+// Tally folds a schedule's samples into a Step's outcome counts and the
+// nearest-rank latency percentiles of its completed requests; the rate,
+// throughput and cache fields stay zero.
+func Tally(samples []Sample) Step {
+	st := Step{Offered: len(samples)}
 	var lats []float64
 	for _, s := range samples {
 		switch s.Class {
@@ -190,11 +186,21 @@ func measureStep(rate, stepDur float64, samples []Sample, before, after Counters
 			st.Errors++
 		}
 	}
-	st.Throughput = float64(st.OK) / stepDur
 	sort.Float64s(lats)
 	st.P50 = pctl(lats, 0.50)
 	st.P95 = pctl(lats, 0.95)
 	st.P99 = pctl(lats, 0.99)
+	return st
+}
+
+// measureStep folds one step's samples and counter deltas into a Step.
+func measureStep(rate, stepDur float64, samples []Sample, before, after Counters) Step {
+	st := Tally(samples)
+	st.Rate = rate
+	st.Throughput = float64(st.OK) / stepDur
+	st.CacheHits = after.CacheHits - before.CacheHits
+	st.CacheJoined = after.CacheJoined - before.CacheJoined
+	st.CacheMisses = after.CacheMisses - before.CacheMisses
 	if lookups := st.CacheHits + st.CacheJoined + st.CacheMisses; lookups > 0 {
 		st.HitRate = float64(st.CacheHits) / float64(lookups)
 	}

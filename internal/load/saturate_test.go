@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"exaresil/internal/obs"
 	"exaresil/internal/serve"
 )
 
@@ -141,29 +140,6 @@ func TestSweepValidation(t *testing.T) {
 		if _, err := Sweep(context.Background(), target, cfg); err == nil {
 			t.Errorf("case %d: want a validation error", i)
 		}
-	}
-}
-
-func TestHistQuantile(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := reg.Histogram("test_latency", "t", []float64{0.1, 0.5, 1, 5})
-	if got := HistQuantile(h, 0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
-	}
-	// 10 observations in (0.1, 0.5]: the median interpolates inside it.
-	for i := 0; i < 10; i++ {
-		h.Observe(0.3)
-	}
-	got := HistQuantile(h, 0.5)
-	if got <= 0.1 || got > 0.5 {
-		t.Errorf("p50 = %v, want inside (0.1, 0.5]", got)
-	}
-	// Load the +Inf bucket; extreme quantiles clamp to the top bound.
-	for i := 0; i < 90; i++ {
-		h.Observe(10)
-	}
-	if got := HistQuantile(h, 0.99); got != 5 {
-		t.Errorf("p99 with mass at +Inf = %v, want the top bound 5", got)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"exaresil/internal/obs"
 	"exaresil/internal/serveclient"
 )
 
@@ -23,8 +22,9 @@ type Sample struct {
 	// Cache is the server's cache disposition when the request completed
 	// (hit, miss, joined).
 	Cache string
-	// Latency is the submit-to-terminal latency in seconds (virtual for
-	// the in-process target, wall-clock for HTTP). Zero for rejects.
+	// Latency runs from the arrival's due time to its terminal state, in
+	// seconds (virtual for the in-process target, wall-clock for HTTP), so
+	// an arrival issued late carries its lag. Zero for rejects.
 	Latency float64
 }
 
@@ -48,8 +48,8 @@ type Target interface {
 }
 
 // HTTPTarget drives a live exaserve or mesh over HTTP: open-loop
-// wall-clock pacing, one goroutine per in-flight arrival, client-side
-// latency histograms, and /metrics scraping for the cache counters.
+// wall-clock pacing, one goroutine per in-flight arrival, and /metrics
+// scraping for the cache counters.
 type HTTPTarget struct {
 	// Client issues the requests (serveclient.New against one or more
 	// endpoints).
@@ -60,17 +60,14 @@ type HTTPTarget struct {
 	// Speed compresses time: arrival offsets are divided by Speed, so 2
 	// replays a trace twice as fast (default 1).
 	Speed float64
-	// Latency, when non-nil, receives every successful request's
-	// wall-clock latency — the client-side histogram exaload run reports
-	// from.
-	Latency *obs.Histogram
 	// HTTP fetches /metrics (default http.DefaultClient).
 	HTTP *http.Client
 }
 
 // RunSchedule issues the arrivals open-loop: each fires at its scheduled
-// offset whether or not earlier ones answered. It returns one sample per
-// arrival, in arrival order.
+// offset whether or not earlier ones answered, and its latency runs from
+// that due time, as Inproc's does. It returns one sample per arrival, in
+// arrival order.
 func (t *HTTPTarget) RunSchedule(ctx context.Context, arrivals []Arrival) ([]Sample, error) {
 	speed := t.Speed
 	if speed <= 0 {
@@ -94,14 +91,13 @@ func (t *HTTPTarget) RunSchedule(ctx context.Context, arrivals []Arrival) ([]Sam
 			return nil, ctx.Err()
 		}
 		wg.Add(1)
-		go func(i int, a Arrival) {
+		go func() {
 			defer wg.Done()
 			out := t.Client.Issue(ctx, a.Spec)
-			s := Sample{Latency: out.Latency.Seconds(), Cache: out.Cache}
+			s := Sample{Latency: time.Since(due).Seconds(), Cache: out.Cache}
 			switch out.Class {
 			case serveclient.IssueOK:
 				s.Class = OutcomeOK
-				t.Latency.Observe(s.Latency)
 			case serveclient.IssueRejected:
 				s.Class = OutcomeRejected
 				s.Latency = 0
@@ -109,7 +105,7 @@ func (t *HTTPTarget) RunSchedule(ctx context.Context, arrivals []Arrival) ([]Sam
 				s.Class = OutcomeError
 			}
 			samples[i] = s
-		}(i, a)
+		}()
 	}
 	wg.Wait()
 	return samples, ctx.Err()
@@ -129,47 +125,6 @@ func (t *HTTPTarget) Counters() (Counters, error) {
 		CacheMisses: m[cache+`{outcome="miss"}`],
 		Rejected:    m["exaresil_serve_queue_rejections_total"],
 	}, nil
-}
-
-// HistQuantile estimates the q-th quantile from a histogram's cumulative
-// buckets by linear interpolation inside the crossing bucket — the same
-// estimate a Prometheus histogram_quantile would give. The final +Inf
-// bucket reports its lower bound. Empty histograms report zero.
-func HistQuantile(h *obs.Histogram, q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	bounds, cum := h.Buckets()
-	want := q * float64(total)
-	for i, c := range cum {
-		if float64(c) < want {
-			continue
-		}
-		if i >= len(bounds) {
-			// +Inf bucket: the highest finite bound is the best estimate.
-			if len(bounds) == 0 {
-				return 0
-			}
-			return bounds[len(bounds)-1]
-		}
-		lo, loCount := 0.0, uint64(0)
-		if i > 0 {
-			lo, loCount = bounds[i-1], cum[i-1]
-		}
-		width := float64(c - loCount)
-		if width == 0 {
-			return bounds[i]
-		}
-		return lo + (bounds[i]-lo)*(want-float64(loCount))/width
-	}
-	return bounds[len(bounds)-1]
 }
 
 // Scrape fetches base's GET /metrics with hc (nil means

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,21 +68,11 @@ type replica struct {
 	lastBeat atomic.Int64 // unix nanos of the last heartbeat
 }
 
-// trackedJob is the coordinator's routing record for one job id.
-type trackedJob struct {
-	spec serve.Spec
-	idx  int
-	gen  int
-}
-
-// Bounds for the routing/forwarding tables: dropping an old record only
+// forwardCap bounds the forwarding table: dropping an old record only
 // costs a client one idempotent resubmission (the retrying client
-// already handles vanished jobs), so FIFO caps keep the coordinator's
+// already handles vanished jobs), so a FIFO cap keeps the coordinator's
 // memory bounded without a lifecycle protocol.
-const (
-	trackCap   = 8192
-	forwardCap = 4096
-)
+const forwardCap = 4096
 
 // Coordinator is the mesh: admission and routing in front of the
 // replica fleet, plus the membership/failover machinery.
@@ -95,8 +84,6 @@ type Coordinator struct {
 	replicas []*replica
 
 	jobMu    sync.Mutex
-	jobs     map[string]trackedJob
-	jobOrder []string
 	forwards map[string]string // old job id → rerouted job id
 	fwdOrder []string
 
@@ -135,7 +122,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:      cfg,
 		m:        NewMetrics(cfg.Obs),
-		jobs:     make(map[string]trackedJob),
 		forwards: make(map[string]string),
 	}
 	now := c.cfg.Serve.Clock.Now().UnixNano()
@@ -235,10 +221,12 @@ func (c *Coordinator) Kill(idx int) error {
 }
 
 // failover declares replica idx dead and re-routes everything it owned:
-// its checkpoint snapshots are exported and its tracked jobs are
-// resubmitted to survivors (importing the matching snapshot first, so
-// interrupted grids resume instead of restarting). Old job ids forward
-// to the rerouted ones, so polling clients follow along transparently.
+// its checkpoint snapshots are exported and the jobs its server still
+// retains are resubmitted to survivors in id order (importing the
+// matching snapshot first, so interrupted grids resume instead of
+// restarting). Old job ids forward to the rerouted ones, so polling
+// clients follow along transparently. An id the dead server had already
+// evicted stays gone, as it was before the failover.
 func (c *Coordinator) failover(idx int) {
 	c.mu.Lock()
 	rep := c.replicas[idx]
@@ -246,7 +234,7 @@ func (c *Coordinator) failover(idx int) {
 		c.mu.Unlock()
 		return
 	}
-	deadGen, deadSrv := rep.gen, rep.srv
+	deadSrv := rep.srv
 	c.mu.Unlock()
 	rep.beating.Store(false)
 	c.failovers.Add(1)
@@ -258,23 +246,8 @@ func (c *Coordinator) failover(idx int) {
 	deadSrv.Kill()
 	snaps := deadSrv.ExportSnapshots()
 
-	type orphan struct {
-		id   string
-		spec serve.Spec
-	}
-	var orphans []orphan
-	c.jobMu.Lock()
-	for id, tj := range c.jobs {
-		if tj.idx == idx && tj.gen == deadGen {
-			orphans = append(orphans, orphan{id, tj.spec})
-			delete(c.jobs, id)
-		}
-	}
-	c.jobMu.Unlock()
-	sort.Slice(orphans, func(a, b int) bool { return orphans[a].id < orphans[b].id })
-
-	for _, o := range orphans {
-		view, err := c.routeSubmit(o.spec, snaps[o.spec.Key()])
+	for _, orphan := range deadSrv.Jobs() {
+		view, err := c.routeSubmit(orphan.Spec, snaps[orphan.Spec.Key()])
 		if err != nil {
 			// No survivor would take it; the job 404s and the client's
 			// idempotent resubmission path recovers.
@@ -282,7 +255,7 @@ func (c *Coordinator) failover(idx int) {
 		}
 		c.rerouted.Add(1)
 		c.m.Rerouted.Inc()
-		c.forward(o.id, view.ID)
+		c.forward(orphan.ID, view.ID)
 	}
 }
 
@@ -378,9 +351,6 @@ func (c *Coordinator) routeSubmit(spec serve.Spec, handoff map[int][]float64) (s
 			c.m.Spills.Inc()
 		}
 		c.m.Routed(idx).Inc()
-		if id, ok := parseJobID(view.ID); ok {
-			c.track(view.ID, spec, id.idx, id.gen)
-		}
 		return view, nil
 	}
 	c.m.Exhausted.Inc()
@@ -398,20 +368,6 @@ func (c *Coordinator) liveCandidates() []Candidate {
 		}
 	}
 	return out
-}
-
-// track records one routed job, FIFO-bounded.
-func (c *Coordinator) track(id string, spec serve.Spec, idx, gen int) {
-	c.jobMu.Lock()
-	defer c.jobMu.Unlock()
-	if _, ok := c.jobs[id]; !ok {
-		c.jobOrder = append(c.jobOrder, id)
-	}
-	c.jobs[id] = trackedJob{spec: spec, idx: idx, gen: gen}
-	for len(c.jobOrder) > trackCap {
-		delete(c.jobs, c.jobOrder[0])
-		c.jobOrder = c.jobOrder[1:]
-	}
 }
 
 // forward records an old→new job id mapping, FIFO-bounded.

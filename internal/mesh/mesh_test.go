@@ -260,6 +260,62 @@ func failoverResumes(t *testing.T, spec serve.Spec, want string) {
 	}
 }
 
+// TestFailoverReroutesRetainedJobs: a failover reroutes exactly the jobs
+// the dead replica's server still retains. Five submissions of one spec
+// land on one replica (affinity routing keys on the spec); once all are
+// done, a store of two keeps the newest two. The failover reroutes those
+// two to the survivor, and the three evicted ids, which answered 404
+// before it, stay gone.
+func TestFailoverReroutesRetainedJobs(t *testing.T) {
+	c := newTestMesh(t, Config{Replicas: 2, Serve: serve.Config{Workers: 1, StoreSize: 2}})
+	spec := serve.Spec{Exhibit: "table1"}
+	var ids []string
+	for i := 0; i < 5; i++ {
+		v, err := c.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if done := awaitJob(t, c, v.ID); done.State != "done" {
+			t.Fatalf("job %s ended %s: %s", v.ID, done.State, done.Error)
+		}
+		ids = append(ids, v.ID)
+	}
+	owner, ok := parseJobID(ids[0])
+	if !ok {
+		t.Fatalf("unparseable mesh job id %q", ids[0])
+	}
+	for _, id := range ids {
+		if got, ok := parseJobID(id); !ok || got.idx != owner.idx {
+			t.Fatalf("job %s left replica %d; affinity routing should keep one spec on one replica", id, owner.idx)
+		}
+	}
+	evicted, retained := ids[:3], ids[3:]
+	for _, id := range evicted {
+		if _, ok := c.Job(id); ok {
+			t.Fatalf("job %s survived a store of two", id)
+		}
+	}
+
+	if err := c.Kill(owner.idx); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	c.failover(owner.idx)
+	if got := c.MeshView().ReroutedJobs; got != uint64(len(retained)) {
+		t.Fatalf("rerouted %d jobs, want the %d the dead replica retained", got, len(retained))
+	}
+	for _, id := range retained {
+		v := awaitJob(t, c, id)
+		if moved, ok := parseJobID(v.ID); !ok || moved.idx == owner.idx || v.State != "done" {
+			t.Fatalf("retained job %s resolves to %s (%s); want a done job on the survivor", id, v.ID, v.State)
+		}
+	}
+	for _, id := range evicted {
+		if v, ok := c.Job(id); ok {
+			t.Fatalf("evicted job %s came back as %s after the failover", id, v.ID)
+		}
+	}
+}
+
 // TestMeshAdmissionHTTP: an admission rejection surfaces as 429 with the
 // policy's wait rounded up to whole seconds, so a client that obeys
 // Retry-After is not refused again. A 0.4/s bucket with a burst of one

@@ -4,72 +4,61 @@ import (
 	"fmt"
 	"math"
 
-	"exaresil/internal/core"
 	"exaresil/internal/des"
 	"exaresil/internal/failures"
 	"exaresil/internal/rng"
 	"exaresil/internal/units"
-	"exaresil/internal/workload"
 )
 
-// Executor simulates the execution of one application under one resilience
-// technique. Executors are stateless between runs and safe to reuse
-// sequentially; they are not safe for concurrent use (each Run consumes a
-// caller-supplied random source).
-type Executor interface {
-	// Technique identifies the strategy the executor implements.
-	Technique() core.Technique
-	// App is the application descriptor the executor simulates.
-	App() workload.App
-	// PhysicalNodes is the number of machine nodes one run occupies
-	// (more than App().Nodes for redundant executions).
-	PhysicalNodes() int
-	// Viable reports whether the technique can execute the application
-	// at all; reason explains a false result (e.g. a non-positive
-	// optimal checkpoint period, or a replica set larger than the
-	// machine).
-	Viable() (ok bool, reason string)
-	// Run simulates one execution beginning at start, abandoning it at
-	// horizon if unfinished. Randomness (failure times, locations,
-	// severities) is drawn from src, so identical sources replay
-	// identical runs.
-	Run(start, horizon units.Duration, src *rng.Source) Result
-	// Clone returns an independent executor for the same application and
-	// technique, so parallel trial runners can execute concurrently.
-	Clone() Executor
-}
-
-// strategy is the technique-specific half of the execution engine. The
-// engine owns time, progress, and event bookkeeping; the strategy decides
-// checkpoint schedules, restore points, and failure responses.
+// strategy is the technique-specific half of the execution engine: the
+// decisions of one technique, over parameters New fixed. The engine owns
+// time, progress, and event bookkeeping; the strategy decides checkpoint
+// levels, restore points, and failure responses, acting on the run state
+// the engine hands it, so one strategy serves any number of concurrent
+// runs.
 type strategy interface {
-	technique() core.Technique
-	// app is the application descriptor being executed.
-	app() workload.App
-	// physicalNodes is the node population failures strike.
-	physicalNodes() int
-	// effectiveWork is the technique-inflated total work (Eqs. 7, 8).
-	effectiveWork() units.Duration
-	// checkpointInterval is the work between checkpoint triggers;
-	// +Inf disables checkpointing (used when the failure rate is zero).
-	checkpointInterval() units.Duration
 	// nextCheckpoint reports the level and cost of the upcoming
 	// checkpoint and advances any schedule pattern state.
-	nextCheckpoint() (level int, cost units.Duration)
+	nextCheckpoint(st *runState) (level int, cost units.Duration)
 	// onCheckpointDone commits a completed checkpoint of the given level
 	// holding the given progress.
-	onCheckpointDone(level int, progress units.Duration)
+	onCheckpointDone(st *runState, level int, progress units.Duration)
 	// onFailure decides the response to a failure striking the
-	// application while it holds progress.
-	onFailure(f failures.Failure, progress units.Duration) response
-	// recoverySpeed is the progress rate multiplier while recomputing
-	// previously completed work (1 for everything but Parallel
-	// Recovery).
-	recoverySpeed() float64
-	// reset clears per-run strategy state before a new run.
-	reset()
-	// clone returns an independent copy for concurrent use.
-	clone() strategy
+	// application.
+	onFailure(st *runState, f failures.Failure) response
+}
+
+// runState is everything a strategy's decisions change during one run. It
+// lives in the Runtime, which resets it at the start of every run.
+type runState struct {
+	saved [4]units.Duration // newest committed progress per checkpoint level (1-3)
+	has   [4]bool           // whether a checkpoint is committed at each level
+
+	counter int // multilevel's completed-checkpoint counter driving the pattern
+	lost    int // ReStore's replica holders destroyed since the last commit
+
+	// failedIn holds redundancy's per-physical-node failure marks: the
+	// generation in which each node last failed. A node counts as failed
+	// only if its entry equals gen, so bumping gen clears every mark in
+	// O(1), and a larger executor's stale marks never count for a smaller
+	// one.
+	failedIn []uint64
+	gen      uint64
+
+	repairs []repair // TeaMPI's re-syncs in flight
+}
+
+// reset clears the run state for a new run of an executor whose failure
+// marks cover marks physical nodes.
+func (st *runState) reset(marks int) {
+	st.saved = [4]units.Duration{}
+	st.has = [4]bool{}
+	st.counter, st.lost = 0, 0
+	if len(st.failedIn) < marks {
+		st.failedIn = make([]uint64, marks)
+	}
+	st.gen++
+	st.repairs = st.repairs[:0]
 }
 
 // response is a strategy's reaction to a failure.
@@ -100,20 +89,19 @@ const (
 // against triggers, measured in minutes.
 const workEpsilon = 1e-9
 
-// Runtime is the execution engine of one goroutine's runs: it drives each
-// run of an executor's strategy on a discrete-event simulation, and holds
-// its simulator and failure process by value, so the whole machinery is
-// one allocation. Its event pool and bound callbacks persist across runs,
-// so a warm Runtime runs without allocating. An executor makes its own on
-// its first Run; the cluster layer, which builds one executor per
-// application and runs them strictly sequentially, shares one through
-// AttachRuntime, which makes executor construction cheap. A Runtime is
-// single-goroutine like the executors themselves: never share one across
-// concurrent workers.
+// Runtime is the execution engine of one goroutine's runs, and the only
+// thing a run writes: it holds by value the discrete-event simulator, the
+// failure process, the engine state and the strategy's run state, so the
+// whole machinery is one allocation. Its event pool, bound callbacks and
+// run-state buffers persist across runs, so a warm Runtime runs without
+// allocating. Executors are read-only, so any number of Runtimes may run
+// one Executor at once; a Runtime itself is single-goroutine: never share
+// one across concurrent workers.
 type Runtime struct {
 	sim     des.Simulator
-	strat   strategy
 	proc    failures.Process
+	st      runState
+	strat   strategy
 	start   units.Duration
 	horizon units.Duration
 
@@ -123,6 +111,7 @@ type Runtime struct {
 	totalWork     units.Duration
 	interval      units.Duration // work between checkpoint triggers
 	workSinceSync units.Duration // work since last checkpoint or restore
+	speed         float64        // progress rate while recomputing lost work
 
 	segStart   units.Duration // wall time the current computing segment began
 	segRate    float64        // progress rate of the current segment
@@ -149,26 +138,61 @@ type Runtime struct {
 	restoreLevel    int            // level of the in-flight restore
 	restartCost     units.Duration // cost of the in-flight restore
 
-	observer Observer
-	metrics  *techMetrics
-	res      Result
-	done     bool
+	// Observer, when non-nil, receives every trace event of the
+	// Runtime's runs. The Ideal baseline and blocked runs emit none.
+	Observer Observer
+
+	metrics *Metrics
+	tm      *techMetrics // metrics' series for the current run's technique
+	res     Result
+	done    bool
+}
+
+// cacheLinePad is one cache line of padding: 64 bytes, the line size of
+// amd64 and of most arm64 cores.
+type cacheLinePad [64]byte
+
+// paddedBox holds a value between two cacheLinePads.
+type paddedBox[T any] struct {
+	_ cacheLinePad
+	v T
+	_ cacheLinePad
+}
+
+// padded returns a copy of v on cache lines of its own: the copy sits
+// between two cacheLinePads in one allocation, so no other heap object
+// shares a line with it, whatever its size and fields and wherever the
+// allocator puts it. Go's allocator packs small objects side by side, so
+// two things need it (DESIGN.md §2.1): each trial worker's Runtime, which
+// the worker writes on every event, and each strategy, whose few words of
+// parameters every worker reads on every checkpoint and failure, so that
+// none of the small objects a worker writes (its pooled des events) lands
+// on their line.
+func padded[T any](v T) *T { return &(&paddedBox[T]{v: v}).v }
+
+// NewRuntime creates a runtime on cache lines of its own, recording its
+// runs in m's series (nil m records nothing).
+func NewRuntime(m *Metrics) *Runtime {
+	rt := padded(Runtime{sim: *des.NewPooled(), metrics: m})
+	rt.sim.SetMetrics(m.desMetrics())
+	rt.bind()
+	return rt
 }
 
 // emit forwards a trace event to the observer, if any.
 func (e *Runtime) emit(kind TraceKind, mutate func(*TraceEvent)) {
-	if e.observer == nil {
+	if e.Observer == nil {
 		return
 	}
 	ev := TraceEvent{Time: e.sim.Now(), Kind: kind, Progress: e.progress}
 	if mutate != nil {
 		mutate(&ev)
 	}
-	e.observer(ev)
+	e.Observer(ev)
 }
 
 // bind creates the engine's shared event callbacks. Each captures the
-// engine pointer once; run reuses them for every subsequent execution, so
+// engine pointer once; Run reuses them for every subsequent execution, so
 // a steady-state run schedules events with zero closure allocations.
 func (e *Runtime) bind() {
 	e.cbAppStart = func(*des.Simulator) {
@@ -181,28 +205,53 @@ func (e *Runtime) bind() {
 	e.cbFailure = func(*des.Simulator) { e.handleFailure(e.nextFailure) }
 }
 
-// run executes one simulation run of x's strategy, reporting state
-// transitions to x's observer when non-nil. The simulator and the failure
-// process carry state from the previous run (a warm event pool, a drawn
-// clock); both are reset here, and every per-run field is re-initialized
-// below, so a warm Runtime and a fresh one replay identically.
-func (e *Runtime) run(x *executor, start, horizon units.Duration, src *rng.Source) Result {
+// Run simulates one execution of x beginning at start, abandoning it at
+// horizon if unfinished. Randomness (failure times, locations,
+// severities) is drawn from src, so identical sources replay identical
+// runs. The Ideal baseline completes after exactly its baseline time (or
+// is cut off at the horizon), and a non-viable executor's run reports
+// Blocked; neither reaches the engine, so they emit no trace event and
+// record no metric.
+//
+// The simulator and the failure process carry state from the previous run
+// (a warm event pool, a drawn clock); both are reset here, and every
+// per-run field is re-initialized below, so a warm Runtime and a fresh one
+// replay identically.
+func (e *Runtime) Run(x *Executor, start, horizon units.Duration, src *rng.Source) Result {
+	res := Result{
+		Technique:     x.tech,
+		Start:         start,
+		Baseline:      x.app.Baseline(),
+		EffectiveWork: x.work,
+	}
+	switch {
+	case x.strat == nil:
+		if end := start + res.Baseline; end > horizon {
+			res.End = horizon
+		} else {
+			res.Completed, res.End = true, end
+		}
+		return res
+	case !x.viable:
+		res.Blocked, res.End = x.reason, start
+		return res
+	}
 	if horizon <= start {
 		panic(fmt.Sprintf("resilience: horizon %v not after start %v", horizon, start))
 	}
-	strat := x.strat
 	e.sim.Reset()
-	strat.reset()
-	e.proc.Reinit(x.model, strat.physicalNodes(), src)
-	e.strat = strat
+	e.st.reset(x.marks)
+	e.proc.Reinit(x.model, x.phys, src)
+	e.strat = x.strat
 	e.start = start
 	e.horizon = horizon
 	e.phase = phaseComputing
 	e.progress = 0
 	e.highWater = 0
-	e.totalWork = strat.effectiveWork()
-	e.interval = strat.checkpointInterval()
+	e.totalWork = x.work
+	e.interval = x.interval
 	e.workSinceSync = 0
+	e.speed = x.speed
 	e.segStart = 0
 	e.segRate = 0
 	e.inRework = false
@@ -215,14 +264,8 @@ func (e *Runtime) run(x *executor, start, horizon units.Duration, src *rng.Sourc
 	e.nextFailure = failures.Failure{}
 	e.restoreLevel = 0
 	e.restartCost = 0
-	e.observer = x.observer
-	e.metrics = x.metrics.forTechnique(strat.technique())
-	e.res = Result{
-		Technique:     strat.technique(),
-		Start:         start,
-		Baseline:      strat.app().Baseline(),
-		EffectiveWork: e.totalWork,
-	}
+	e.tm = e.metrics.forTechnique(x.tech)
+	e.res = res
 	e.done = false
 
 	e.sim.Schedule(start, "app-start", e.cbAppStart)
@@ -233,7 +276,7 @@ func (e *Runtime) run(x *executor, start, horizon units.Duration, src *rng.Sourc
 		e.res.Completed = false
 		e.res.End = horizon
 	}
-	e.metrics.observeRun(e.res)
+	e.tm.observeRun(e.res)
 	return e.res
 }
 
@@ -267,7 +310,7 @@ func (e *Runtime) enterComputing() {
 	rate := 1.0
 	e.inRework = e.progress < e.highWater-workEpsilon
 	if e.inRework {
-		rate = e.strat.recoverySpeed()
+		rate = e.speed
 	}
 	e.segRate = rate
 
@@ -332,7 +375,7 @@ func (e *Runtime) segmentEnd() {
 
 // startCheckpoint begins a blocking checkpoint.
 func (e *Runtime) startCheckpoint() {
-	level, cost := e.strat.nextCheckpoint()
+	level, cost := e.strat.nextCheckpoint(&e.st)
 	e.phase = phaseCheckpointing
 	e.phaseStart = e.sim.Now()
 	e.ckptLevel = level
@@ -350,7 +393,7 @@ func (e *Runtime) startCheckpoint() {
 // (semi-blocking mode) is real progress but is not part of this snapshot.
 func (e *Runtime) checkpointEnd() {
 	e.materialize()
-	e.strat.onCheckpointDone(e.ckptLevel, e.ckptSaved)
+	e.strat.onCheckpointDone(&e.st, e.ckptLevel, e.ckptSaved)
 	e.res.Checkpoints[clampLevel(e.ckptLevel)]++
 	e.res.CheckpointTime += e.ckptCost
 	// Work between triggers counts from the snapshot, so overlapped work
@@ -368,9 +411,9 @@ func (e *Runtime) handleFailure(f failures.Failure) {
 	}
 	e.materialize()
 	e.res.Failures++
-	e.metrics.observeFailure(int(f.Severity))
+	e.tm.observeFailure(int(f.Severity))
 
-	resp := e.strat.onFailure(f, e.progress)
+	resp := e.strat.onFailure(&e.st, f)
 	e.emit(TraceFailure, func(ev *TraceEvent) {
 		ev.Severity = f.Severity
 		ev.Rollback = resp.rollback

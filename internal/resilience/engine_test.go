@@ -15,7 +15,7 @@ import (
 )
 
 // mustExecutor builds an executor or fails the test.
-func mustExecutor(t *testing.T, tech core.Technique, app workload.App, cfg machine.Config, model *failures.Model) Executor {
+func mustExecutor(t *testing.T, tech core.Technique, app workload.App, cfg machine.Config, model *failures.Model) *Executor {
 	t.Helper()
 	x, err := New(tech, app, cfg, model, DefaultConfig())
 	if err != nil {
@@ -25,11 +25,11 @@ func mustExecutor(t *testing.T, tech core.Technique, app workload.App, cfg machi
 }
 
 // run executes with a generous horizon.
-func run(t *testing.T, x Executor, seed uint64) Result {
+func run(t *testing.T, x *Executor, seed uint64) Result {
 	t.Helper()
 	app := x.App()
 	horizon := units.Duration(200 * float64(app.Baseline()))
-	return x.Run(0, horizon, rng.New(seed))
+	return NewRuntime(nil).Run(x, 0, horizon, rng.New(seed))
 }
 
 func defaultModel(cfg machine.Config) *failures.Model {
@@ -170,7 +170,7 @@ func TestCheckpointRestartCannotProgressAt25YearMTBF(t *testing.T) {
 	if ok, _ := x.Viable(); !ok {
 		t.Fatal("CR should be (nominally) viable at 2.5-year MTBF")
 	}
-	res := x.Run(0, units.Duration(50*float64(app.Baseline())), rng.New(1))
+	res := NewRuntime(nil).Run(x, 0, units.Duration(50*float64(app.Baseline())), rng.New(1))
 	if eff := res.Efficiency(); eff > 0.05 {
 		t.Errorf("CR efficiency %v at exascale/2.5y; expected near-zero", eff)
 	}
@@ -355,7 +355,7 @@ func TestEfficiencyDecreasesWithMTBF(t *testing.T) {
 		const trials = 15
 		for seed := uint64(0); seed < trials; seed++ {
 			horizon := units.Duration(200 * float64(app.Baseline()))
-			sum += x.Run(0, horizon, rng.New(seed)).Efficiency()
+			sum += NewRuntime(nil).Run(x, 0, horizon, rng.New(seed)).Efficiency()
 		}
 		return sum / trials
 	}
@@ -370,7 +370,7 @@ func TestHorizonTruncation(t *testing.T) {
 	app := testApp(workload.A32, 1200)
 	x := mustExecutor(t, core.CheckpointRestart, app, cfg, model)
 	// Horizon far below the baseline: the run cannot complete.
-	res := x.Run(0, app.Baseline()/2, rng.New(1))
+	res := NewRuntime(nil).Run(x, 0, app.Baseline()/2, rng.New(1))
 	if res.Completed {
 		t.Error("run completed despite an impossible horizon")
 	}
@@ -385,7 +385,7 @@ func TestRunStartOffset(t *testing.T) {
 	app := testApp(workload.B32, 1200)
 	x := mustExecutor(t, core.ParallelRecovery, app, cfg, model)
 	start := 5000 * units.Minute
-	res := x.Run(start, start+units.Duration(100*float64(app.Baseline())), rng.New(2))
+	res := NewRuntime(nil).Run(x, start, start+units.Duration(100*float64(app.Baseline())), rng.New(2))
 	if !res.Completed {
 		t.Fatalf("offset run did not complete: %v", res)
 	}
@@ -417,7 +417,7 @@ func TestIdealExecutor(t *testing.T) {
 	if ok, _ := x.Viable(); !ok {
 		t.Fatal("ideal executor must always be viable")
 	}
-	res := x.Run(100, 1e9, rng.New(1))
+	res := NewRuntime(nil).Run(x, 100, 1e9, rng.New(1))
 	if !res.Completed {
 		t.Fatalf("ideal run incomplete: %v", res)
 	}
@@ -431,77 +431,78 @@ func TestIdealExecutor(t *testing.T) {
 		t.Error("ideal run recorded failures or checkpoints")
 	}
 	// Horizon truncation still applies.
-	short := x.Run(0, app.Baseline()/2, rng.New(1))
-	if short.Completed {
-		t.Error("ideal run completed past its horizon")
-	}
-	// Clone is independent and equivalent.
-	if got := x.Clone().Run(100, 1e9, rng.New(1)); got != res {
-		t.Error("ideal clone produced a different result")
+	short := NewRuntime(nil).Run(x, 0, app.Baseline()/2, rng.New(1))
+	if short.Completed || short.End != app.Baseline()/2 {
+		t.Errorf("ideal run cut at its horizon reports %+v", short)
 	}
 }
 
+// TestPooledReuseMatchesFreshAcrossTechniques: a Runtime's run state must
+// not leak from one run into the next. One Runtime runs every technique
+// at a failure-heavy operating point, each through two dirtying runs with
+// failures, with the Ideal baseline in between and a larger redundancy
+// executor (its failure marks cover more nodes) before a smaller one. A
+// leaked multilevel counter or surviving checkpoint, a ReStore holder
+// loss, a redundancy failure mark or a TeaMPI re-sync would then show:
+// afterwards each technique's reference seed must give exactly the Result
+// of a fresh Runtime.
 func TestPooledReuseMatchesFreshAcrossTechniques(t *testing.T) {
-	// PR 1 made executors reuse one pooled simulator across sequential
-	// runs, which means a second run executes on a warm event pool and a
-	// strategy that has already been through failures. If any technique's
-	// reset() (sequential reuse) or clone() (parallel fan-out) leaks state
-	// — a multilevel counter or surviving checkpoint, a redundancy replica
-	// failure mark — a reused executor silently inherits checkpoints from
-	// a previous trial. Run every technique at a failure-heavy operating
-	// point and require bit-identical results from (a) a fresh executor,
-	// (b) an executor dirtied by two prior runs (reset path), and (c) a
-	// clone taken from a dirtied executor (clone path).
 	cfg := machine.Exascale().WithMTBF(units.Duration(2.5) * units.Year)
 	model := defaultModel(cfg)
 	app := testApp(workload.C64, 12000)
 	const refSeed, dirtySeed = 101, 202
+	horizon := units.Duration(200 * float64(app.Baseline()))
 
+	ideal := mustExecutor(t, core.Ideal, app, cfg, model)
+	bigger := mustExecutor(t, core.FullRedundancy, testApp(workload.C64, 30000), cfg, model)
+	dirty := NewRuntime(nil)
+	var execs []*Executor
 	for _, tech := range core.Techniques() {
 		x := mustExecutor(t, tech, app, cfg, model)
 		if ok, _ := x.Viable(); !ok {
 			t.Fatalf("%v not viable at the test operating point", tech)
 		}
-		want := run(t, x.Clone(), refSeed) // fresh executor, first run ever
-
-		// Reset path: two dirtying runs, then the reference seed.
-		dirty := mustExecutor(t, tech, app, cfg, model)
-		d1 := run(t, dirty, dirtySeed)
-		run(t, dirty, dirtySeed+1)
+		execs = append(execs, x)
+		if tech == core.PartialRedundancy {
+			dirty.Run(bigger, 0, horizon, rng.New(dirtySeed))
+		}
+		d1 := dirty.Run(x, 0, horizon, rng.New(dirtySeed))
+		dirty.Run(ideal, 0, horizon, rng.New(dirtySeed))
+		dirty.Run(x, 0, horizon, rng.New(dirtySeed+1))
 		if d1.Failures == 0 {
 			t.Errorf("%v: dirtying run saw no failures; test exercises nothing", tech)
 		}
 		switch tech {
-		case core.PartialRedundancy, core.FullRedundancy:
-			// Replica failure marks are dirtied by every failure; rollbacks
-			// are intentionally rare here.
+		case core.PartialRedundancy, core.FullRedundancy, core.LightweightReplication:
+			// Replica failure marks and re-syncs are dirtied by every
+			// failure; rollbacks are intentionally rare here.
 		default:
 			if d1.Rollbacks == 0 {
 				t.Errorf("%v: dirtying run saw no rollbacks; test exercises nothing", tech)
 			}
 		}
-		if got := run(t, dirty, refSeed); got != want {
-			t.Errorf("%v: reused executor diverged from fresh after reset:\n fresh: %+v\n reused: %+v",
-				tech, want, got)
-		}
-
-		// Clone path: clone a dirtied executor mid-history.
-		if got := run(t, dirty.Clone(), refSeed); got != want {
-			t.Errorf("%v: clone of a dirty executor diverged from fresh:\n fresh: %+v\n clone: %+v",
-				tech, want, got)
+	}
+	for _, x := range execs {
+		want := NewRuntime(nil).Run(x, 0, horizon, rng.New(refSeed))
+		if got := dirty.Run(x, 0, horizon, rng.New(refSeed)); got != want {
+			t.Errorf("%v: reused Runtime diverged from a fresh one:\n fresh: %+v\n reused: %+v",
+				x.Technique(), want, got)
 		}
 	}
 }
 
+// TestClonedExecutorsMatch: an Executor holds nothing a run writes, so a
+// copy of its value is a whole clone, and a Runtime keys nothing on which
+// Executor it runs: the original and its copy give the same Result.
 func TestClonedExecutorsMatch(t *testing.T) {
 	cfg := machine.Exascale()
 	model := defaultModel(cfg)
 	app := testApp(workload.D64, 30000)
 	for _, tech := range core.Techniques() {
 		x := mustExecutor(t, tech, app, cfg, model)
-		y := x.Clone()
+		y := *x
 		a := run(t, x, 77)
-		b := run(t, y, 77)
+		b := run(t, &y, 77)
 		if a != b {
 			t.Errorf("%v: clone diverged from original", tech)
 		}
@@ -653,23 +654,21 @@ func TestSemiBlockingSnapshotSemantics(t *testing.T) {
 	}
 }
 
-// TestConstructionBytesIndependentOfAppSize: building an executor and
-// cloning it allocates no more bytes for an app that fills the exascale
-// machine (half of it for TeaMPI's two teams) than for one on 1% of it,
-// for every technique but the two redundancy degrees, whose failedIn
-// array still holds a mark per node. Per-node state is paid per failure,
-// not per node.
+// TestConstructionBytesIndependentOfAppSize: building an executor
+// allocates no more bytes for an app that fills the exascale machine (with
+// its replicas, for the redundancy and two-team techniques) than for one
+// on 1% of it, for every technique. Per-node state lives in the Runtime,
+// paid by the runs that need it, not by the executor.
 func TestConstructionBytesIndependentOfAppSize(t *testing.T) {
 	cfg := machine.Exascale()
 	model := defaultModel(cfg)
-	bytesPerBuild := func(tech core.Technique, nodes int) (uint64, Executor) {
+	bytesPerBuild := func(tech core.Technique, nodes int) (uint64, *Executor) {
 		app := workload.App{Class: workload.D64, TimeSteps: 1440, Nodes: nodes}
-		build := func() Executor {
+		build := func() *Executor {
 			x, err := New(tech, app, cfg, model, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			x.Clone()
 			return x
 		}
 		x := build() // the first build may warm caches that later ones reuse
@@ -683,16 +682,13 @@ func TestConstructionBytesIndependentOfAppSize(t *testing.T) {
 		return (after.TotalAlloc - before.TotalAlloc) / n, x
 	}
 	for _, tech := range core.Techniques() {
-		if tech == core.PartialRedundancy || tech == core.FullRedundancy {
-			continue
-		}
 		small, x := bytesPerBuild(tech, cfg.NodesForFraction(0.01))
 		whole, y := bytesPerBuild(tech, cfg.Nodes*x.App().Nodes/x.PhysicalNodes())
 		if ok, why := y.Viable(); !ok || y.PhysicalNodes() != cfg.Nodes {
 			t.Fatalf("%v: the whole-machine app occupies %d of %d nodes (viable %v: %s)", tech, y.PhysicalNodes(), cfg.Nodes, ok, why)
 		}
 		if whole > small {
-			t.Errorf("%v: construction and Clone allocate %d B on the whole machine, %d B on 1%% of it", tech, whole, small)
+			t.Errorf("%v: construction allocates %d B on the whole machine, %d B on 1%% of it", tech, whole, small)
 		}
 	}
 }

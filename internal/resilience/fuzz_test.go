@@ -67,7 +67,8 @@ func FuzzReStoreReplicaLoss(f *testing.F) {
 		if info.Degenerate {
 			liveLevel = 3
 		}
-		Observe(x, func(ev TraceEvent) {
+		rt := NewRuntime(nil)
+		rt.Observer = func(ev TraceEvent) {
 			if ev.Time < lastTime {
 				t.Fatalf("trace time ran backwards: %s after %s", ev.Time, lastTime)
 			}
@@ -101,9 +102,9 @@ func FuzzReStoreReplicaLoss(f *testing.F) {
 					t.Fatalf("restore resumed progress %s, want %s", ev.Progress, wantProgress)
 				}
 			}
-		})
+		}
 
-		res := x.Run(0, units.Duration(50*float64(app.Baseline())), rng.New(seed))
+		res := rt.Run(x, 0, units.Duration(50*float64(app.Baseline())), rng.New(seed))
 		for _, c := range []struct {
 			name string
 			v    units.Duration
@@ -153,13 +154,12 @@ func FuzzOptimizeMultilevel(f *testing.F) {
 			MaxL1PerL2:    1 + int(n1cap%8),
 			MaxL2PerL3:    1 + int(n2cap%8),
 			IntervalSteps: 2 + int(steps%16),
-			DisableCache:  true,
 		}
-		sched, err := OptimizeMultilevel(costs, rates, bounds)
+		sched, err := optimizeMultilevel(costs, rates, bounds)
 		if err != nil {
 			// Infeasible regimes (failures eat work faster than it is
 			// computed) are a legitimate outcome — but a deterministic one.
-			if _, err2 := OptimizeMultilevel(costs, rates, bounds); err2 == nil || err2.Error() != err.Error() {
+			if _, err2 := optimizeMultilevel(costs, rates, bounds); err2 == nil || err2.Error() != err.Error() {
 				t.Fatalf("infeasibility not deterministic: %v then %v", err, err2)
 			}
 			return
@@ -184,10 +184,8 @@ func FuzzOptimizeMultilevel(f *testing.F) {
 		}
 		// The memoized path must agree with the raw search, on both the
 		// cold (store) and warm (load) lookups.
-		cached := bounds
-		cached.DisableCache = false
 		for pass := 0; pass < 2; pass++ {
-			again, err2 := OptimizeMultilevel(costs, rates, cached)
+			again, err2 := OptimizeMultilevel(costs, rates, bounds)
 			if err2 != nil || again != sched {
 				t.Fatalf("cached pass %d returned %v (%v), raw search returned %v", pass, again, err2, sched)
 			}

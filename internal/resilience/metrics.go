@@ -130,24 +130,3 @@ func (t *techMetrics) observeRun(res Result) {
 		t.useful.Add(useful.Minutes())
 	}
 }
-
-// SetMetrics attaches (or detaches) the bundle to the executor. Unlike
-// observers, metrics survive Clone: the series are atomic and shared, so
-// parallel trial workers aggregate into one bundle.
-func (x *executor) SetMetrics(m *Metrics) {
-	x.metrics = m
-	if x.rt != nil {
-		x.rt.sim.SetMetrics(m.desMetrics())
-	}
-}
-
-// Instrument attaches the metrics bundle to an executor if it supports
-// instrumentation, reporting whether it did (the Ideal executor does not:
-// it has no engine to instrument).
-func Instrument(x Executor, m *Metrics) bool {
-	i, ok := x.(interface{ SetMetrics(*Metrics) })
-	if ok {
-		i.SetMetrics(m)
-	}
-	return ok
-}

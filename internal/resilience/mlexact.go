@@ -149,9 +149,6 @@ func (m MultilevelSchedule) ExactStretch(costs Costs, rates [3]units.Rate) float
 // (interval x {1/2..2}, pattern counts +-2) and keeps the best. Results
 // are memoized alongside the first-order cache.
 func OptimizeMultilevelExact(costs Costs, rates [3]units.Rate, bounds MultilevelConfig) (MultilevelSchedule, error) {
-	if bounds.DisableCache {
-		return optimizeMultilevelExact(costs, rates, bounds)
-	}
 	key := cacheKey(costs, rates, bounds)
 	key.bounds.IntervalSteps = -key.bounds.IntervalSteps // separate cache namespace
 	if v, ok := optCache.Load(key); ok {

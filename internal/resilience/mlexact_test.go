@@ -79,13 +79,13 @@ func TestExactStretchMatchesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := x.(*executor).strat.(*multilevel).schedule
-		predicted := sched.ExactStretch(ComputeCosts(app, cfg), levelRates(model, nodes))
+		sched := x.strat.(*multilevel).schedule
+		predicted := sched.ExactStretch(ComputeCosts(app, cfg), model.SeverityRates(nodes))
 
 		var sum float64
 		const trials = 40
 		for seed := uint64(0); seed < trials; seed++ {
-			res := x.Run(0, 1e8, rng.New(seed))
+			res := NewRuntime(nil).Run(x, 0, 1e8, rng.New(seed))
 			if !res.Completed {
 				t.Fatalf("run incomplete at %d nodes", nodes)
 			}
@@ -129,35 +129,4 @@ func TestOptimizeExactZeroRates(t *testing.T) {
 	if !math.IsInf(float64(sched.Interval), 1) {
 		t.Errorf("no failures should disable checkpointing, got %v", sched.Interval)
 	}
-}
-
-func TestExactOptimizerThroughExecutor(t *testing.T) {
-	cfg := machine.Exascale()
-	model := failures.MustModel(cfg.MTBF, failures.DefaultSeverityPMF())
-	app := testApp(workload.C64, 60000)
-
-	opts := DefaultConfig()
-	opts.Multilevel.UseExact = true
-	exact, err := New(core.MultilevelCheckpoint, app, cfg, model, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstOrder, err := New(core.MultilevelCheckpoint, app, cfg, model, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var exactEff, firstEff float64
-	const trials = 30
-	for seed := uint64(0); seed < trials; seed++ {
-		exactEff += exact.Run(0, 1e8, rng.New(seed)).Efficiency() / trials
-		firstEff += firstOrder.Run(0, 1e8, rng.New(seed)).Efficiency() / trials
-	}
-	// The exact refinement must not lose to the first-order pick by more
-	// than simulation noise.
-	if exactEff < firstEff-0.01 {
-		t.Errorf("exact-optimized schedule (%v) clearly worse than first-order (%v)",
-			exactEff, firstEff)
-	}
-	t.Logf("simulated efficiency: first-order %.4f, exact-refined %.4f", firstEff, exactEff)
 }

@@ -49,15 +49,6 @@ type MultilevelConfig struct {
 	MaxL1PerL2, MaxL2PerL3 int
 	// IntervalSteps is the resolution of the base-interval grid.
 	IntervalSteps int
-	// UseExact refines the first-order grid winner with the exact
-	// Markov-chain evaluation (OptimizeMultilevelExact).
-	UseExact bool
-	// DisableCache bypasses the schedule memoization cache, forcing every
-	// optimizer call to re-run the full search. The cluster studies
-	// construct an executor per mapped job, so caching is on by default;
-	// disable it only to measure the raw search or to bound memory in
-	// long-lived services sweeping unbounded parameter spaces.
-	DisableCache bool
 }
 
 // DefaultMultilevelConfig returns search bounds ample for every
@@ -144,10 +135,8 @@ var (
 	optCacheMisses atomic.Uint64
 )
 
-// cacheKey canonicalizes the bounds so toggling the cache knob itself
-// never splits otherwise-identical entries.
+// cacheKey is the memoization key of one optimizer call.
 func cacheKey(costs Costs, rates [3]units.Rate, bounds MultilevelConfig) optCacheKey {
-	bounds.DisableCache = false
 	return optCacheKey{costs: costs, rates: rates, bounds: bounds}
 }
 
@@ -173,15 +162,12 @@ func FlushScheduleCache() {
 // failure rate; pattern counts are scanned exhaustively within the bounds.
 // It returns an error when no schedule in the search space is feasible.
 //
-// Results are memoized on the full (costs, rates, bounds) tuple unless
-// bounds.DisableCache is set; cached and uncached calls return identical
-// schedules because the search is deterministic.
+// Results are memoized on the full (costs, rates, bounds) tuple; a cached
+// call returns exactly what the uncached search optimizeMultilevel does,
+// because the search is deterministic.
 func OptimizeMultilevel(costs Costs, rates [3]units.Rate, bounds MultilevelConfig) (MultilevelSchedule, error) {
 	if err := bounds.Validate(); err != nil {
 		return MultilevelSchedule{}, err
-	}
-	if bounds.DisableCache {
-		return optimizeMultilevel(costs, rates, bounds)
 	}
 	key := cacheKey(costs, rates, bounds)
 	if v, ok := optCache.Load(key); ok {

@@ -11,8 +11,7 @@ import (
 )
 
 func exaRates(nodes int, mtbf units.Duration) [3]units.Rate {
-	model := failures.MustModel(mtbf, failures.DefaultSeverityPMF())
-	return levelRates(model, nodes)
+	return failures.MustModel(mtbf, failures.DefaultSeverityPMF()).SeverityRates(nodes)
 }
 
 func TestLevelAtPattern(t *testing.T) {
@@ -119,18 +118,16 @@ func TestOptimizeCacheConsistency(t *testing.T) {
 
 // TestOptimizeCachedMatchesUncached asserts the memoization layer is
 // semantically invisible: for the same parameter tuple, a cache hit, a
-// cache miss, and a DisableCache call all return the identical schedule.
+// cache miss, and the uncached search all return the identical schedule.
 func TestOptimizeCachedMatchesUncached(t *testing.T) {
 	cfg := machine.Exascale()
 	bounds := DefaultMultilevelConfig()
-	uncached := bounds
-	uncached.DisableCache = true
 	for _, nodes := range []int{1200, 30000, 120000} {
 		costs := ComputeCosts(testApp(workload.D64, nodes), cfg)
 		rates := exaRates(nodes, cfg.MTBF)
 		miss, err1 := OptimizeMultilevel(costs, rates, bounds)
 		hit, err2 := OptimizeMultilevel(costs, rates, bounds)
-		raw, err3 := OptimizeMultilevel(costs, rates, uncached)
+		raw, err3 := optimizeMultilevel(costs, rates, bounds)
 		if err1 != nil || err2 != nil || err3 != nil {
 			t.Fatalf("nodes=%d: optimizer errors: %v, %v, %v", nodes, err1, err2, err3)
 		}
@@ -145,14 +142,11 @@ func TestOptimizeCachedMatchesUncached(t *testing.T) {
 func TestExactCachedMatchesUncached(t *testing.T) {
 	cfg := machine.Exascale()
 	bounds := DefaultMultilevelConfig()
-	bounds.UseExact = true
-	uncached := bounds
-	uncached.DisableCache = true
 	costs := ComputeCosts(testApp(workload.C64, 30000), cfg)
 	rates := exaRates(30000, cfg.MTBF)
 	cached, err1 := OptimizeMultilevelExact(costs, rates, bounds)
 	again, err2 := OptimizeMultilevelExact(costs, rates, bounds)
-	raw, err3 := OptimizeMultilevelExact(costs, rates, uncached)
+	raw, err3 := optimizeMultilevelExact(costs, rates, bounds)
 	if err1 != nil || err2 != nil || err3 != nil {
 		t.Fatalf("optimizer errors: %v, %v, %v", err1, err2, err3)
 	}
@@ -162,7 +156,7 @@ func TestExactCachedMatchesUncached(t *testing.T) {
 }
 
 // TestScheduleCacheCounters asserts hits and misses are observable and
-// that DisableCache leaves the counters untouched.
+// that the uncached search leaves the counters untouched.
 func TestScheduleCacheCounters(t *testing.T) {
 	FlushScheduleCache()
 	defer FlushScheduleCache()
@@ -184,13 +178,11 @@ func TestScheduleCacheCounters(t *testing.T) {
 		t.Errorf("after warm call: hits=%d misses=%d, want 1/1", hits, misses)
 	}
 
-	off := bounds
-	off.DisableCache = true
-	if _, err := OptimizeMultilevel(costs, rates, off); err != nil {
+	if _, err := optimizeMultilevel(costs, rates, bounds); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := ScheduleCacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("DisableCache call moved the counters: hits=%d misses=%d", hits, misses)
+		t.Errorf("uncached search moved the counters: hits=%d misses=%d", hits, misses)
 	}
 }
 

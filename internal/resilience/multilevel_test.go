@@ -34,9 +34,7 @@ func TestSingleLevelScratchRestartAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := x.(*executor).strat
-		s.reset()
-		return s
+		return x.strat
 	}
 	for _, c := range []struct {
 		tech              core.Technique
@@ -48,12 +46,13 @@ func TestSingleLevelScratchRestartAccounting(t *testing.T) {
 		{core.InMemoryReplicatedCheckpoint, 2, real.PFS, ReplicatedRestoreCost(real)},
 	} {
 		s := rollbackOf(c.tech)
-		if resp := s.onFailure(anyFailure, 50); resp.restoreLevel != 0 || resp.restoreTo != 0 || resp.restartCost != c.relaunch {
+		var st runState
+		if resp := s.onFailure(&st, anyFailure); resp.restoreLevel != 0 || resp.restoreTo != 0 || resp.restartCost != c.relaunch {
 			t.Errorf("%v scratch restart = level %d @ %v costing %v, want level 0 @ 0 costing %v",
 				c.tech, resp.restoreLevel, resp.restoreTo, resp.restartCost, c.relaunch)
 		}
-		s.onCheckpointDone(c.level, 30)
-		if resp := s.onFailure(anyFailure, 50); resp.restoreLevel != c.level || resp.restoreTo != 30 || resp.restartCost != c.restore {
+		s.onCheckpointDone(&st, c.level, 30)
+		if resp := s.onFailure(&st, anyFailure); resp.restoreLevel != c.level || resp.restoreTo != 30 || resp.restartCost != c.restore {
 			t.Errorf("%v restore = level %d @ %v costing %v, want level %d @ 30min costing %v",
 				c.tech, resp.restoreLevel, resp.restoreTo, resp.restartCost, c.level, c.restore)
 		}
@@ -61,26 +60,19 @@ func TestSingleLevelScratchRestartAccounting(t *testing.T) {
 
 	// Full redundancy on 4 virtual / 8 physical nodes: a rollback needs
 	// both replicas of one virtual node down within a generation.
-	red := &redundancy{
-		application: testApp(workload.A32, 4),
-		costs:       costs,
-		degree:      2,
-		phys:        8,
-		replicated:  4,
-		failedIn:    make([]uint64, 8),
-		gen:         1,
-	}
-	red.reset()
-	if resp := red.onFailure(failures.Failure{Node: 0}, 10); resp.rollback {
+	red := &redundancy{nodes: 4, replicated: 4, pfs: costs.PFS}
+	var st runState
+	st.reset(8)
+	if resp := red.onFailure(&st, failures.Failure{Node: 0}); resp.rollback {
 		t.Fatal("first replica hit should be absorbed")
 	}
-	if resp := red.onFailure(failures.Failure{Node: 4}, 10); !resp.rollback ||
+	if resp := red.onFailure(&st, failures.Failure{Node: 4}); !resp.rollback ||
 		resp.restoreLevel != 0 || resp.restoreTo != 0 || resp.restartCost != costs.PFS {
 		t.Errorf("redundancy scratch restart = %+v, want rollback to level 0 @ 0 costing T_PFS", resp)
 	}
-	red.onCheckpointDone(3, 30)
-	red.onFailure(failures.Failure{Node: 1}, 40)
-	if resp := red.onFailure(failures.Failure{Node: 5}, 40); resp.restoreLevel != 3 || resp.restoreTo != 30 {
+	red.onCheckpointDone(&st, 3, 30)
+	red.onFailure(&st, failures.Failure{Node: 1})
+	if resp := red.onFailure(&st, failures.Failure{Node: 5}); resp.restoreLevel != 3 || resp.restoreTo != 30 {
 		t.Errorf("redundancy restore = level %d @ %v, want level 3 @ 30min", resp.restoreLevel, resp.restoreTo)
 	}
 }
@@ -88,14 +80,13 @@ func TestSingleLevelScratchRestartAccounting(t *testing.T) {
 func TestMultilevelScratchRestartAccounting(t *testing.T) {
 	costs := Costs{L1: 1 * units.Minute, L2: 3 * units.Minute, PFS: 10 * units.Minute}
 	s := &multilevel{
-		application: testApp(workload.C64, 1000),
-		costs:       costs,
-		schedule:    MultilevelSchedule{Interval: 30 * units.Minute, L1PerL2: 2, L2PerL3: 2},
+		costs:    costs,
+		schedule: MultilevelSchedule{Interval: 30 * units.Minute, L1PerL2: 2, L2PerL3: 2},
 	}
-	s.reset()
+	var st runState
 
 	// No checkpoints at all: a node-loss failure restarts from scratch.
-	resp := s.onFailure(failures.Failure{Severity: failures.SeverityNodeLoss}, 50)
+	resp := s.onFailure(&st, failures.Failure{Severity: failures.SeverityNodeLoss})
 	if !resp.rollback {
 		t.Fatal("failure with no checkpoint must roll back")
 	}
@@ -111,19 +102,19 @@ func TestMultilevelScratchRestartAccounting(t *testing.T) {
 
 	// A level-1 checkpoint does not survive a node loss: scratch again,
 	// and the destroyed level must be invalidated.
-	s.onCheckpointDone(1, 30)
-	resp = s.onFailure(failures.Failure{Severity: failures.SeverityNodeLoss}, 45)
+	s.onCheckpointDone(&st, 1, 30)
+	resp = s.onFailure(&st, failures.Failure{Severity: failures.SeverityNodeLoss})
 	if resp.restoreLevel != 0 || resp.restoreTo != 0 {
 		t.Errorf("L1 checkpoint survived a node loss: level %d, progress %v", resp.restoreLevel, resp.restoreTo)
 	}
-	if s.has[1] {
+	if st.has[1] {
 		t.Error("node loss left the level-1 checkpoint marked alive")
 	}
 
 	// A level-2 checkpoint survives a node loss and is restored, at its
 	// own cost and level.
-	s.onCheckpointDone(2, 40)
-	resp = s.onFailure(failures.Failure{Severity: failures.SeverityNodeLoss}, 55)
+	s.onCheckpointDone(&st, 2, 40)
+	resp = s.onFailure(&st, failures.Failure{Severity: failures.SeverityNodeLoss})
 	if resp.restoreLevel != 2 || resp.restoreTo != 40 {
 		t.Errorf("restore = level %d @ %v, want level 2 @ 40min", resp.restoreLevel, resp.restoreTo)
 	}
@@ -132,22 +123,22 @@ func TestMultilevelScratchRestartAccounting(t *testing.T) {
 	}
 
 	// A newer level-1 checkpoint wins a transient failure.
-	s.onCheckpointDone(1, 60)
-	resp = s.onFailure(failures.Failure{Severity: failures.SeverityTransient}, 70)
+	s.onCheckpointDone(&st, 1, 60)
+	resp = s.onFailure(&st, failures.Failure{Severity: failures.SeverityTransient})
 	if resp.restoreLevel != 1 || resp.restoreTo != 60 {
 		t.Errorf("restore = level %d @ %v, want level 1 @ 60min", resp.restoreLevel, resp.restoreTo)
 	}
 
 	// A catastrophic failure with only L1/L2 checkpoints: scratch at PFS
 	// relaunch cost.
-	resp = s.onFailure(failures.Failure{Severity: failures.SeverityCatastrophic}, 70)
+	resp = s.onFailure(&st, failures.Failure{Severity: failures.SeverityCatastrophic})
 	if resp.restoreLevel != 0 || resp.restoreTo != 0 {
 		t.Errorf("catastrophe restored level %d @ %v, want scratch", resp.restoreLevel, resp.restoreTo)
 	}
 	if resp.restartCost != costs.PFS {
 		t.Errorf("catastrophic relaunch costs %v, want T_PFS = %v", resp.restartCost, costs.PFS)
 	}
-	if s.has[1] || s.has[2] {
+	if st.has[1] || st.has[2] {
 		t.Error("catastrophe left lower-level checkpoints alive")
 	}
 }

@@ -76,7 +76,7 @@ func TestSingleLevelRollbackPin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := x.Run(0, horizon, rng.New(c.seed)); got != c.want {
+		if got := NewRuntime(nil).Run(x, 0, horizon, rng.New(c.seed)); got != c.want {
 			t.Errorf("%s seed %d:\n got %+v\nwant %+v", c.name, c.seed, got, c.want)
 		}
 	}

@@ -45,7 +45,7 @@ func TestEngineInvariantsProperty(t *testing.T) {
 		if ok, _ := x.Viable(); !ok {
 			return true // blocked configurations have no run to check
 		}
-		res := x.Run(0, units.Duration(100*float64(app.Baseline())), rng.New(seed))
+		res := NewRuntime(nil).Run(x, 0, units.Duration(100*float64(app.Baseline())), rng.New(seed))
 		if !res.Completed {
 			// Abandoned runs only need sane counters.
 			return res.Failures >= res.Rollbacks && res.Rollbacks >= 0
@@ -108,8 +108,8 @@ func TestMoreFailuresNeverHelp(t *testing.T) {
 		const trials = 20
 		for seed := uint64(0); seed < trials; seed++ {
 			horizon := units.Duration(100 * float64(app.Baseline()))
-			e20 += x20.Run(0, horizon, rng.New(seed)).Efficiency()
-			e2 += x2.Run(0, horizon, rng.New(seed)).Efficiency()
+			e20 += NewRuntime(nil).Run(x20, 0, horizon, rng.New(seed)).Efficiency()
+			e2 += NewRuntime(nil).Run(x2, 0, horizon, rng.New(seed)).Efficiency()
 		}
 		if e2 > e20 {
 			t.Errorf("%v: mean efficiency at 2y MTBF (%v) beats 20y (%v)",
@@ -132,7 +132,7 @@ func TestShorterAppsFinishSooner(t *testing.T) {
 		var sum float64
 		const trials = 15
 		for seed := uint64(0); seed < trials; seed++ {
-			res := x.Run(0, 1e8, rng.New(seed))
+			res := NewRuntime(nil).Run(x, 0, 1e8, rng.New(seed))
 			if !res.Completed {
 				t.Fatalf("run incomplete at %d steps", steps)
 			}
@@ -177,7 +177,7 @@ func TestLightweightReplicationUndercutsFullRedundancy(t *testing.T) {
 			{core.FullRedundancy, full},
 		} {
 			x := mustExecutor(t, tc.tech, app, cfg, model)
-			res := x.Run(0, units.Duration(100*float64(app.Baseline())), rng.New(1))
+			res := NewRuntime(nil).Run(x, 0, units.Duration(100*float64(app.Baseline())), rng.New(1))
 			if !res.Completed {
 				continue // an unlucky seed only skips the cross-check
 			}
@@ -212,8 +212,8 @@ func TestReStoreDegenerateMatchesCheckpointRestart(t *testing.T) {
 	}
 	horizon := units.Duration(200 * float64(app.Baseline()))
 	for seed := uint64(0); seed < 5; seed++ {
-		a := rs.Run(0, horizon, rng.New(seed))
-		b := cr.Run(0, horizon, rng.New(seed))
+		a := NewRuntime(nil).Run(rs, 0, horizon, rng.New(seed))
+		b := NewRuntime(nil).Run(cr, 0, horizon, rng.New(seed))
 		a.Technique = b.Technique // the label is the only allowed difference
 		if a != b {
 			t.Fatalf("seed %d: degenerate ReStore diverged from Checkpoint Restart:\n%+v\n%+v", seed, a, b)

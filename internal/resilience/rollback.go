@@ -6,7 +6,6 @@ import (
 	"exaresil/internal/core"
 	"exaresil/internal/failures"
 	"exaresil/internal/units"
-	"exaresil/internal/workload"
 )
 
 // rollback is single-level checkpoint-rollback: blocking checkpoints of
@@ -32,34 +31,24 @@ import (
 // failure relaunches from scratch: it reads no checkpoint, so it traces at
 // level 0, and it costs relaunchCost.
 type rollback struct {
-	tech         core.Technique
-	application  workload.App
 	level        int            // trace level of checkpoints and restores
 	ckptCost     units.Duration // per-checkpoint write cost
 	restoreCost  units.Duration // restore cost from a surviving checkpoint
 	relaunchCost units.Duration // from-scratch relaunch cost
-	work         units.Duration // effective work
-	speed        float64        // recovery speed phi
 	degree       int            // replica degree k; 0 = no replica-loss rule
-	tau          units.Duration
-
-	saved units.Duration
-	has   bool
-	lost  int // replica holders destroyed since the last commit
 }
 
-// newRollback builds the executor for s, scheduling checkpoints at the
-// Daly period of its checkpoint cost.
-func newRollback(s rollback, model *failures.Model, periodScale float64) *executor {
-	x := &executor{strat: &s, model: model, phys: s.application.Nodes, viable: true}
-	tau, ok := DalyPeriod(s.ckptCost, model.Rate(s.application.Nodes))
+// withRollback makes x run s, checkpointing at the Daly period of s's
+// checkpoint cost.
+func (x *Executor) withRollback(s rollback, periodScale float64) {
+	x.strat = padded(s)
+	rate := x.model.Rate(x.app.Nodes)
+	tau, ok := DalyPeriod(s.ckptCost, rate)
 	if !ok {
-		x.viable = false
-		x.reason = fmt.Sprintf("optimal checkpoint period is non-positive (T_C=%s, rate=%s): checkpointing cannot keep ahead of failures",
-			s.ckptCost, model.Rate(s.application.Nodes))
+		x.block(fmt.Sprintf("optimal checkpoint period is non-positive (T_C=%s, rate=%s): checkpointing cannot keep ahead of failures",
+			s.ckptCost, rate))
 	}
-	s.tau = tau * units.Duration(periodScale)
-	return x
+	x.interval = tau * units.Duration(periodScale)
 }
 
 // holderLoss maps a failure severity to the number of replica copies it
@@ -76,18 +65,12 @@ func holderLoss(sev failures.Severity) int {
 	}
 }
 
-func (s *rollback) technique() core.Technique             { return s.tech }
-func (s *rollback) app() workload.App                     { return s.application }
-func (s *rollback) physicalNodes() int                    { return s.application.Nodes }
-func (s *rollback) effectiveWork() units.Duration         { return s.work }
-func (s *rollback) checkpointInterval() units.Duration    { return s.tau }
-func (s *rollback) nextCheckpoint() (int, units.Duration) { return s.level, s.ckptCost }
-func (s *rollback) recoverySpeed() float64                { return s.speed }
+func (s *rollback) nextCheckpoint(*runState) (int, units.Duration) { return s.level, s.ckptCost }
 
 // onCheckpointDone commits the checkpoint and, for ReStore, re-provisions
 // its replica set: only holder losses after this point can destroy it.
-func (s *rollback) onCheckpointDone(_ int, progress units.Duration) {
-	s.saved, s.has, s.lost = progress, true, 0
+func (s *rollback) onCheckpointDone(st *runState, _ int, progress units.Duration) {
+	st.saved[s.level], st.has[s.level], st.lost = progress, true, 0
 }
 
 // onFailure: every failure forces a restore. Under ReStore's rule the
@@ -95,25 +78,18 @@ func (s *rollback) onCheckpointDone(_ int, progress units.Duration) {
 // are only re-provisioned by the next commit; once they reach k the
 // checkpoint is gone until that commit, and the restore becomes a
 // relaunch.
-func (s *rollback) onFailure(f failures.Failure, _ units.Duration) response {
+func (s *rollback) onFailure(st *runState, f failures.Failure) response {
 	if s.degree > 0 {
-		s.lost += holderLoss(f.Severity)
-		if s.lost >= s.degree {
-			s.saved, s.has = 0, false
+		st.lost += holderLoss(f.Severity)
+		if st.lost >= s.degree {
+			st.saved[s.level], st.has[s.level] = 0, false
 		}
 	}
 	level, cost := 0, s.relaunchCost
-	if s.has {
+	if st.has[s.level] {
 		level, cost = s.level, s.restoreCost
 	}
-	return response{rollback: true, restoreTo: s.saved, restoreLevel: level, restartCost: cost}
-}
-
-func (s *rollback) reset() { s.saved, s.has, s.lost = 0, false, 0 }
-
-func (s *rollback) clone() strategy {
-	dup := *s
-	return &dup
+	return response{rollback: true, restoreTo: st.saved[s.level], restoreLevel: level, restartCost: cost}
 }
 
 // ReStoreInfo describes an In-Memory Replicated Checkpoint executor's
@@ -128,11 +104,10 @@ type ReStoreInfo struct {
 
 // ReStoreInfoOf reports the ReStore placement behind an executor, false for
 // executors of any other technique.
-func ReStoreInfoOf(x Executor) (ReStoreInfo, bool) {
-	e, ok := x.(*executor)
-	if !ok || e.strat.technique() != core.InMemoryReplicatedCheckpoint {
+func ReStoreInfoOf(x *Executor) (ReStoreInfo, bool) {
+	if x.tech != core.InMemoryReplicatedCheckpoint {
 		return ReStoreInfo{}, false
 	}
-	k := e.strat.(*rollback).degree
+	k := x.strat.(*rollback).degree
 	return ReStoreInfo{Degree: k, Degenerate: k == 0}, true
 }

@@ -6,86 +6,85 @@ import (
 	"unsafe"
 
 	"exaresil/internal/core"
-	"exaresil/internal/des"
 	"exaresil/internal/machine"
-	"exaresil/internal/obs"
+	"exaresil/internal/rng"
 	"exaresil/internal/units"
 	"exaresil/internal/workload"
 )
 
-// TestCloneAfterRunOwnsItsRuntime: an executor that has already run (and so
-// holds a Runtime) and a Clone of it run concurrently, as appsim's workers
-// do, and each gives exactly the Results of a fresh executor. A clone that
-// shared its original's Runtime would race on it, which -race reports and
-// the Results show.
+// TestCloneAfterRunOwnsItsRuntime: an Executor that has already run and a
+// copy of it made then (all a clone of a read-only Executor is) run at
+// once, the original on two Runtimes and the copy on a third, as appsim's
+// trial workers run one executor, and each run gives exactly the Result of
+// a fresh Runtime. An executor that a run wrote to would race between the
+// goroutines, which -race reports, and would hand what its earlier runs
+// left to the copy, which the Results show.
 func TestCloneAfterRunOwnsItsRuntime(t *testing.T) {
 	cfg := machine.Exascale().WithMTBF(units.Duration(2.5) * units.Year)
 	model := defaultModel(cfg)
 	app := testApp(workload.C64, 12000)
+	horizon := units.Duration(200 * float64(app.Baseline()))
 	seeds := []uint64{11, 12, 13, 14, 15, 16}
-	for _, tech := range core.Techniques() {
+	for _, tech := range append(core.Techniques(), core.Ideal) {
+		x := mustExecutor(t, tech, app, cfg, model)
 		want := make([]Result, len(seeds))
 		for i, seed := range seeds {
-			want[i] = run(t, mustExecutor(t, tech, app, cfg, model), seed)
+			want[i] = NewRuntime(nil).Run(x, 0, horizon, rng.New(seed))
 		}
-
-		x := mustExecutor(t, tech, app, cfg, model)
-		run(t, x, 1) // x now holds a Runtime
-		y := x.Clone()
-		if e, ok := y.(*executor); ok && e.rt != nil {
-			t.Fatalf("%v: Clone carries a Runtime", tech)
-		}
-		got := [2][]Result{make([]Result, len(seeds)), make([]Result, len(seeds))}
+		y := *x
+		runners := []*Executor{x, x, &y}
+		got := make([][]Result, len(runners))
 		var wg sync.WaitGroup
-		for k, ex := range []Executor{x, y} {
+		for k, ex := range runners {
+			got[k] = make([]Result, len(seeds))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				rt := NewRuntime(nil)
 				for i, seed := range seeds {
-					got[k][i] = run(t, ex, seed)
+					got[k][i] = rt.Run(ex, 0, horizon, rng.New(seed))
 				}
 			}()
 		}
 		wg.Wait()
-		if e, ok := x.(*executor); ok && e.rt == y.(*executor).rt {
-			t.Fatalf("%v: a clone shares its original's Runtime", tech)
-		}
-		for k, name := range []string{"original", "clone"} {
+		for k, name := range []string{"original on Runtime 0", "original on Runtime 1", "clone"} {
 			for i := range seeds {
 				if got[k][i] != want[i] {
-					t.Errorf("%v: %s, seed %d: got %+v, fresh executor %+v", tech, name, seeds[i], got[k][i], want[i])
+					t.Errorf("%v: %s, seed %d: got %+v, fresh Runtime %+v", tech, name, seeds[i], got[k][i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestInstrumentAfterRunCounts: metrics attached to an executor that has
-// already run reach its Runtime's simulator, so the next run counts exactly
-// the events a fresh instrumented executor's run does.
-func TestInstrumentAfterRunCounts(t *testing.T) {
-	cfg := machine.Exascale().WithMTBF(units.Duration(2.5) * units.Year)
-	model := defaultModel(cfg)
-	app := testApp(workload.C64, 12000)
-	dispatched := func(x Executor, warm bool) uint64 {
-		if warm {
-			run(t, x, 1)
-		}
-		r := obs.NewRegistry()
-		if !Instrument(x, NewMetrics(r)) {
-			t.Fatalf("%v: not instrumentable", x.Technique())
-		}
-		run(t, x, 7)
-		return des.NewMetrics(r).Dispatched.Value()
+// TestRunStateResetClearsTheRun: reset leaves nothing a strategy decided
+// in the previous run — committed checkpoints, the pattern counter, holder
+// losses, re-syncs in flight, failure marks of a live generation — and
+// grows the marks to the next executor's nodes. A leaked re-sync would
+// only show when a later run's failure hit its twin, which a whole-run
+// comparison rarely draws.
+func TestRunStateResetClearsTheRun(t *testing.T) {
+	st := runState{
+		saved:    [4]units.Duration{0, 1, 2, 3},
+		has:      [4]bool{false, true, true, true},
+		counter:  5,
+		lost:     2,
+		failedIn: []uint64{7, 7},
+		gen:      7,
+		repairs:  []repair{{node: 1, until: 9}},
 	}
-	for _, tech := range core.Techniques() {
-		if tech == core.Ideal {
-			continue
+	for _, marks := range []int{2, 4} {
+		st.reset(marks)
+		if st.saved != ([4]units.Duration{}) || st.has != ([4]bool{}) || st.counter != 0 || st.lost != 0 || len(st.repairs) != 0 {
+			t.Errorf("reset(%d) left run state behind: %+v", marks, st)
 		}
-		fresh := dispatched(mustExecutor(t, tech, app, cfg, model), false)
-		late := dispatched(mustExecutor(t, tech, app, cfg, model), true)
-		if fresh == 0 || late != fresh {
-			t.Errorf("%v: exaresil_des_events_dispatched_total is %d when instrumented after a run, %d when fresh", tech, late, fresh)
+		if len(st.failedIn) < marks {
+			t.Errorf("reset(%d) left %d failure marks", marks, len(st.failedIn))
+		}
+		for node, gen := range st.failedIn {
+			if gen == st.gen {
+				t.Errorf("reset(%d) left node %d marked failed", marks, node)
+			}
 		}
 	}
 }
@@ -95,7 +94,11 @@ func TestInstrumentAfterRunCounts(t *testing.T) {
 // and after it, so no other heap object can share a line with it.
 func TestPaddedOwnsItsLines(t *testing.T) {
 	for _, l := range []paddedLayout{
+		layoutOf[Runtime]("Runtime"),
+		layoutOf[rollback]("rollback"),
 		layoutOf[multilevel]("multilevel"),
+		layoutOf[redundancy]("redundancy"),
+		layoutOf[teamReplication]("teamReplication"),
 	} {
 		if l.before < 64 || l.after < 64 {
 			t.Errorf("padded %s: %d B before its %d B and %d B after, want at least 64 B on each side", l.name, l.before, l.size, l.after)

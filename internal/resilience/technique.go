@@ -2,12 +2,11 @@ package resilience
 
 import (
 	"fmt"
+	"math"
 
 	"exaresil/internal/core"
-	"exaresil/internal/des"
 	"exaresil/internal/failures"
 	"exaresil/internal/machine"
-	"exaresil/internal/rng"
 	"exaresil/internal/units"
 	"exaresil/internal/workload"
 )
@@ -98,120 +97,53 @@ func (c Config) Validate() error {
 	return c.Multilevel.Validate()
 }
 
-// executor adapts a strategy to the Executor interface, holding the pieces
-// shared by all techniques: the failure model, the occupied node count, and
-// the viability verdict computed at construction.
-type executor struct {
-	strat    strategy
-	model    *failures.Model
-	phys     int
+// Executor is the read-only description of one application under one
+// resilience technique: New fills in everything a run reads and nothing it
+// writes, so any number of goroutines may run one Executor at once, each
+// on its own Runtime (Runtime.Run).
+type Executor struct {
+	tech  core.Technique
+	app   workload.App
+	model *failures.Model
+	phys  int            // physical nodes a run occupies, which failures strike
+	work  units.Duration // technique-inflated total work (Eqs. 7, 8)
+	// interval is the period-scaled work between checkpoint triggers;
+	// +Inf disables checkpointing.
+	interval units.Duration
+	speed    float64 // progress rate while recomputing lost work (phi for Parallel Recovery)
+	ckptRate float64 // compute rate sustained during checkpoints (0 = blocking)
+	marks    int     // per-node failure marks a run needs (redundancy's physical nodes)
 	viable   bool
 	reason   string
-	ckptRate float64
-	observer Observer
-	metrics  *Metrics
-
-	// rt is the engine the executor's runs execute on. The first Run
-	// makes it, on the goroutine that runs the executor, and later runs
-	// reuse it; Clone leaves it nil, so a parallel worker's clone makes
-	// its own. AttachRuntime sets it instead to a Runtime shared with
-	// other strictly sequential executors.
-	rt *Runtime
+	strat    strategy // the technique's decisions; nil for the Ideal baseline
 }
 
-// cacheLinePad is one cache line of padding: 64 bytes, the line size of
-// amd64 and of most arm64 cores.
-type cacheLinePad [64]byte
+// Technique identifies the technique the executor simulates.
+func (x *Executor) Technique() core.Technique { return x.tech }
 
-// paddedBox holds a value between two cacheLinePads.
-type paddedBox[T any] struct {
-	_ cacheLinePad
-	v T
-	_ cacheLinePad
-}
+// App is the application descriptor the executor simulates.
+func (x *Executor) App() workload.App { return x.app }
 
-// padded returns a copy of v on cache lines of its own: the copy sits
-// between two cacheLinePads in one allocation, so no other heap object
-// shares a line with it, whatever its size and fields and wherever the
-// allocator puts it. appsim allocates the trial workers' strategies one
-// after another, and Go's allocator packs small objects side by side, so
-// a strategy that each worker writes on every checkpoint can need it: the
-// multilevel strategy ran a paper-scale cell about 1.6x slower on two
-// workers without it, while no other strategy measured a gain from it
-// (DESIGN.md §2.1).
-func padded[T any](v T) *T { return &(&paddedBox[T]{v: v}).v }
+// PhysicalNodes is the number of machine nodes one run occupies (more than
+// App().Nodes for redundant executions).
+func (x *Executor) PhysicalNodes() int { return x.phys }
 
-// NewRuntime creates a runtime, attaching m's engine-simulator series (nil
-// m leaves the simulator uninstrumented).
-func NewRuntime(m *Metrics) *Runtime {
-	rt := &Runtime{sim: *des.NewPooled()}
-	rt.sim.SetMetrics(m.desMetrics())
-	rt.bind()
-	return rt
-}
+// Viable reports whether the technique can execute the application at
+// all; reason explains a false result (e.g. a non-positive optimal
+// checkpoint period, or a replica set larger than the machine).
+func (x *Executor) Viable() (ok bool, reason string) { return x.viable, x.reason }
 
-// AttachRuntime points the executor at a shared Runtime, reporting whether
-// the executor supports it (the Ideal executor does not — it never
-// simulates). The executor then schedules all its runs on rt.
-func AttachRuntime(x Executor, rt *Runtime) bool {
-	e, ok := x.(*executor)
-	if ok {
-		e.rt = rt
-	}
-	return ok
-}
-
-// Technique implements Executor.
-func (x *executor) Technique() core.Technique { return x.strat.technique() }
-
-// App implements Executor.
-func (x *executor) App() workload.App { return x.strat.app() }
-
-// PhysicalNodes implements Executor.
-func (x *executor) PhysicalNodes() int { return x.phys }
-
-// Viable implements Executor.
-func (x *executor) Viable() (bool, string) { return x.viable, x.reason }
-
-// Clone implements Executor.
-func (x *executor) Clone() Executor {
-	return &executor{
-		strat:    x.strat.clone(),
-		model:    x.model,
-		phys:     x.phys,
-		viable:   x.viable,
-		reason:   x.reason,
-		ckptRate: x.ckptRate,
-		// Metrics are shared, not copied: the series are atomic, so every
-		// clone of a parallel study aggregates into the same bundle.
-		metrics: x.metrics,
-	}
-}
-
-// Run implements Executor.
-func (x *executor) Run(start, horizon units.Duration, src *rng.Source) Result {
-	if !x.viable {
-		return Result{
-			Technique:     x.strat.technique(),
-			Blocked:       x.reason,
-			Start:         start,
-			End:           start,
-			Baseline:      x.strat.app().Baseline(),
-			EffectiveWork: x.strat.effectiveWork(),
-		}
-	}
-	if x.rt == nil {
-		x.rt = NewRuntime(x.metrics)
-	}
-	return x.rt.run(x, start, horizon, src)
-}
+// block marks the executor non-viable for the given reason.
+func (x *Executor) block(reason string) { x.viable, x.reason = false, reason }
 
 // New constructs the executor for technique t running app on the machine
 // cfg under the failure model. It returns an error only for malformed
 // inputs; a technique that is well-formed but cannot execute the
 // application (e.g. redundancy needing more nodes than the machine has)
-// yields a non-viable executor whose runs report Blocked.
-func New(t core.Technique, app workload.App, cfg machine.Config, model *failures.Model, opts Config) (Executor, error) {
+// yields a non-viable executor whose runs report Blocked. The Ideal
+// baseline is the executor with no strategy: the failure-free,
+// overhead-free run of the resource-management study (Figure 4).
+func New(t core.Technique, app workload.App, cfg machine.Config, model *failures.Model, opts Config) (*Executor, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,27 +161,35 @@ func New(t core.Technique, app workload.App, cfg machine.Config, model *failures
 			app.Nodes, cfg.Name, cfg.Nodes)
 	}
 
+	x := &Executor{
+		tech:     t,
+		app:      app,
+		model:    model,
+		phys:     app.Nodes,
+		work:     app.Baseline(),
+		interval: units.Duration(math.Inf(1)),
+		speed:    1,
+		ckptRate: opts.CheckpointComputeRate,
+		viable:   true,
+	}
 	costs := ComputeCosts(app, cfg)
 	scale := opts.periodScale()
 	// pfs is Checkpoint Restart's rollback: PFS checkpoints, restores and
-	// relaunches, and no slowdown.
-	pfs := rollback{tech: t, application: app, level: 3, ckptCost: costs.PFS, restoreCost: costs.PFS,
-		relaunchCost: costs.PFS, work: app.Baseline(), speed: 1}
-	var x *executor
+	// relaunches.
+	pfs := rollback{level: 3, ckptCost: costs.PFS, restoreCost: costs.PFS, relaunchCost: costs.PFS}
 	switch t {
 	case core.Ideal:
-		return NewIdeal(app), nil
 	case core.CheckpointRestart:
-		x = newRollback(pfs, model, scale)
+		x.withRollback(pfs, scale)
 	case core.MultilevelCheckpoint:
-		x = newMultilevel(app, costs, model, opts.Multilevel, scale)
+		x.withMultilevel(costs, opts.Multilevel, scale)
 	case core.ParallelRecovery:
-		x = newRollback(rollback{tech: t, application: app, level: 2, ckptCost: costs.L2, restoreCost: costs.L2,
-			relaunchCost: costs.L2, work: MessageLoggingBaseline(app), speed: opts.RecoverySpeedup}, model, scale)
+		x.work, x.speed = MessageLoggingBaseline(app), opts.RecoverySpeedup
+		x.withRollback(rollback{level: 2, ckptCost: costs.L2, restoreCost: costs.L2, relaunchCost: costs.L2}, scale)
 	case core.PartialRedundancy:
-		x = newRedundancy(app, costs, model, 1.5, cfg.Nodes, scale)
+		x.withRedundancy(costs, 1.5, cfg.Nodes, scale)
 	case core.FullRedundancy:
-		x = newRedundancy(app, costs, model, 2.0, cfg.Nodes, scale)
+		x.withRedundancy(costs, 2.0, cfg.Nodes, scale)
 	case core.InMemoryReplicatedCheckpoint:
 		// With no peers to hold the replicas (N_a <= k) ReStore is
 		// Checkpoint Restart exactly; otherwise its checkpoints and restores
@@ -258,12 +198,11 @@ func New(t core.Technique, app workload.App, cfg machine.Config, model *failures
 			pfs.level, pfs.degree = 2, k
 			pfs.ckptCost, pfs.restoreCost = ReplicatedCheckpointCost(costs, k), ReplicatedRestoreCost(costs)
 		}
-		x = newRollback(pfs, model, scale)
+		x.withRollback(pfs, scale)
 	case core.LightweightReplication:
-		x = newTeamReplication(app, costs, model, opts.TeamSyncPenalty, cfg.Nodes)
+		x.withTeamReplication(costs, opts.TeamSyncPenalty, cfg.Nodes)
 	default:
 		return nil, fmt.Errorf("resilience: no executor for technique %v", t)
 	}
-	x.ckptRate = opts.CheckpointComputeRate
 	return x, nil
 }

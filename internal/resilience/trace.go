@@ -83,18 +83,3 @@ func (e TraceEvent) String() string {
 
 // Observer receives trace events during a run.
 type Observer func(TraceEvent)
-
-// SetObserver attaches an execution observer to the executor; pass nil to
-// detach. Observation is per-executor, so clone before observing if the
-// executor is shared with a parallel study.
-func (x *executor) SetObserver(obs Observer) { x.observer = obs }
-
-// Observe attaches an observer to an executor if it supports observation,
-// reporting whether it did. The Ideal executor has no events to observe.
-func Observe(x Executor, obs Observer) bool {
-	o, ok := x.(interface{ SetObserver(Observer) })
-	if ok {
-		o.SetObserver(obs)
-	}
-	return ok
-}

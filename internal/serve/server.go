@@ -302,6 +302,12 @@ func (s *Server) JobDone(id string) (<-chan struct{}, bool) {
 	return j.done, true
 }
 
+// Jobs snapshots every job the server retains — each live job and the
+// newest terminal ones (Config.StoreSize) — in id order. A killed server
+// stays readable, so the mesh coordinator reroutes a dead replica's jobs
+// from here.
+func (s *Server) Jobs() []JobView { return s.store.views() }
+
 // Queued reports the flights waiting in the queue.
 func (s *Server) Queued() int { return s.pool.queued() }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -266,6 +268,18 @@ func (st *Store) get(id string) (*Job, bool) {
 	defer st.mu.Unlock()
 	j, ok := st.jobs[id]
 	return j, ok
+}
+
+// views snapshots every retained job, in id order.
+func (st *Store) views() []JobView {
+	st.mu.Lock()
+	out := make([]JobView, 0, len(st.jobs))
+	for _, j := range st.jobs {
+		out = append(out, j.View())
+	}
+	st.mu.Unlock()
+	slices.SortFunc(out, func(a, b JobView) int { return strings.Compare(a.ID, b.ID) })
+	return out
 }
 
 // size reports the number of retained jobs.

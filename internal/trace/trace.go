@@ -15,9 +15,9 @@ import (
 	"exaresil/internal/units"
 )
 
-// Recorder accumulates trace events. Attach its Observe method to an
-// executor via resilience.Observe. Recorders are not safe for concurrent
-// use; record one run at a time.
+// Recorder accumulates trace events. Make its Observe method the Observer
+// of the resilience.Runtime that runs the executor. Recorders are not safe
+// for concurrent use; record one run at a time.
 type Recorder struct {
 	events []resilience.TraceEvent
 }

@@ -26,10 +26,9 @@ func record(t *testing.T, tech core.Technique) (*Recorder, resilience.Result) {
 		t.Fatal(err)
 	}
 	rec := &Recorder{}
-	if !resilience.Observe(x, rec.Observe) {
-		t.Fatalf("%v executor refused observation", tech)
-	}
-	res := x.Run(0, 1e8, rng.New(3))
+	rt := resilience.NewRuntime(nil)
+	rt.Observer = rec.Observe
+	res := rt.Run(x, 0, 1e8, rng.New(3))
 	return rec, res
 }
 
@@ -152,9 +151,22 @@ func TestWriteTimelineElision(t *testing.T) {
 	}
 }
 
+// TestIdealExecutorNotObservable: the Ideal baseline never reaches the
+// engine, so an observed run of it records no event.
 func TestIdealExecutorNotObservable(t *testing.T) {
-	x := resilience.NewIdeal(workload.App{Class: workload.A32, TimeSteps: 10, Nodes: 1})
-	if resilience.Observe(x, (&Recorder{}).Observe) {
-		t.Error("ideal executor claimed to support observation")
+	cfg := machine.Exascale()
+	model := failures.MustModel(cfg.MTBF, failures.DefaultSeverityPMF())
+	x, err := resilience.New(core.Ideal, workload.App{Class: workload.A32, TimeSteps: 10, Nodes: 1}, cfg, model, resilience.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &Recorder{}
+	rt := resilience.NewRuntime(nil)
+	rt.Observer = rec.Observe
+	if res := rt.Run(x, 0, 1e8, rng.New(3)); !res.Completed {
+		t.Fatalf("ideal run incomplete: %v", res)
+	}
+	if rec.Len() != 0 {
+		t.Errorf("ideal run recorded %d events, want none", rec.Len())
 	}
 }
