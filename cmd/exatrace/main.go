@@ -80,7 +80,7 @@ func run(args []string) error {
 	rt := resilience.NewRuntime(nil)
 	rt.Observer = rec.Observe
 	horizon := units.Duration(100 * float64(app.Baseline()))
-	res := rt.Run(x, 0, horizon, rng.New(*seed))
+	res := rt.Run(x, horizon, rng.New(*seed))
 
 	fmt.Printf("%v executing %v\n\n", tech, app)
 	if rec.Len() > 0 {

@@ -232,7 +232,7 @@ func (s *Simulation) TraceApp(t Technique, app App, seed uint64, obs func(TraceE
 	rt := resilience.NewRuntime(nil)
 	rt.Observer = obs
 	horizon := Duration(appsim.DefaultHorizonFactor * float64(app.Baseline()))
-	return rt.Run(x, 0, horizon, rng.New(seed)), nil
+	return rt.Run(x, horizon, rng.New(seed)), nil
 }
 
 // Study runs a Monte-Carlo study: trials independent executions of app

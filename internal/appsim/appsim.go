@@ -160,13 +160,13 @@ func Run(spec TrialSpec) TrialStats {
 				} else {
 					src.SetStream(spec.Seed, uint64(trial))
 				}
-				res := rt.Run(x, 0, horizon, &src)
+				res := rt.Run(x, horizon, &src)
 				results[trial] = trialResult{
 					eff:       res.Efficiency(),
 					failures:  float64(res.Failures),
 					rollbacks: float64(res.Rollbacks),
 					ckpts:     float64(res.TotalCheckpoints()),
-					makespan:  res.Makespan().Minutes(),
+					makespan:  res.End.Minutes(),
 					completed: res.Completed,
 				}
 			}

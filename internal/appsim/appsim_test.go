@@ -135,7 +135,7 @@ func TestAntitheticOddTrialsLeaveLastUnpaired(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		src.SetSubStream(3, 9, uint64(trial)/2)
 		src.SetMirror(trial%2 == 1)
-		eff.Add(rt.Run(x, 0, horizon, &src).Efficiency())
+		eff.Add(rt.Run(x, horizon, &src).Efficiency())
 	}
 	if want := eff.Summarize(); got.Efficiency != want {
 		t.Errorf("odd antithetic study %+v differs from manual replay %+v", got.Efficiency, want)

@@ -31,7 +31,7 @@ func TestCheckerAcceptsRealTraces(t *testing.T) {
 		rt.Observer = c.Observe
 		for trial := uint64(0); trial < 8; trial++ {
 			c.BeginRun("trial")
-			res := rt.Run(x, 0, units.Duration(float64(app.Baseline())*100), rng.Stream(7, trial))
+			res := rt.Run(x, units.Duration(float64(app.Baseline())*100), rng.Stream(7, trial))
 			c.FinishRun(res)
 		}
 		for _, v := range c.Violations() {
@@ -54,7 +54,7 @@ func TestCheckerAcceptsTruncatedRuns(t *testing.T) {
 	rt := resilience.NewRuntime(nil)
 	rt.Observer = c.Observe
 	c.BeginRun("truncated")
-	res := rt.Run(x, 0, units.Duration(float64(app.Baseline())*3), rng.New(1))
+	res := rt.Run(x, units.Duration(float64(app.Baseline())*3), rng.New(1))
 	if res.Completed {
 		t.Fatal("expected a truncated run at exascale/2.5y")
 	}
@@ -191,7 +191,7 @@ func TestCheckerFlagsResultMismatch(t *testing.T) {
 	rt := resilience.NewRuntime(nil)
 	rt.Observer = c.Observe
 	c.BeginRun("doctored")
-	res := rt.Run(x, 0, units.Duration(float64(app.Baseline())*100), rng.New(3))
+	res := rt.Run(x, units.Duration(float64(app.Baseline())*100), rng.New(3))
 	doctored := res
 	doctored.Failures++
 	doctored.Checkpoints[3]++

@@ -354,7 +354,7 @@ func (t *phaseTotals) observe(res resilience.Result, split PhaseSplit, severitie
 	t.restore += (split.Restore - split.Relaunch).Minutes()
 	t.relaunch += split.Relaunch.Minutes()
 	t.rework += res.ReworkTime.Minutes()
-	if useful := res.Makespan() - res.CheckpointTime - res.RestartTime - res.ReworkTime; useful > 0 {
+	if useful := res.End - res.CheckpointTime - res.RestartTime - res.ReworkTime; useful > 0 {
 		t.useful += useful.Minutes()
 	}
 }
@@ -407,7 +407,7 @@ func (s Sweep) runCell(spec cellSpec, index uint64, rm *resilience.Metrics) (Cel
 			src.SetStream(s.Seed^(index*0x9e3779b97f4a7c15), uint64(trial))
 		}
 		checker.BeginRun(fmt.Sprintf("%s trial %d", cell.Label(), trial))
-		res := rt.Run(x, 0, horizon, &src)
+		res := rt.Run(x, horizon, &src)
 		checker.FinishRun(res)
 		eff.Add(res.Efficiency())
 		if res.Blocked == "" {

@@ -406,7 +406,7 @@ func (c *Checker) FinishRun(res resilience.Result) {
 	// makespan decomposition: both ledgers bracket the same blocking
 	// phases, so they may differ only by floating-point drift. (A phase
 	// still in flight at the horizon is excluded from both.)
-	ttol := units.Duration(completionTol(res.Makespan()))
+	ttol := units.Duration(completionTol(res.End))
 	if diff := c.split.Checkpoint - res.CheckpointTime; diff < -ttol || diff > ttol {
 		c.fail(end, "trace-derived checkpoint time %s, Result reports %s", c.split.Checkpoint, res.CheckpointTime)
 	}
@@ -431,8 +431,8 @@ func (c *Checker) FinishRun(res resilience.Result) {
 		if res.End != c.lastTime {
 			c.fail(end, "completed at %s but Result ends at %s", c.lastTime, res.End)
 		}
-		if res.Makespan() < res.EffectiveWork-units.Duration(completionTol(res.EffectiveWork)) {
-			c.fail(end, "makespan %s below effective work %s", res.Makespan(), res.EffectiveWork)
+		if res.End < res.EffectiveWork-units.Duration(completionTol(res.EffectiveWork)) {
+			c.fail(end, "makespan %s below effective work %s", res.End, res.EffectiveWork)
 		}
 		if eff := res.Efficiency(); eff <= 0 || eff > 1 {
 			c.fail(end, "completed run has efficiency %v outside (0, 1]", eff)

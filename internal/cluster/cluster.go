@@ -9,7 +9,9 @@
 // else is running. The cluster's discrete-event simulation therefore only
 // has to coordinate arrivals, mapping events, node accounting, completions,
 // and deadline drops; each mapped application's trajectory is produced by
-// its own resilience executor.
+// its own resilience executor. That process also starts with the
+// application, so its trajectory does not depend on when it starts: RunAll
+// simulates it once and places it at every start (trajectory.go).
 package cluster
 
 import (
@@ -170,6 +172,7 @@ func (m Metrics) DroppedPct() float64 {
 // job is the cluster's per-application state.
 type job struct {
 	app         workload.App
+	index       int // position in the pattern
 	tech        core.Technique
 	exec        *resilience.Executor
 	phys        int // physical nodes when running
@@ -188,15 +191,84 @@ type job struct {
 	candGen, dropGen, startGen uint64
 }
 
-// Run executes one cluster simulation.
+// Run executes one cluster simulation: RunAll's one-spec case.
 func Run(spec Spec) (Metrics, error) {
-	if err := spec.Machine.Validate(); err != nil {
+	ms, err := RunAll([]Spec{spec})
+	if err != nil {
 		return Metrics{}, err
 	}
-	if spec.Model == nil {
-		return Metrics{}, fmt.Errorf("cluster: nil failure model")
+	return ms[0], nil
+}
+
+// RunAll executes the cluster simulations of specs in order and returns
+// their metrics, each exactly what Run returns for its spec. The specs may
+// differ in policy (machine, scheduler, technique or chooser, placement)
+// but must share pattern, seed, mirror, failure model, resilience config
+// and registry; RunAll refuses any that do not. They then share every
+// application trajectory: each application is simulated once per
+// technique and machine or node class, however many specs start it
+// (DESIGN.md §4.4).
+func RunAll(specs []Spec) ([]Metrics, error) {
+	if len(specs) == 0 {
+		return nil, nil
 	}
-	if err := spec.Resilience.Validate(); err != nil {
+	first := specs[0]
+	for i, s := range specs[1:] {
+		if err := sameWorkload(first, s); err != nil {
+			return nil, fmt.Errorf("cluster: spec %d: %w", i+1, err)
+		}
+	}
+	if first.Model == nil {
+		return nil, fmt.Errorf("cluster: nil failure model")
+	}
+	if err := first.Resilience.Validate(); err != nil {
+		return nil, err
+	}
+	index := make(map[int]int, len(first.Pattern.Apps)) // app ID -> index in the pattern
+	for i, app := range first.Pattern.Apps {
+		if err := app.Validate(); err != nil {
+			return nil, err
+		}
+		if prev, dup := index[app.ID]; dup {
+			return nil, fmt.Errorf("cluster: pattern repeats application ID %d (apps %d and %d)", app.ID, prev, i)
+		}
+		index[app.ID] = i
+	}
+
+	table := newTrajectories(specs)
+	out := make([]Metrics, len(specs))
+	for i, spec := range specs {
+		m, err := runOne(spec, index, table)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
+}
+
+// sameWorkload reports why spec s cannot share first's trajectories.
+func sameWorkload(first, s Spec) error {
+	switch {
+	case s.Pattern.InitialFill != first.Pattern.InitialFill || !slices.Equal(s.Pattern.Apps, first.Pattern.Apps):
+		return fmt.Errorf("another pattern")
+	case s.Seed != first.Seed:
+		return fmt.Errorf("seed %d, not %d", s.Seed, first.Seed)
+	case s.Mirror != first.Mirror:
+		return fmt.Errorf("mirror %t, not %t", s.Mirror, first.Mirror)
+	case s.Model != first.Model:
+		return fmt.Errorf("another failure model")
+	case s.Resilience != first.Resilience:
+		return fmt.Errorf("another resilience config")
+	case s.Obs != first.Obs:
+		return fmt.Errorf("another registry")
+	}
+	return nil
+}
+
+// runOne executes one spec of a RunAll call over its trajectory table.
+func runOne(spec Spec, index map[int]int, table *trajectories) (Metrics, error) {
+	if err := spec.Machine.Validate(); err != nil {
 		return Metrics{}, err
 	}
 	mapper, err := sched.New(spec.Scheduler)
@@ -217,14 +289,9 @@ func Run(spec Spec) (Metrics, error) {
 	// instead of once per application.
 	backing := make([]job, len(spec.Pattern.Apps))
 	jobs := make([]*job, len(spec.Pattern.Apps))
-	byID := make(map[int]*job, len(spec.Pattern.Apps))
 	for i, app := range spec.Pattern.Apps {
-		if err := app.Validate(); err != nil {
-			return Metrics{}, err
-		}
-		backing[i] = job{app: app}
+		backing[i] = job{app: app, index: i}
 		jobs[i] = &backing[i]
-		byID[app.ID] = &backing[i]
 	}
 
 	classes, err := buildClasses(spec)
@@ -237,16 +304,16 @@ func Run(spec Spec) (Metrics, error) {
 		mapper:  mapper,
 		chooser: chooser,
 		jobs:    jobs,
-		byID:    byID,
+		index:   index,
 		classes: classes,
 		free:    spec.Machine.Nodes,
 		sim:     des.NewPooled(),
 		m:       newClusterMetrics(spec.Obs),
-		// All of a run's executors fire strictly sequentially inside the
-		// cluster's event loop, so they share one Runtime.
-		runtime: resilience.NewRuntime(resilience.NewMetrics(spec.Obs)),
+		table:   table,
+		slot:    table.slotBase(spec.Machine),
 	}
-	for _, cls := range classes {
+	for i, cls := range classes {
+		cls.slot = c.slot + i
 		c.m.observeClassFree(cls.class.Name, cls.free)
 	}
 	c.mapSrc.SetStream(spec.Seed, 1_000_000_007)
@@ -261,19 +328,19 @@ type run struct {
 	mapper  sched.Mapper
 	chooser TechniqueChooser
 	jobs    []*job
-	byID    map[int]*job  // stable app-ID index, built once per run
+	index   map[int]int   // app ID -> index in the pattern, shared by a RunAll call
 	classes []*classState // per-class ledgers; nil for homogeneous machines
 	queue   []*job
 	free    int
 	sim     *des.Simulator
 	mapSrc  rng.Source
-	jobSrc  rng.Source // scratch source re-seeded per executor run
-	mapping bool       // a mapping event is already pending at the current time
-	mapGen  uint64     // current mapping-event generation (see job stamps)
+	mapping bool   // a mapping event is already pending at the current time
+	mapGen  uint64 // current mapping-event generation (see job stamps)
 	peak    int
 	err     error
 	m       *clusterMetrics
-	runtime *resilience.Runtime // the engine every executor of the run runs on
+	table   *trajectories // the trajectories every run of the pattern shares
+	slot    int           // the machine's trajectory-table slot (its first class's)
 
 	// mappingCb is the shared mapping-event callback, bound once.
 	mappingCb des.Callback
@@ -394,8 +461,8 @@ func (c *run) mapEvent() {
 	now := c.sim.Now()
 
 	// One generation per mapping event: stamping a job's candGen /
-	// dropGen / startGen to gen replaces the byID / dropped / started
-	// maps this loop used to allocate per event.
+	// dropGen / startGen to gen replaces per-event candidate, dropped
+	// and started maps.
 	c.mapGen++
 	gen := c.mapGen
 
@@ -453,7 +520,7 @@ func (c *run) mapEvent() {
 
 	changed := 0
 	for _, id := range d.Drop {
-		j := c.byID[id]
+		j := c.job(id)
 		if j == nil || j.candGen != gen || j.dropGen == gen {
 			continue
 		}
@@ -466,7 +533,7 @@ func (c *run) mapEvent() {
 	}
 
 	for _, id := range d.Start {
-		j := c.byID[id]
+		j := c.job(id)
 		if j == nil || j.candGen != gen || j.dropGen == gen || j.startGen == gen {
 			continue
 		}
@@ -509,6 +576,15 @@ func (c *run) mapEvent() {
 	c.queue = remaining
 }
 
+// job returns the job of the given app ID, nil if the pattern has none.
+func (c *run) job(id int) *job {
+	i, ok := c.index[id]
+	if !ok {
+		return nil
+	}
+	return c.jobs[i]
+}
+
 // prepare builds the job's executor (choosing its technique) on first
 // consideration.
 func (c *run) prepare(j *job) error {
@@ -537,7 +613,7 @@ func (c *run) fitsAnyClass(phys int) bool {
 	return false
 }
 
-// start places a job on the machine and simulates its execution. On a
+// start places a job on the machine and its trajectory at now. On a
 // heterogeneous machine cls is the hosting class and clsExec the executor
 // built against it (both nil for homogeneous runs, where j.exec runs on
 // the base machine).
@@ -581,23 +657,20 @@ func (c *run) start(j *job, cls *classState, clsExec *resilience.Executor, now u
 		}
 	}
 
-	// The per-job stream is re-seeded into a run-owned scratch source:
-	// identical draws to rng.Stream(seed, ID+1), no allocation. A run only
-	// reads the source inside Runtime.Run, so sequential jobs may share it.
-	exec := j.exec
+	exec, slot := j.exec, c.slot
 	class := ""
 	if clsExec != nil {
-		exec = clsExec
+		exec, slot = clsExec, cls.slot
 		class = cls.class.Name
 	}
-	c.jobSrc.SetStream(c.spec.Seed, uint64(j.app.ID)+1)
-	c.jobSrc.SetMirror(c.spec.Mirror)
-	res := c.runtime.Run(exec, now, horizon, &c.jobSrc)
-	end := res.End
-	outcome := OutcomeCompleted
-	if !res.Completed {
-		end = horizon
-		outcome = OutcomeDroppedRunning
+	// The trajectory is measured from the start: the app completes if
+	// its trajectory completes within the window the horizon leaves.
+	tr := c.table.get(slot, j.index, exec, j.app)
+	end := horizon
+	outcome := OutcomeDroppedRunning
+	if tr.completed && tr.end <= horizon-now {
+		end = now + tr.end
+		outcome = OutcomeCompleted
 	}
 	if math.IsInf(float64(end), 1) || end <= now {
 		end = now + j.app.Baseline()

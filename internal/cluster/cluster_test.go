@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"exaresil/internal/core"
@@ -311,5 +312,20 @@ func TestAvgUtilizationBounds(t *testing.T) {
 	// A filled, oversubscribed machine should stay busy on average.
 	if m.AvgUtilization < 0.3 {
 		t.Errorf("avg utilization %v implausibly low for an oversubscribed system", m.AvgUtilization)
+	}
+}
+
+// TestRepeatedAppIDRejected: a pattern whose last two applications share
+// an ID is refused up front, for every scheduler, with an error naming the
+// ID instead of one that blames the scheduler.
+func TestRepeatedAppIDRejected(t *testing.T) {
+	for _, sch := range core.Schedulers() {
+		spec := testSpec(t, sch, core.ParallelRecovery, 9)
+		apps := spec.Pattern.Apps
+		apps[len(apps)-2].ID, apps[len(apps)-1].ID = 27, 27
+		_, err := Run(spec)
+		if err == nil || !strings.Contains(err.Error(), "repeats application ID 27") {
+			t.Errorf("%v: Run error = %v, want the repeated ID 27 named", sch, err)
+		}
 	}
 }

@@ -58,6 +58,7 @@ type classState struct {
 	view  machine.Config  // the class projected as a homogeneous machine
 	model *failures.Model // the study model at the class MTBF
 	free  int
+	slot  int // the class's slot in the trajectory table
 }
 
 // buildClasses materializes the per-class ledgers, views, and failure

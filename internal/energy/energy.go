@@ -118,7 +118,7 @@ func Account(res resilience.Result, nodes int, recoverySpeedup float64, pm Power
 	}
 
 	var b Breakdown
-	computeTime := res.Makespan() - res.ReworkTime - res.CheckpointTime - res.RestartTime
+	computeTime := res.End - res.ReworkTime - res.CheckpointTime - res.RestartTime
 	if computeTime < 0 {
 		computeTime = 0
 	}

@@ -57,7 +57,6 @@ func TestAccountFailureFreeRun(t *testing.T) {
 	res := resilience.Result{
 		Technique:      core.CheckpointRestart,
 		Completed:      true,
-		Start:          0,
 		End:            1100,
 		Baseline:       1000,
 		EffectiveWork:  1000,
@@ -155,7 +154,7 @@ func TestEnergyAdvantageOfParallelRecovery(t *testing.T) {
 		var sum float64
 		const trials = 12
 		for seed := uint64(0); seed < trials; seed++ {
-			res := rt.Run(x, 0, 1e8, rng.New(seed))
+			res := rt.Run(x, 1e8, rng.New(seed))
 			if !res.Completed {
 				t.Fatalf("%v run incomplete", tech)
 			}

@@ -104,63 +104,65 @@ func (s ClusterSpec) patterns(offset uint64) []workload.Pattern {
 }
 
 // runCells evaluates dropped-percentage statistics for each combo over
-// its patterns: one grid cell per (combo, pattern), spread across the
-// worker budget through the one cell loop (appsim.Cells). Each combo
-// carries its own cluster.Spec template — machine, scheduler, technique
-// or chooser, placement — and pattern set, so Figure 4, Figure 5's
-// per-application selection, ext-hetero's fleets and ext-selectors'
-// policies all run here. Pattern p of every combo runs from the same
-// cluster seed.
+// the study's patterns: one grid cell per pattern, spread across the
+// worker budget through the one cell loop (appsim.Cells). Each combo is
+// a cluster.Spec template — machine, scheduler, technique or chooser,
+// placement — so Figure 4, Figure 5's per-application selection,
+// ext-hetero's fleets and ext-selectors' policies all run here. A cell
+// runs every combo over its pattern through one cluster.RunAll, from the
+// pattern's cluster seed, so the combos share each application's
+// trajectories (DESIGN.md §4.4) and the table of them dies with the cell.
 //
-// The cells are folded in index order, so the Welford accumulation sees
-// observations in the same order on every run and the figure's numbers
-// are bit-identical regardless of worker count, scheduling, or which
-// cells Config.Progress restored (DESIGN.md §10).
-func (s ClusterSpec) runCells(combos []comboSpec) ([]comboResult, error) {
+// The cells are folded in index order, so each combo's Welford
+// accumulation sees the patterns in the same order on every run and the
+// figure's numbers are bit-identical regardless of worker count,
+// scheduling, or which cells Config.Progress restored (DESIGN.md §10).
+func (s ClusterSpec) runCells(patterns []workload.Pattern, combos []cluster.Spec) ([]comboResult, error) {
 	model, err := s.model(0)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := s.cells(len(combos)*s.Patterns, 2, true, func(i, _ int) ([]float64, error) {
-		cb, pattern := combos[i/s.Patterns], i%s.Patterns
+	vals, err := s.cells(len(patterns), 2*len(combos), true, func(pattern, _ int) ([]float64, error) {
 		seedSlot, mirror := pattern, false
 		if s.Paired {
 			// Both pair members run from the same cluster seed so their
 			// failure draws pair up stream for stream.
 			seedSlot, mirror = pattern/2, pattern%2 == 1
 		}
-		spec := cb.Spec
-		spec.Model = model
-		spec.Resilience = s.Resilience
-		spec.Pattern = cb.patterns[pattern]
-		spec.Seed = s.Seed ^ (uint64(seedSlot+1) * 0xd1342543de82ef95)
-		spec.Mirror = mirror
-		spec.Obs = s.Obs
-		m, err := cluster.Run(spec)
+		specs := make([]cluster.Spec, len(combos))
+		for i, spec := range combos {
+			spec.Model = model
+			spec.Resilience = s.Resilience
+			spec.Pattern = patterns[pattern]
+			spec.Seed = s.Seed ^ (uint64(seedSlot+1) * 0xd1342543de82ef95)
+			spec.Mirror = mirror
+			spec.Obs = s.Obs
+			specs[i] = spec
+		}
+		ms, err := cluster.RunAll(specs)
 		if err != nil {
 			return nil, err
 		}
-		return []float64{m.DroppedPct(), m.MeanWait.Minutes()}, nil
+		v := make([]float64, 0, 2*len(ms))
+		for _, m := range ms {
+			v = append(v, m.DroppedPct(), m.MeanWait.Minutes())
+		}
+		return v, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]comboResult, len(combos))
-	for i, v := range vals {
-		out[i/s.Patterns].dropped.Add(v[0])
-		out[i/s.Patterns].wait.Add(v[1])
+	for _, v := range vals {
+		for i := range out {
+			out[i].dropped.Add(v[2*i])
+			out[i].wait.Add(v[2*i+1])
+		}
 	}
 	return out, nil
 }
 
-// comboSpec is one combo's policy: the cluster.Spec fields that vary by
-// combo, and the arrival patterns it runs over. comboResult is its
-// accumulated outcome.
-type comboSpec struct {
-	cluster.Spec
-	patterns []workload.Pattern
-}
-
+// comboResult is one combo's accumulated outcome.
 type comboResult struct {
 	dropped, wait stats.Accumulator
 }
@@ -177,14 +179,13 @@ func (s ClusterSpec) Run() (*report.Table, ClusterResult, error) {
 		return nil, ClusterResult{}, err
 	}
 
-	pats := s.patterns(0)
-	var combos []comboSpec
+	var combos []cluster.Spec
 	for _, sch := range s.Schedulers {
 		for _, tech := range s.Techniques {
-			combos = append(combos, comboSpec{cluster.Spec{Machine: s.Machine, Scheduler: sch, Technique: tech}, pats})
+			combos = append(combos, cluster.Spec{Machine: s.Machine, Scheduler: sch, Technique: tech})
 		}
 	}
-	raw, err := s.runCells(combos)
+	raw, err := s.runCells(s.patterns(0), combos)
 	if err != nil {
 		return nil, ClusterResult{}, err
 	}

@@ -106,7 +106,7 @@ func (s EnergySpec) Run() (*report.Table, EnergyResult, error) {
 		horizon := units.Duration(appsim.DefaultHorizonFactor * float64(app.Baseline()))
 		var total, overhead stats.Accumulator
 		for trial := 0; trial < s.Trials; trial++ {
-			res := rt.Run(x, 0, horizon, rng.Stream(s.Seed^uint64(ti+1)*0x2545f4914f6cdd1d, uint64(trial)))
+			res := rt.Run(x, horizon, rng.Stream(s.Seed^uint64(ti+1)*0x2545f4914f6cdd1d, uint64(trial)))
 			if !res.Completed {
 				continue
 			}
@@ -302,8 +302,7 @@ type SelectorAgreementResult struct {
 }
 
 // Run executes the comparison. Its Progress cells are the cluster grid
-// (the Monte-Carlo policy's patterns, then the analytic policy's), then
-// the probe selector's cells.
+// (one cell per pattern, both policies), then the probe selector's cells.
 func (s SelectorAgreementSpec) Run() (*report.Table, SelectorAgreementResult, error) {
 	if err := errors.Join(s.Validate(), scale(s.Patterns, s.Arrivals)); err != nil {
 		return nil, SelectorAgreementResult{}, err
@@ -313,7 +312,7 @@ func (s SelectorAgreementSpec) Run() (*report.Table, SelectorAgreementResult, er
 		return nil, SelectorAgreementResult{}, err
 	}
 
-	mc, err := s.selector(model, s.Probe, 0xe7037ed1a0b428db, 2*s.Patterns)
+	mc, err := s.selector(model, s.Probe, 0xe7037ed1a0b428db, s.Patterns)
 	if err != nil {
 		return nil, SelectorAgreementResult{}, err
 	}
@@ -338,10 +337,9 @@ func (s SelectorAgreementSpec) Run() (*report.Table, SelectorAgreementResult, er
 
 	// Cluster-level comparison under slack-based scheduling.
 	cs := ClusterSpec{Config: s.Config, Patterns: s.Patterns, Arrivals: s.Arrivals}
-	pats := cs.patterns(7000)
-	raw, err := cs.runCells([]comboSpec{
-		{cluster.Spec{Machine: s.Machine, Scheduler: core.SlackBased, Chooser: mc.Choose}, pats},
-		{cluster.Spec{Machine: s.Machine, Scheduler: core.SlackBased, Chooser: an.Choose}, pats},
+	raw, err := cs.runCells(cs.patterns(7000), []cluster.Spec{
+		{Machine: s.Machine, Scheduler: core.SlackBased, Chooser: mc.Choose},
+		{Machine: s.Machine, Scheduler: core.SlackBased, Chooser: an.Choose},
 	})
 	if err != nil {
 		return nil, SelectorAgreementResult{}, err

@@ -123,14 +123,14 @@ func (s HeteroSpec) Run() (*report.Table, HeteroResult, error) {
 	}
 	t.AddNote("reliability-aware placement steers checkpoint-heavy applications onto the high-MTBF class")
 
-	var combos []comboSpec
+	var combos []cluster.Spec
 	for _, arm := range arms {
 		for _, tech := range s.Techniques {
-			combos = append(combos, comboSpec{cluster.Spec{Machine: arm.machine, Scheduler: core.SlackBased,
-				Technique: tech, Placement: arm.placement}, patterns})
+			combos = append(combos, cluster.Spec{Machine: arm.machine, Scheduler: core.SlackBased,
+				Technique: tech, Placement: arm.placement})
 		}
 	}
-	raw, err := cs.runCells(combos)
+	raw, err := cs.runCells(patterns, combos)
 	if err != nil {
 		return nil, HeteroResult{}, err
 	}

@@ -45,7 +45,7 @@ func (c *collector) snapshot() map[int][]float64 {
 // bytes an uninterrupted run renders, while recomputing nothing.
 func TestProgressResumeBitIdentical(t *testing.T) {
 	cfg := Default()
-	spec := ClusterSpec{Config: cfg, Patterns: 2, Arrivals: 10}
+	spec := ClusterSpec{Config: cfg, Patterns: 8, Arrivals: 10}
 
 	rec := newCollector()
 	fresh := spec
@@ -55,8 +55,13 @@ func TestProgressResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := rec.len()
-	if want := 12 * 2; total != want { // 3 schedulers x 4 techniques x 2 patterns
+	if want := 8; total != want { // one cell per pattern, each holding all 3 x 4 combos
 		t.Fatalf("fresh run reported %d cells, want %d", total, want)
+	}
+	for cell, v := range rec.snapshot() {
+		if len(v) != 2*12 {
+			t.Fatalf("cell %d holds %d values, want a dropped share and a mean wait for each of 12 combos", cell, len(v))
+		}
 	}
 
 	// Full resume: every cell restored, zero recomputed.
@@ -123,7 +128,7 @@ func TestProgressAbortReturnsCause(t *testing.T) {
 // an uninterrupted run exactly.
 func TestProgressCrashThenResume(t *testing.T) {
 	cfg := Default()
-	spec := ClusterSpec{Config: cfg, Patterns: 2, Arrivals: 10}
+	spec := ClusterSpec{Config: cfg, Patterns: 8, Arrivals: 10}
 
 	wantTable, _, err := spec.Run()
 	if err != nil {
@@ -136,7 +141,7 @@ func TestProgressCrashThenResume(t *testing.T) {
 	interrupted := spec
 	// One worker makes the interruption point deterministic: with many
 	// workers, cells already in flight when the cancel lands would still
-	// finish and the "strict subset" assertion below could race to 24/24.
+	// finish and the "strict subset" assertion below could race to 8/8.
 	interrupted.Workers = 1
 	interrupted.Progress = &Progress{
 		Ctx: ctx,
@@ -151,8 +156,8 @@ func TestProgressCrashThenResume(t *testing.T) {
 		t.Fatalf("interrupted Run error = %v, want the crash cause", err)
 	}
 	done := rec.len()
-	if done < 3 || done >= 24 {
-		t.Fatalf("crash checkpointed %d cells, want a strict subset of 24 with at least 3", done)
+	if done < 3 || done >= 8 {
+		t.Fatalf("crash checkpointed %d cells, want a strict subset of 8 with at least 3", done)
 	}
 
 	resumedRec := newCollector()
@@ -162,8 +167,8 @@ func TestProgressCrashThenResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumedRec.len() != 24-done {
-		t.Fatalf("resume recomputed %d cells, want %d", resumedRec.len(), 24-done)
+	if resumedRec.len() != 8-done {
+		t.Fatalf("resume recomputed %d cells, want %d", resumedRec.len(), 8-done)
 	}
 	if gotTable.String() != wantTable.String() {
 		t.Fatal("crash-resumed table diverges from the uninterrupted run")
@@ -172,8 +177,8 @@ func TestProgressCrashThenResume(t *testing.T) {
 
 // TestProgressFig5DisjointRanges: fig5 runs one grid per bias and one
 // selector; each grid and the probe cells must report into their own
-// cell-index range (the collector panics on a duplicate), and a full
-// resume must restore every cell.
+// cell-index range (the collector panics on a duplicate), the probe cells
+// right after the last grid's, and a full resume must restore every cell.
 func TestProgressFig5DisjointRanges(t *testing.T) {
 	cfg := Default()
 	spec := SelectionSpec{Config: cfg, Patterns: 2, Arrivals: 8}
@@ -185,10 +190,19 @@ func TestProgressFig5DisjointRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 biases x (3 schedulers x 2 variants) x 2 patterns, then the
-	// selector's 8 classes x 7 sizes probe cells.
-	if want := 4*3*2*2 + 8*7; rec.len() != want {
-		t.Fatalf("fig5 reported %d cells, want %d", rec.len(), want)
+	// 4 biases x 2 patterns (each cell holding 3 schedulers x 2
+	// variants), then the selector's 8 classes x 7 sizes probe cells.
+	const grid, probes = 4 * 2, 8 * 7
+	if rec.len() != grid+probes {
+		t.Fatalf("fig5 reported %d cells, want %d", rec.len(), grid+probes)
+	}
+	for cell, v := range rec.snapshot() {
+		if cell < 0 || cell >= grid+probes {
+			t.Fatalf("cell index %d outside [0, %d)", cell, grid+probes)
+		}
+		if cell < grid && len(v) != 2*3*2 {
+			t.Fatalf("grid cell %d holds %d values, want a dropped share and a mean wait for each of 6 combos", cell, len(v))
+		}
 	}
 
 	resumedRec := newCollector()

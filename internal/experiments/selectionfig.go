@@ -76,8 +76,8 @@ func (s SelectionSpec) withDefaults() SelectionSpec {
 }
 
 // Run executes the Figure 5 study and renders its table. Its Progress
-// cells are the per-bias grids, bias by bias, then the selector's probe
-// cells.
+// cells are the per-bias grids, bias by bias (one cell per pattern, both
+// arms of every scheduler), then the selector's probe cells.
 func (s SelectionSpec) Run() (*report.Table, SelectionResult, error) {
 	s = s.withDefaults()
 	if err := errors.Join(s.Validate(), scale(s.Patterns, s.Arrivals)); err != nil {
@@ -88,7 +88,7 @@ func (s SelectionSpec) Run() (*report.Table, SelectionResult, error) {
 		return nil, SelectionResult{}, err
 	}
 
-	gridCells := len(s.Biases) * 2 * len(s.Schedulers) * s.Patterns
+	gridCells := len(s.Biases) * s.Patterns
 	selector, err := s.selector(model, s.Selection, 0xa0761d6478bd642f, gridCells)
 	if err != nil {
 		return nil, SelectionResult{}, err
@@ -109,16 +109,15 @@ func (s SelectionSpec) Run() (*report.Table, SelectionResult, error) {
 			Paired:   s.Paired,
 		}
 		cs.Progress = s.Progress.Offset(cellBase)
-		pats := cs.patterns(0)
-		combos := make([]comboSpec, 0, 2*len(s.Schedulers))
+		combos := make([]cluster.Spec, 0, 2*len(s.Schedulers))
 		for _, sch := range s.Schedulers {
 			combos = append(combos,
-				comboSpec{cluster.Spec{Machine: s.Machine, Scheduler: sch, Technique: s.Baseline}, pats},
-				comboSpec{cluster.Spec{Machine: s.Machine, Scheduler: sch, Chooser: selector.Choose}, pats},
+				cluster.Spec{Machine: s.Machine, Scheduler: sch, Technique: s.Baseline},
+				cluster.Spec{Machine: s.Machine, Scheduler: sch, Chooser: selector.Choose},
 			)
 		}
-		cellBase += 2 * len(s.Schedulers) * cs.Patterns
-		raw, err := cs.runCells(combos)
+		cellBase += cs.Patterns
+		raw, err := cs.runCells(cs.patterns(0), combos)
 		if err != nil {
 			return nil, SelectionResult{}, err
 		}

@@ -102,7 +102,6 @@ type Runtime struct {
 	proc    failures.Process
 	st      runState
 	strat   strategy
-	start   units.Duration
 	horizon units.Duration
 
 	phase         phase
@@ -205,45 +204,48 @@ func (e *Runtime) bind() {
 	e.cbFailure = func(*des.Simulator) { e.handleFailure(e.nextFailure) }
 }
 
-// Run simulates one execution of x beginning at start, abandoning it at
-// horizon if unfinished. Randomness (failure times, locations,
+// Run simulates one execution of x beginning at time zero, abandoning it
+// at horizon if unfinished. Randomness (failure times, locations,
 // severities) is drawn from src, so identical sources replay identical
 // runs. The Ideal baseline completes after exactly its baseline time (or
 // is cut off at the horizon), and a non-viable executor's run reports
 // Blocked; neither reaches the engine, so they emit no trace event and
 // record no metric.
 //
+// Every run starts at zero: an application's failure process starts with
+// it, so a caller that starts the application at some later time t (the
+// cluster layer) places the whole trajectory at t by adding t to its
+// times (DESIGN.md §4.4).
+//
 // The simulator and the failure process carry state from the previous run
 // (a warm event pool, a drawn clock); both are reset here, and every
 // per-run field is re-initialized below, so a warm Runtime and a fresh one
 // replay identically.
-func (e *Runtime) Run(x *Executor, start, horizon units.Duration, src *rng.Source) Result {
+func (e *Runtime) Run(x *Executor, horizon units.Duration, src *rng.Source) Result {
 	res := Result{
 		Technique:     x.tech,
-		Start:         start,
 		Baseline:      x.app.Baseline(),
 		EffectiveWork: x.work,
 	}
 	switch {
 	case x.strat == nil:
-		if end := start + res.Baseline; end > horizon {
+		if res.Baseline > horizon {
 			res.End = horizon
 		} else {
-			res.Completed, res.End = true, end
+			res.Completed, res.End = true, res.Baseline
 		}
 		return res
 	case !x.viable:
-		res.Blocked, res.End = x.reason, start
+		res.Blocked = x.reason
 		return res
 	}
-	if horizon <= start {
-		panic(fmt.Sprintf("resilience: horizon %v not after start %v", horizon, start))
+	if horizon <= 0 {
+		panic(fmt.Sprintf("resilience: horizon %v not after the start", horizon))
 	}
 	e.sim.Reset()
 	e.st.reset(x.marks)
 	e.proc.Reinit(x.model, x.phys, src)
 	e.strat = x.strat
-	e.start = start
 	e.horizon = horizon
 	e.phase = phaseComputing
 	e.progress = 0
@@ -268,7 +270,7 @@ func (e *Runtime) Run(x *Executor, start, horizon units.Duration, src *rng.Sourc
 	e.res = res
 	e.done = false
 
-	e.sim.Schedule(start, "app-start", e.cbAppStart)
+	e.sim.Schedule(0, "app-start", e.cbAppStart)
 	e.scheduleNextFailure()
 	e.sim.RunUntil(horizon)
 
@@ -281,13 +283,13 @@ func (e *Runtime) Run(x *Executor, start, horizon units.Duration, src *rng.Sourc
 }
 
 // scheduleNextFailure arms the next failure event, if it lands before the
-// horizon. Failure process times are relative to the run's start.
+// horizon.
 func (e *Runtime) scheduleNextFailure() {
 	f, ok := e.proc.Next()
 	if !ok {
 		return
 	}
-	at := e.start + f.Time
+	at := f.Time
 	if at > e.horizon {
 		return
 	}

@@ -29,7 +29,7 @@ func run(t *testing.T, x *Executor, seed uint64) Result {
 	t.Helper()
 	app := x.App()
 	horizon := units.Duration(200 * float64(app.Baseline()))
-	return NewRuntime(nil).Run(x, 0, horizon, rng.New(seed))
+	return NewRuntime(nil).Run(x, horizon, rng.New(seed))
 }
 
 func defaultModel(cfg machine.Config) *failures.Model {
@@ -80,8 +80,8 @@ func TestAllTechniquesCompleteSmallApp(t *testing.T) {
 		if eff := res.Efficiency(); eff <= 0 || eff > 1 {
 			t.Errorf("%v efficiency %v outside (0, 1]", tech, eff)
 		}
-		if res.Makespan() < res.EffectiveWork {
-			t.Errorf("%v makespan %v below effective work %v", tech, res.Makespan(), res.EffectiveWork)
+		if res.End < res.EffectiveWork {
+			t.Errorf("%v makespan %v below effective work %v", tech, res.End, res.EffectiveWork)
 		}
 		if res.Rollbacks > res.Failures {
 			t.Errorf("%v rollbacks %d exceed failures %d", tech, res.Rollbacks, res.Failures)
@@ -121,9 +121,9 @@ func TestCheckpointRestartOverheadAccounting(t *testing.T) {
 	}
 	// Makespan decomposes into work, rework, checkpoints, and restarts.
 	reconstructed := res.EffectiveWork + res.ReworkTime + res.CheckpointTime + res.RestartTime
-	if math.Abs(float64(res.Makespan()-reconstructed)) > 1e-6 {
+	if math.Abs(float64(res.End-reconstructed)) > 1e-6 {
 		t.Errorf("makespan %v != work %v + rework %v + ckpt %v + restart %v",
-			res.Makespan(), res.EffectiveWork, res.ReworkTime, res.CheckpointTime, res.RestartTime)
+			res.End, res.EffectiveWork, res.ReworkTime, res.CheckpointTime, res.RestartTime)
 	}
 	// CR checkpoints are all level 3.
 	if res.Checkpoints[1] != 0 || res.Checkpoints[2] != 0 {
@@ -170,7 +170,7 @@ func TestCheckpointRestartCannotProgressAt25YearMTBF(t *testing.T) {
 	if ok, _ := x.Viable(); !ok {
 		t.Fatal("CR should be (nominally) viable at 2.5-year MTBF")
 	}
-	res := NewRuntime(nil).Run(x, 0, units.Duration(50*float64(app.Baseline())), rng.New(1))
+	res := NewRuntime(nil).Run(x, units.Duration(50*float64(app.Baseline())), rng.New(1))
 	if eff := res.Efficiency(); eff > 0.05 {
 		t.Errorf("CR efficiency %v at exascale/2.5y; expected near-zero", eff)
 	}
@@ -355,7 +355,7 @@ func TestEfficiencyDecreasesWithMTBF(t *testing.T) {
 		const trials = 15
 		for seed := uint64(0); seed < trials; seed++ {
 			horizon := units.Duration(200 * float64(app.Baseline()))
-			sum += NewRuntime(nil).Run(x, 0, horizon, rng.New(seed)).Efficiency()
+			sum += NewRuntime(nil).Run(x, horizon, rng.New(seed)).Efficiency()
 		}
 		return sum / trials
 	}
@@ -370,7 +370,7 @@ func TestHorizonTruncation(t *testing.T) {
 	app := testApp(workload.A32, 1200)
 	x := mustExecutor(t, core.CheckpointRestart, app, cfg, model)
 	// Horizon far below the baseline: the run cannot complete.
-	res := NewRuntime(nil).Run(x, 0, app.Baseline()/2, rng.New(1))
+	res := NewRuntime(nil).Run(x, app.Baseline()/2, rng.New(1))
 	if res.Completed {
 		t.Error("run completed despite an impossible horizon")
 	}
@@ -379,18 +379,30 @@ func TestHorizonTruncation(t *testing.T) {
 	}
 }
 
+// TestRunStartOffset: every run starts at time zero, so a trajectory's
+// times are offsets from the application's start. Its first trace event is
+// the start at zero, its completion is at End, and End is the makespan
+// that the phase times decompose.
 func TestRunStartOffset(t *testing.T) {
 	cfg := machine.Exascale()
 	model := defaultModel(cfg)
 	app := testApp(workload.B32, 1200)
 	x := mustExecutor(t, core.ParallelRecovery, app, cfg, model)
-	start := 5000 * units.Minute
-	res := NewRuntime(nil).Run(x, start, start+units.Duration(100*float64(app.Baseline())), rng.New(2))
+	rt := NewRuntime(nil)
+	var events []TraceEvent
+	rt.Observer = func(ev TraceEvent) { events = append(events, ev) }
+	res := rt.Run(x, units.Duration(100*float64(app.Baseline())), rng.New(2))
 	if !res.Completed {
-		t.Fatalf("offset run did not complete: %v", res)
+		t.Fatalf("run did not complete: %v", res)
 	}
-	if res.Start != start || res.End <= start {
-		t.Errorf("offset run has start %v end %v", res.Start, res.End)
+	if len(events) < 2 || events[0].Kind != TraceStart || events[0].Time != 0 {
+		t.Fatalf("first trace event %+v, want the start at time zero", events[0])
+	}
+	if last := events[len(events)-1]; last.Kind != TraceComplete || last.Time != res.End {
+		t.Errorf("last trace event %+v, want the completion at End %v", last, res.End)
+	}
+	if res.End < res.EffectiveWork {
+		t.Errorf("End %v below the effective work %v", res.End, res.EffectiveWork)
 	}
 }
 
@@ -417,12 +429,12 @@ func TestIdealExecutor(t *testing.T) {
 	if ok, _ := x.Viable(); !ok {
 		t.Fatal("ideal executor must always be viable")
 	}
-	res := NewRuntime(nil).Run(x, 100, 1e9, rng.New(1))
+	res := NewRuntime(nil).Run(x, 1e9, rng.New(1))
 	if !res.Completed {
 		t.Fatalf("ideal run incomplete: %v", res)
 	}
-	if res.Makespan() != app.Baseline() {
-		t.Errorf("ideal makespan %v, want exactly the baseline %v", res.Makespan(), app.Baseline())
+	if res.End != app.Baseline() {
+		t.Errorf("ideal makespan %v, want exactly the baseline %v", res.End, app.Baseline())
 	}
 	if res.Efficiency() != 1 {
 		t.Errorf("ideal efficiency %v, want 1", res.Efficiency())
@@ -431,7 +443,7 @@ func TestIdealExecutor(t *testing.T) {
 		t.Error("ideal run recorded failures or checkpoints")
 	}
 	// Horizon truncation still applies.
-	short := NewRuntime(nil).Run(x, 0, app.Baseline()/2, rng.New(1))
+	short := NewRuntime(nil).Run(x, app.Baseline()/2, rng.New(1))
 	if short.Completed || short.End != app.Baseline()/2 {
 		t.Errorf("ideal run cut at its horizon reports %+v", short)
 	}
@@ -464,11 +476,11 @@ func TestPooledReuseMatchesFreshAcrossTechniques(t *testing.T) {
 		}
 		execs = append(execs, x)
 		if tech == core.PartialRedundancy {
-			dirty.Run(bigger, 0, horizon, rng.New(dirtySeed))
+			dirty.Run(bigger, horizon, rng.New(dirtySeed))
 		}
-		d1 := dirty.Run(x, 0, horizon, rng.New(dirtySeed))
-		dirty.Run(ideal, 0, horizon, rng.New(dirtySeed))
-		dirty.Run(x, 0, horizon, rng.New(dirtySeed+1))
+		d1 := dirty.Run(x, horizon, rng.New(dirtySeed))
+		dirty.Run(ideal, horizon, rng.New(dirtySeed))
+		dirty.Run(x, horizon, rng.New(dirtySeed+1))
 		if d1.Failures == 0 {
 			t.Errorf("%v: dirtying run saw no failures; test exercises nothing", tech)
 		}
@@ -483,8 +495,8 @@ func TestPooledReuseMatchesFreshAcrossTechniques(t *testing.T) {
 		}
 	}
 	for _, x := range execs {
-		want := NewRuntime(nil).Run(x, 0, horizon, rng.New(refSeed))
-		if got := dirty.Run(x, 0, horizon, rng.New(refSeed)); got != want {
+		want := NewRuntime(nil).Run(x, horizon, rng.New(refSeed))
+		if got := dirty.Run(x, horizon, rng.New(refSeed)); got != want {
 			t.Errorf("%v: reused Runtime diverged from a fresh one:\n fresh: %+v\n reused: %+v",
 				x.Technique(), want, got)
 		}
@@ -531,8 +543,8 @@ func TestSemiBlockingCheckpointsOverlapWork(t *testing.T) {
 		if !b.Completed || !s.Completed {
 			t.Fatalf("runs incomplete at seed %d", seed)
 		}
-		bSum += b.Makespan().Minutes()
-		sSum += s.Makespan().Minutes()
+		bSum += b.End.Minutes()
+		sSum += s.End.Minutes()
 		overlapped += s.OverlappedWork
 		if b.OverlappedWork != 0 {
 			t.Fatal("blocking run reported overlapped work")
@@ -543,9 +555,9 @@ func TestSemiBlockingCheckpointsOverlapWork(t *testing.T) {
 		// was earned inside checkpoint writes.
 		reconstructed := s.EffectiveWork + s.LostWork - s.OverlappedWork +
 			s.CheckpointTime + s.RestartTime
-		if math.Abs(float64(s.Makespan()-reconstructed)) > 1e-6 {
+		if math.Abs(float64(s.End-reconstructed)) > 1e-6 {
 			t.Fatalf("semi-blocking decomposition off: makespan %v vs %v",
-				s.Makespan(), reconstructed)
+				s.End, reconstructed)
 		}
 	}
 	if overlapped <= 0 {
@@ -648,8 +660,8 @@ func TestSemiBlockingSnapshotSemantics(t *testing.T) {
 		}
 		reconstructed := res.EffectiveWork + res.LostWork - res.OverlappedWork +
 			res.CheckpointTime + res.RestartTime
-		if math.Abs(float64(res.Makespan()-reconstructed)) > 1e-6 {
-			t.Fatalf("decomposition broke under failures: %v vs %v", res.Makespan(), reconstructed)
+		if math.Abs(float64(res.End-reconstructed)) > 1e-6 {
+			t.Fatalf("decomposition broke under failures: %v vs %v", res.End, reconstructed)
 		}
 	}
 }

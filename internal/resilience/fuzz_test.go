@@ -104,7 +104,7 @@ func FuzzReStoreReplicaLoss(f *testing.F) {
 			}
 		}
 
-		res := rt.Run(x, 0, units.Duration(50*float64(app.Baseline())), rng.New(seed))
+		res := rt.Run(x, units.Duration(50*float64(app.Baseline())), rng.New(seed))
 		for _, c := range []struct {
 			name string
 			v    units.Duration

@@ -126,7 +126,7 @@ func (t *techMetrics) observeRun(res Result) {
 	t.restore.Add((res.RestartTime - res.RelaunchTime).Minutes())
 	t.relaunch.Add(res.RelaunchTime.Minutes())
 	t.rework.Add(res.ReworkTime.Minutes())
-	if useful := res.Makespan() - res.CheckpointTime - res.RestartTime - res.ReworkTime; useful > 0 {
+	if useful := res.End - res.CheckpointTime - res.RestartTime - res.ReworkTime; useful > 0 {
 		t.useful.Add(useful.Minutes())
 	}
 }

@@ -85,11 +85,11 @@ func TestExactStretchMatchesSimulation(t *testing.T) {
 		var sum float64
 		const trials = 40
 		for seed := uint64(0); seed < trials; seed++ {
-			res := NewRuntime(nil).Run(x, 0, 1e8, rng.New(seed))
+			res := NewRuntime(nil).Run(x, 1e8, rng.New(seed))
 			if !res.Completed {
 				t.Fatalf("run incomplete at %d nodes", nodes)
 			}
-			sum += float64(res.Makespan()) / float64(res.Baseline)
+			sum += float64(res.End) / float64(res.Baseline)
 		}
 		simulated := sum / trials
 		if rel := math.Abs(predicted-simulated) / simulated; rel > 0.05 {

@@ -33,35 +33,35 @@ func TestSingleLevelRollbackPin(t *testing.T) {
 		seed   uint64
 		want   Result
 	}{
-		{"cr", core.CheckpointRestart, 0, 4, Result{Technique: core.CheckpointRestart, Completed: true, Start: 0, End: 3002.5544394350163, Baseline: 1440, EffectiveWork: 1440,
+		{"cr", core.CheckpointRestart, 0, 4, Result{Technique: core.CheckpointRestart, Completed: true, End: 3002.5544394350163, Baseline: 1440, EffectiveWork: 1440,
 			Failures: 88, Rollbacks: 88, Checkpoints: [4]int{0, 0, 0, 94},
 			CheckpointTime: 461.54054061810217, RestartTime: 368.1760555831067, ReworkTime: 732.8378432338202,
 			RelaunchTime: 10.47040679144369, LostWork: 732.8378432338202, OverlappedWork: 0}},
-		{"cr", core.CheckpointRestart, 0, 9, Result{Technique: core.CheckpointRestart, Completed: true, Start: 0, End: 2842.1696249469437, Baseline: 1440, EffectiveWork: 1440,
+		{"cr", core.CheckpointRestart, 0, 9, Result{Technique: core.CheckpointRestart, Completed: true, End: 2842.1696249469437, Baseline: 1440, EffectiveWork: 1440,
 			Failures: 75, Rollbacks: 75, Checkpoints: [4]int{0, 0, 0, 94},
 			CheckpointTime: 439.599398067357, RestartTime: 321.18048162747635, ReworkTime: 641.3897452521212,
 			RelaunchTime: 4.444444444444445, LostWork: 641.3897452521213, OverlappedWork: 0}},
-		{"pr", core.ParallelRecovery, 0, 4, Result{Technique: core.ParallelRecovery, Completed: true, Start: 0, End: 1570.8579645788172, Baseline: 1440, EffectiveWork: 1548,
+		{"pr", core.ParallelRecovery, 0, 4, Result{Technique: core.ParallelRecovery, Completed: true, End: 1570.8579645788172, Baseline: 1440, EffectiveWork: 1548,
 			Failures: 43, Rollbacks: 43, Checkpoints: [4]int{0, 0, 1450, 0},
 			CheckpointTime: 19.344999509991528, RestartTime: 0.5733340500000004, ReworkTime: 2.939631018790722,
 			RelaunchTime: 0, LostWork: 23.51704815032461, OverlappedWork: 0}},
-		{"pr", core.ParallelRecovery, 0, 9, Result{Technique: core.ParallelRecovery, Completed: true, Start: 0, End: 1570.9706700739912, Baseline: 1440, EffectiveWork: 1548,
+		{"pr", core.ParallelRecovery, 0, 9, Result{Technique: core.ParallelRecovery, Completed: true, End: 1570.9706700739912, Baseline: 1440, EffectiveWork: 1548,
 			Failures: 44, Rollbacks: 44, Checkpoints: [4]int{0, 0, 1450, 0},
 			CheckpointTime: 19.33335749999988, RestartTime: 0.5866674000000004, ReworkTime: 3.050645173955214,
 			RelaunchTime: 0.01333335, LostWork: 24.405161391641798, OverlappedWork: 0}},
-		{"restore k=2", core.InMemoryReplicatedCheckpoint, 2, 4, Result{Technique: core.InMemoryReplicatedCheckpoint, Completed: true, Start: 0, End: 9760.22655612047, Baseline: 1440, EffectiveWork: 1440,
+		{"restore k=2", core.InMemoryReplicatedCheckpoint, 2, 4, Result{Technique: core.InMemoryReplicatedCheckpoint, Completed: true, End: 9760.22655612047, Baseline: 1440, EffectiveWork: 1440,
 			Failures: 248, Rollbacks: 248, Checkpoints: [4]int{0, 0, 8816, 0},
 			CheckpointTime: 117.56659141242234, RestartTime: 99.45535689317174, ReworkTime: 8103.204607816124,
 			RelaunchTime: 97.95535501817123, LostWork: 8103.204607816124, OverlappedWork: 0}},
-		{"restore k=2", core.InMemoryReplicatedCheckpoint, 2, 9, Result{Technique: core.InMemoryReplicatedCheckpoint, Completed: true, Start: 0, End: 4075.362425775896, Baseline: 1440, EffectiveWork: 1440,
+		{"restore k=2", core.InMemoryReplicatedCheckpoint, 2, 9, Result{Technique: core.InMemoryReplicatedCheckpoint, Completed: true, End: 4075.362425775896, Baseline: 1440, EffectiveWork: 1440,
 			Failures: 107, Rollbacks: 107, Checkpoints: [4]int{0, 0, 3675, 0},
 			CheckpointTime: 49.00686971396711, RestartTime: 45.37127786645398, ReworkTime: 2540.9842781957805,
 			RelaunchTime: 44.731277066454005, LostWork: 2540.984278195781, OverlappedWork: 0}},
-		{"restore degenerate", core.InMemoryReplicatedCheckpoint, degenerate, 4, Result{Technique: core.InMemoryReplicatedCheckpoint, Completed: true, Start: 0, End: 3002.5544394350163, Baseline: 1440, EffectiveWork: 1440,
+		{"restore degenerate", core.InMemoryReplicatedCheckpoint, degenerate, 4, Result{Technique: core.InMemoryReplicatedCheckpoint, Completed: true, End: 3002.5544394350163, Baseline: 1440, EffectiveWork: 1440,
 			Failures: 88, Rollbacks: 88, Checkpoints: [4]int{0, 0, 0, 94},
 			CheckpointTime: 461.54054061810217, RestartTime: 368.1760555831067, ReworkTime: 732.8378432338202,
 			RelaunchTime: 10.47040679144369, LostWork: 732.8378432338202, OverlappedWork: 0}},
-		{"restore degenerate", core.InMemoryReplicatedCheckpoint, degenerate, 9, Result{Technique: core.InMemoryReplicatedCheckpoint, Completed: true, Start: 0, End: 2842.1696249469437, Baseline: 1440, EffectiveWork: 1440,
+		{"restore degenerate", core.InMemoryReplicatedCheckpoint, degenerate, 9, Result{Technique: core.InMemoryReplicatedCheckpoint, Completed: true, End: 2842.1696249469437, Baseline: 1440, EffectiveWork: 1440,
 			Failures: 75, Rollbacks: 75, Checkpoints: [4]int{0, 0, 0, 94},
 			CheckpointTime: 439.599398067357, RestartTime: 321.18048162747635, ReworkTime: 641.3897452521212,
 			RelaunchTime: 4.444444444444445, LostWork: 641.3897452521213, OverlappedWork: 0}},
@@ -76,7 +76,7 @@ func TestSingleLevelRollbackPin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := NewRuntime(nil).Run(x, 0, horizon, rng.New(c.seed)); got != c.want {
+		if got := NewRuntime(nil).Run(x, horizon, rng.New(c.seed)); got != c.want {
 			t.Errorf("%s seed %d:\n got %+v\nwant %+v", c.name, c.seed, got, c.want)
 		}
 	}

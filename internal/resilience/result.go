@@ -20,9 +20,10 @@ type Result struct {
 	// Blocked, when non-empty, explains why the run could not execute at
 	// all (it never occupied the machine).
 	Blocked string
-	// Start and End bound the execution in simulation time; for
-	// incomplete runs End is the horizon at which the run was abandoned.
-	Start, End units.Duration
+	// End is when the execution finished, measured from its start, so it
+	// is also the makespan; for incomplete runs it is the horizon at which
+	// the run was abandoned, and zero for a blocked run.
+	End units.Duration
 	// Baseline is T_B, the delay- and overhead-free execution time used
 	// as the numerator of the efficiency metric.
 	Baseline units.Duration
@@ -56,17 +57,14 @@ type Result struct {
 	OverlappedWork units.Duration
 }
 
-// Makespan reports the wall time from start to finish (or horizon).
-func (r Result) Makespan() units.Duration { return r.End - r.Start }
-
 // Efficiency is the paper's metric: the ratio of the application's
 // delay-free baseline execution time to its actual execution time, zero for
 // runs that never completed.
 func (r Result) Efficiency() float64 {
-	if !r.Completed || r.Makespan() <= 0 {
+	if !r.Completed || r.End <= 0 {
 		return 0
 	}
-	return float64(r.Baseline) / float64(r.Makespan())
+	return float64(r.Baseline) / float64(r.End)
 }
 
 // TotalCheckpoints reports the number of completed checkpoints at every
@@ -87,8 +85,8 @@ func (r Result) String() string {
 			reason = "horizon exceeded"
 		}
 		return fmt.Sprintf("%s: incomplete (%s) after %s, %d failures",
-			r.Technique, reason, r.Makespan(), r.Failures)
+			r.Technique, reason, r.End, r.Failures)
 	}
 	return fmt.Sprintf("%s: completed in %s (eff %.3f), %d failures, %d rollbacks, %d checkpoints",
-		r.Technique, r.Makespan(), r.Efficiency(), r.Failures, r.Rollbacks, r.TotalCheckpoints())
+		r.Technique, r.End, r.Efficiency(), r.Failures, r.Rollbacks, r.TotalCheckpoints())
 }

@@ -29,7 +29,7 @@ func TestCloneAfterRunOwnsItsRuntime(t *testing.T) {
 		x := mustExecutor(t, tech, app, cfg, model)
 		want := make([]Result, len(seeds))
 		for i, seed := range seeds {
-			want[i] = NewRuntime(nil).Run(x, 0, horizon, rng.New(seed))
+			want[i] = NewRuntime(nil).Run(x, horizon, rng.New(seed))
 		}
 		y := *x
 		runners := []*Executor{x, x, &y}
@@ -42,7 +42,7 @@ func TestCloneAfterRunOwnsItsRuntime(t *testing.T) {
 				defer wg.Done()
 				rt := NewRuntime(nil)
 				for i, seed := range seeds {
-					got[k][i] = rt.Run(ex, 0, horizon, rng.New(seed))
+					got[k][i] = rt.Run(ex, horizon, rng.New(seed))
 				}
 			}()
 		}

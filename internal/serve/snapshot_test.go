@@ -94,7 +94,7 @@ func TestCrashedJobResumesFromSnapshot(t *testing.T) {
 		Workers: 1,
 		CrashHook: func() (int, bool) {
 			if crashes.Add(1) == 1 {
-				return 4, true // die after 4 fresh cells, first execution only
+				return 3, true // die after 3 fresh cells, first execution only
 			}
 			return 0, false
 		},
@@ -130,7 +130,8 @@ func TestCrashedJobResumesFromSnapshot(t *testing.T) {
 	}
 
 	// The resumed run really resumed: cells were restored, and the two
-	// attempts together computed each of the 72 grid cells at most once.
+	// attempts together computed each of the 6 grid cells (one per
+	// pattern) at most once.
 	if srv.m.SnapshotResumes.Value() != 1 {
 		t.Fatalf("snapshot resumes = %d, want 1", srv.m.SnapshotResumes.Value())
 	}
@@ -139,11 +140,11 @@ func TestCrashedJobResumesFromSnapshot(t *testing.T) {
 	if restored == 0 {
 		t.Fatal("resume restored no cells")
 	}
-	if recorded >= 2*72 {
+	if recorded >= 2*6 {
 		t.Fatalf("recorded %d cells across both attempts — the resume recomputed everything", recorded)
 	}
-	if recorded < 72 {
-		t.Fatalf("recorded only %d cells; the grid has 72", recorded)
+	if recorded < 6 {
+		t.Fatalf("recorded only %d cells; the grid has 6", recorded)
 	}
 	if srv.snaps.size() != 0 {
 		t.Fatalf("%d snapshots retained after success, want 0", srv.snaps.size())

@@ -28,7 +28,7 @@ func record(t *testing.T, tech core.Technique) (*Recorder, resilience.Result) {
 	rec := &Recorder{}
 	rt := resilience.NewRuntime(nil)
 	rt.Observer = rec.Observe
-	res := rt.Run(x, 0, 1e8, rng.New(3))
+	res := rt.Run(x, 1e8, rng.New(3))
 	return rec, res
 }
 
@@ -74,8 +74,8 @@ func TestSummaryMatchesResult(t *testing.T) {
 			t.Errorf("summary L%d checkpoints %d, result %d", lvl, s.Checkpoints[lvl], res.Checkpoints[lvl])
 		}
 	}
-	if s.Span != res.Makespan() {
-		t.Errorf("summary span %v, makespan %v", s.Span, res.Makespan())
+	if s.Span != res.End {
+		t.Errorf("summary span %v, makespan %v", s.Span, res.End)
 	}
 	if !strings.Contains(s.String(), "completed") {
 		t.Error("summary string missing status")
@@ -163,7 +163,7 @@ func TestIdealExecutorNotObservable(t *testing.T) {
 	rec := &Recorder{}
 	rt := resilience.NewRuntime(nil)
 	rt.Observer = rec.Observe
-	if res := rt.Run(x, 0, 1e8, rng.New(3)); !res.Completed {
+	if res := rt.Run(x, 1e8, rng.New(3)); !res.Completed {
 		t.Fatalf("ideal run incomplete: %v", res)
 	}
 	if rec.Len() != 0 {

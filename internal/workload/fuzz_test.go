@@ -40,10 +40,15 @@ func FuzzReadPattern(f *testing.F) {
 			t.Fatalf("accepted initial fill %d with %d apps", p.InitialFill, len(p.Apps))
 		}
 		var last units.Duration
+		ids := map[int]bool{}
 		for i, a := range p.Apps {
 			if err := a.Validate(); err != nil {
 				t.Fatalf("accepted invalid app %d: %v", i, err)
 			}
+			if ids[a.ID] {
+				t.Fatalf("accepted app %d repeating ID %d", i, a.ID)
+			}
+			ids[a.ID] = true
 			if a.Arrival < last {
 				t.Fatalf("accepted app %d arriving at %v before its predecessor's %v", i, a.Arrival, last)
 			}

@@ -63,7 +63,9 @@ func WritePattern(w io.Writer, p Pattern) error {
 }
 
 // ReadPattern deserializes a pattern written by WritePattern, validating
-// every application.
+// every application and refusing a repeated application ID: an ID names
+// one application of its pattern (the cluster layer seeds each
+// application's failures from it).
 func ReadPattern(r io.Reader) (Pattern, error) {
 	var in patternJSON
 	dec := json.NewDecoder(r)
@@ -79,6 +81,7 @@ func ReadPattern(r io.Reader) (Pattern, error) {
 	}
 	p := Pattern{InitialFill: in.InitialFill}
 	var last units.Duration
+	seen := make(map[int]int, len(in.Apps)) // app ID -> index
 	for i, ja := range in.Apps {
 		app := App{
 			ID: ja.ID,
@@ -99,6 +102,10 @@ func ReadPattern(r io.Reader) (Pattern, error) {
 			return Pattern{}, fmt.Errorf("workload: app %d arrives at %v, before its predecessor's %v",
 				i, app.Arrival, last)
 		}
+		if prev, dup := seen[app.ID]; dup {
+			return Pattern{}, fmt.Errorf("workload: app %d repeats ID %d of app %d", i, app.ID, prev)
+		}
+		seen[app.ID] = i
 		last = app.Arrival
 		p.Apps = append(p.Apps, app)
 	}

@@ -77,6 +77,22 @@ func TestReadPatternRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadPatternRejectsRepeatedIDs: an application ID identifies one
+// application of its pattern, so a file that repeats one is refused with
+// an error naming it.
+func TestReadPatternRejectsRepeatedIDs(t *testing.T) {
+	orig := PatternSpec{Arrivals: 5}.Generate(machine.Exascale(), rng.New(3))
+	orig.Apps[len(orig.Apps)-2].ID, orig.Apps[len(orig.Apps)-1].ID = 27, 27
+	var b strings.Builder
+	if err := WritePattern(&b, orig); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadPattern(strings.NewReader(b.String()))
+	if err == nil || !strings.Contains(err.Error(), "repeats ID 27") {
+		t.Fatalf("ReadPattern error = %v, want the repeated ID 27 named", err)
+	}
+}
+
 func TestWrittenPatternIsHumanReadable(t *testing.T) {
 	cfg := machine.Exascale()
 	p := PatternSpec{Arrivals: 2}.Generate(cfg, rng.New(1))

@@ -13,13 +13,35 @@
 # The script fails loudly if exabench produced no results (an unmatched
 # -run filter, or a crash that left a stale file behind).
 #
-# Usage: scripts/bench.sh [exabench flags...]
+# With -against REV it gates as well as records: it first records REV's
+# report with REV's own exabench, built in a temporary checkout of REV
+# (git archive, so the repository's worktree list is untouched), then
+# records this tree's report right after and passes REV's to exabench
+# -baseline. Both runs see the same box minutes apart, so the gate
+# measures the change rather than the box's drift since a report recorded
+# hours earlier. The exit status is the gate's.
+#
+# Usage: scripts/bench.sh [-against REV] [exabench flags...]
 # e.g.:  scripts/bench.sh -run fig4
+#        scripts/bench.sh -against HEAD~1 -run fig
 #
 # Vet, the tests, the race detector and a one-iteration pass over every
 # benchmark entry run in scripts/check.sh, the correctness gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+BASELINE=()
+if [[ ${1:-} == -against ]]; then
+  REV=$(git rev-parse --short "${2:?bench.sh: -against needs a revision}^{commit}")
+  shift 2
+  TMP=$(mktemp -d)
+  trap 'rm -rf "$TMP"' EXIT
+  mkdir "$TMP/src"
+  git archive "$REV" | tar -x -C "$TMP/src"
+  echo "== exabench at $REV -> $TMP/base.json"
+  (cd "$TMP/src" && go run ./cmd/exabench -out "$TMP/base.json" -commit "$REV" "$@")
+  BASELINE=(-baseline "$TMP/base.json")
+fi
 
 echo "== exabench -> BENCH_results.json"
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
@@ -27,6 +49,8 @@ if [[ $COMMIT != unknown ]] && ! git diff --quiet HEAD -- . ':!BENCH_results.jso
   COMMIT+=-dirty
 fi
 rm -f BENCH_results.json
-go run ./cmd/exabench -out BENCH_results.json -commit "$COMMIT" "$@"
+STATUS=0
+go run ./cmd/exabench -out BENCH_results.json -commit "$COMMIT" ${BASELINE[@]+"${BASELINE[@]}"} "$@" || STATUS=$?
 grep -q '"name"' BENCH_results.json 2>/dev/null \
   || { echo "bench.sh: BENCH_results.json has no benchmark results" >&2; exit 1; }
+exit "$STATUS"

@@ -39,11 +39,12 @@
 #      -machines)
 #   7. the registry defaults against results/: exasim at its flag
 #      defaults (each exhibit's registry row) regenerates the paper's
-#      fig1-fig4 at full scale and the nine sub-second extension
-#      exhibits (about 5 s in all on a 2-vCPU box), and each CSV must
-#      equal its results/ copy byte for byte — a wrong default that
-#      exasim and the service share, or a simulation change that moves
-#      one trial, would pass every unit test but not this
+#      fig1-fig5 at full scale, the two other cluster studies whose grid
+#      cells share trajectories (ext-backfill, ext-hetero) and the nine
+#      sub-second extension exhibits (about 7 s in all on a 2-vCPU box),
+#      and each CSV must equal its results/ copy byte for byte — a wrong
+#      default that exasim and the service share, or a simulation change
+#      that moves one trial, would pass every unit test but not this
 #   8. the five live scenarios of `exaload scenario all` (set
 #      SOAK_REQUESTS=0 to skip them), each on a fresh exaserve that must
 #      drain on SIGTERM: serve (golden fig4 bytes, then a cache hit),
@@ -117,7 +118,7 @@ go run ./cmd/exacheck golden
 
 echo "== registry defaults reproduce results/"
 DEFAULTS=$(mktemp -d)
-DEFAULT_EXHIBITS="fig1 fig2 fig3 fig4 ext-energy ext-mtbf ext-weibull ext-tau ext-semiblocking ext-machines ext-whatif ext-selectors policy"
+DEFAULT_EXHIBITS="fig1 fig2 fig3 fig4 fig5 ext-backfill ext-hetero ext-energy ext-mtbf ext-weibull ext-tau ext-semiblocking ext-machines ext-whatif ext-selectors policy"
 # shellcheck disable=SC2086 # the list is meant to split
 go run ./cmd/exasim -csv "$DEFAULTS" $DEFAULT_EXHIBITS >/dev/null
 for name in $DEFAULT_EXHIBITS; do
