@@ -179,8 +179,8 @@ type job struct {
 	arrived     bool
 	started     bool
 	running     bool
-	expectedEnd units.Duration
 	finished    bool
+	expectedEnd units.Duration
 	result      AppResult
 
 	// Mapping-event generation stamps. A job was a candidate, was
@@ -665,7 +665,7 @@ func (c *run) start(j *job, cls *classState, clsExec *resilience.Executor, now u
 	}
 	// The trajectory is measured from the start: the app completes if
 	// its trajectory completes within the window the horizon leaves.
-	tr := c.table.get(slot, j.index, exec, j.app)
+	tr := c.table.get(slot, j.index, exec, j.app, horizon-now)
 	end := horizon
 	outcome := OutcomeDroppedRunning
 	if tr.completed && tr.end <= horizon-now {

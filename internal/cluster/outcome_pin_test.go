@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -20,8 +19,6 @@ import (
 	"exaresil/internal/units"
 	"exaresil/internal/workload"
 )
-
-var updatePins = flag.Bool("update", false, "rewrite testdata/outcomes.txt from the current code")
 
 // pinCase is one cluster run whose every AppResult is pinned.
 type pinCase struct {
@@ -87,13 +84,12 @@ func pinCases() []pinCase {
 
 // TestOutcomesPinned holds every application's fate in the pinned cases
 // to testdata/outcomes.txt: Outcome and Started exactly, Start and End to
-// 1e-12 relative. Start-relative trajectories move End in its last bits
-// only (DESIGN.md §4.4), never an outcome; a start at a departure inherits
-// that departure's last bits. Regenerate the file with
-// `go test -run TestOutcomesPinned -update` only for a change that is
-// meant to move outcomes.
+// 1e-12 relative. The file was recorded by the code that simulated each
+// start's run from its absolute start time; start-relative trajectories
+// move End in its last bits only (DESIGN.md §4.4), never an outcome, and a
+// start at a departure inherits that departure's last bits. The file is a
+// fixed record: nothing here rewrites it.
 func TestOutcomesPinned(t *testing.T) {
-	path := filepath.Join("testdata", "outcomes.txt")
 	var lines []string
 	for _, c := range pinCases() {
 		m, err := Run(c.spec)
@@ -105,13 +101,7 @@ func TestOutcomesPinned(t *testing.T) {
 				strconv.FormatFloat(float64(r.Start), 'g', -1, 64), strconv.FormatFloat(float64(r.End), 'g', -1, 64)))
 		}
 	}
-	if *updatePins {
-		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join("testdata", "outcomes.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}

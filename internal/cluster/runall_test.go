@@ -116,3 +116,40 @@ func TestRunAllNeverSharesAcrossMachines(t *testing.T) {
 		}
 	}
 }
+
+// TestTrajectoryTableSize: the table holds a technique column per
+// technique its specs can run (one per fixed technique, every one once a
+// spec has a chooser) and a slot per machine or node class, so a one-spec
+// Run sizes it for that spec alone.
+func TestTrajectoryTableSize(t *testing.T) {
+	cases := map[string]pinCase{}
+	for _, c := range pinCases() {
+		cases[c.name] = c
+	}
+	spec := func(name string) Spec {
+		c, ok := cases[name]
+		if !ok {
+			t.Fatalf("no pin case %q", name)
+		}
+		return c.spec
+	}
+	apps := len(spec("chooser").Pattern.Apps)
+	for _, c := range []struct {
+		name  string
+		specs []Spec
+		slots int
+		cols  int
+	}{
+		{"one fixed technique", []Spec{spec("FCFS/cr")}, 1, 1},
+		{"one technique, two schedulers", []Spec{spec("FCFS/cr"), spec("Slack-Based/cr")}, 1, 1},
+		{"two techniques", []Spec{spec("FCFS/cr"), spec("FCFS/pr")}, 1, 2},
+		{"chooser", []Spec{spec("FCFS/cr"), spec("chooser")}, 1, core.NumTechniques},
+		{"two node classes", []Spec{spec("hetero/first-fit")}, 2, core.NumTechniques},
+	} {
+		tab := newTrajectories(c.specs)
+		if tab.cols != c.cols || len(tab.entries) != c.slots*c.cols*apps {
+			t.Errorf("%s: %d columns, %d entries; want %d columns, %d entries",
+				c.name, tab.cols, len(tab.entries), c.cols, c.slots*c.cols*apps)
+		}
+	}
+}

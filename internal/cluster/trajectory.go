@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"slices"
+	"fmt"
 
 	"exaresil/internal/core"
 	"exaresil/internal/machine"
@@ -14,9 +14,8 @@ import (
 // An application's trajectory under a technique does not depend on when,
 // or by which scheduler, it is started: its failure process starts with
 // it and is seeded from (seed, app ID) alone (DESIGN.md §4.4). The
-// trajectory table simulates each one once, from time zero over the
-// application's whole budget, and every run of the pattern places it at
-// its own start time.
+// trajectory table simulates each one once, from time zero, and every run
+// of the pattern places it at its own start time.
 
 // trajectory is one application's simulated run, measured from its start.
 type trajectory struct {
@@ -27,33 +26,48 @@ type trajectory struct {
 
 // trajectories is the table of one pattern's trajectories, keyed by the
 // application's index in the pattern, its technique, and the slot of the
-// machine or node class its executor was built for. It is sized once, and
-// every run of a RunAll call reads and fills it on one goroutine.
+// machine or node class its executor was built for. It is sized once, for
+// the slots and techniques its specs can reach, and every run of a RunAll
+// call reads and fills it on one goroutine.
 type trajectories struct {
 	apps     int
-	entries  []trajectory        // [slot][technique][app]
-	machines []machine.Config    // distinct machines of the specs, in order
-	bases    []int               // each machine's first slot
-	rt       *resilience.Runtime // simulates every trajectory of the table
-	src      rng.Source          // re-seeded per trajectory
+	cols     int                     // technique columns per slot
+	col      [core.NumTechniques]int // each technique's column, -1 if no spec reaches it
+	entries  []trajectory            // [slot][column][app]
+	machines []machine.Config        // distinct machines of the specs, in order
+	bases    []int                   // each machine's first slot
+	shared   bool                    // several specs read the table
+	rt       *resilience.Runtime     // simulates every trajectory of the table
+	src      rng.Source              // re-seeded per trajectory
 	seed     uint64
 	mirror   bool
 }
 
 // newTrajectories sizes the table for specs, which share pattern, seed,
 // mirror, failure model, resilience config and registry (RunAll checks).
-// A homogeneous machine takes one slot; a heterogeneous one a slot per
-// node class.
+// A homogeneous machine takes one slot, a heterogeneous one a slot per
+// node class; a fixed-technique spec reaches one technique column, a
+// chooser every one.
 func newTrajectories(specs []Spec) *trajectories {
 	first := specs[0]
 	t := &trajectories{
 		apps:   len(first.Pattern.Apps),
+		shared: len(specs) > 1,
 		rt:     resilience.NewRuntime(resilience.NewMetrics(first.Obs)),
 		seed:   first.Seed,
 		mirror: first.Mirror,
 	}
+	var reach [core.NumTechniques]bool
 	slots := 0
 	for _, s := range specs {
+		switch {
+		case s.Chooser != nil:
+			for tech := range reach {
+				reach[tech] = true
+			}
+		case s.Technique.Valid():
+			reach[s.Technique] = true
+		}
 		if t.slotBase(s.Machine) >= 0 {
 			continue
 		}
@@ -61,7 +75,14 @@ func newTrajectories(specs []Spec) *trajectories {
 		t.bases = append(t.bases, slots)
 		slots += max(1, len(s.Machine.Classes))
 	}
-	t.entries = make([]trajectory, slots*core.NumTechniques*t.apps)
+	for tech, ok := range reach {
+		t.col[tech] = -1
+		if ok {
+			t.col[tech] = t.cols
+			t.cols++
+		}
+	}
+	t.entries = make([]trajectory, slots*t.cols*t.apps)
 	return t
 }
 
@@ -69,27 +90,33 @@ func newTrajectories(specs []Spec) *trajectories {
 // none for it.
 func (t *trajectories) slotBase(m machine.Config) int {
 	for i, have := range t.machines {
-		if sameMachine(have, m) {
+		if have.Equal(m) {
 			return t.bases[i]
 		}
 	}
 	return -1
 }
 
-// sameMachine reports whether two machine configurations are equal.
-func sameMachine(a, b machine.Config) bool {
-	return a.Name == b.Name && a.Nodes == b.Nodes && a.Node == b.Node && a.Network == b.Network &&
-		a.MTBF == b.MTBF && slices.Equal(a.Classes, b.Classes)
-}
-
 // get returns the trajectory of the app at index i of the pattern, run by
-// x on the given slot, simulating it on first use.
-func (t *trajectories) get(slot, i int, x *resilience.Executor, app workload.App) trajectory {
-	e := &t.entries[(slot*core.NumTechniques+int(x.Technique()))*t.apps+i]
+// x on the given slot from a start that leaves it window before its
+// horizon, simulating it on first use. A shared table simulates the app's
+// whole budget, which holds every start's window. A one-spec table's entry
+// is read once, since an application starts at most once per run, so it
+// simulates just that window, as the run would without a table.
+func (t *trajectories) get(slot, i int, x *resilience.Executor, app workload.App, window units.Duration) trajectory {
+	col := t.col[x.Technique()]
+	if col < 0 {
+		panic(fmt.Sprintf("cluster: no spec of the trajectory table runs %v", x.Technique()))
+	}
+	e := &t.entries[(slot*t.cols+col)*t.apps+i]
 	if !e.simulated {
+		span := window
+		if t.shared {
+			span = budget(app)
+		}
 		t.src.SetStream(t.seed, uint64(app.ID)+1)
 		t.src.SetMirror(t.mirror)
-		res := t.rt.Run(x, budget(app), &t.src)
+		res := t.rt.Run(x, span, &t.src)
 		*e = trajectory{simulated: true, completed: res.Completed, end: res.End}
 	}
 	return *e

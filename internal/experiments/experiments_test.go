@@ -260,8 +260,9 @@ func TestFigure5Structure(t *testing.T) {
 }
 
 func TestFigure4DeterministicAcrossWorkerCounts(t *testing.T) {
-	// runCells folds per-(combo, pattern) slots in index order, so the
-	// study must be bit-identical for any worker count.
+	// runCells runs one grid cell per pattern and folds the cells in
+	// index order, so the study must be bit-identical for any worker
+	// count.
 	run := func(workers int) ClusterResult {
 		t.Helper()
 		cfg := fastConfig()

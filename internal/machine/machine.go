@@ -14,6 +14,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"exaresil/internal/units"
 )
@@ -118,6 +119,15 @@ func (c Config) WithMTBF(mtbf units.Duration) Config {
 	c.MTBF = mtbf
 	c.Name = fmt.Sprintf("%s-mtbf-%s", c.Name, mtbf)
 	return c
+}
+
+// Equal reports whether c and o describe the same machine: every field
+// equal, Node, Network and each node class by value. A field added to
+// Config must be compared here too; TestConfigEqualCoversEveryField fails
+// until it is.
+func (c Config) Equal(o Config) bool {
+	return c.Name == o.Name && c.Nodes == o.Nodes && c.Node == o.Node && c.Network == o.Network &&
+		c.MTBF == o.MTBF && slices.Equal(c.Classes, o.Classes)
 }
 
 // Validate reports whether the configuration is physically meaningful.

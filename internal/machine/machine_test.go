@@ -2,6 +2,8 @@ package machine
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"exaresil/internal/units"
@@ -163,5 +165,30 @@ func TestStringMentionsName(t *testing.T) {
 	c := Exascale()
 	if s := c.String(); len(s) == 0 || s[:len(c.Name)] != c.Name {
 		t.Errorf("String() = %q does not start with config name", s)
+	}
+}
+
+// TestConfigEqualCoversEveryField zeroes each field of a configuration
+// whose every field is set: Equal must tell each such copy from the
+// original, so a field added to Config but not to Equal fails here.
+func TestConfigEqualCoversEveryField(t *testing.T) {
+	a := Exascale()
+	a.Classes = []NodeClass{{Name: "fast", Count: a.Nodes, Speed: 1.25, MTBF: units.Year}}
+	same := a
+	same.Classes = slices.Clone(a.Classes)
+	if !a.Equal(same) {
+		t.Fatal("a configuration differs from its copy")
+	}
+	v := reflect.ValueOf(a)
+	for i := range v.NumField() {
+		name := v.Type().Field(i).Name
+		if v.Field(i).IsZero() {
+			t.Fatalf("field %s is zero in the fixture: set it", name)
+		}
+		b := a
+		reflect.ValueOf(&b).Elem().Field(i).SetZero()
+		if a.Equal(b) {
+			t.Errorf("Equal ignores field %s", name)
+		}
 	}
 }
